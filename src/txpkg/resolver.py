@@ -323,14 +323,49 @@ def solve(u: Universe, s0: Status, r: Request) -> Solution | Unsat:
     return solution
 
 
-def _installable(u: Universe, pkg: Package) -> bool:
-    r = Request((RequestAtom("install", pkg.id.name, VersionConstraint("=", pkg.id.version)),))
-    cnf = encode(u, Status(), r)
-    return DpllSolver(len(cnf.ids), cnf.clauses).solve() is not None
+def _installability(u: Universe):
+    """A predicate deciding whether a package of ``u`` is installable.
+
+    Encodes the universe once, with the empty request, and keeps one solver.
+    Each question is one solve under the assumption that the package is
+    installed, deciding only the package's dependency cone: the ids reachable
+    from it through the satisfiers of its dependency clauses.
+    """
+    cnf = encode(u, Status(), Request(()))
+    solver = DpllSolver(len(cnf.ids), cnf.clauses)
+    needs = {cnf.var_of[pid]: [cnf.var_of[q.id] for clause in u.get(pid).rel.depends
+                               for atom in clause for q in u.satisfiers(atom)]
+             for pid in u.ids}
+
+    def installable(pid: PackageId) -> bool:
+        root = cnf.var_of[pid]
+        cone, todo = {root}, [root]
+        while todo:
+            for q in needs[todo.pop()]:
+                if q not in cone:
+                    cone.add(q)
+                    todo.append(q)
+        # Deciding only the cone is sound and complete.  The clauses are
+        # "(not p) or s1 or ... or sk" (p depends on one of the s_i) and
+        # "(not p) or (not q)" (a conflict); there is no positive unit.  So
+        # propagation makes a variable true only as a satisfier of a true cone
+        # package, which is in the cone again, and every variable outside the
+        # cone stays unassigned and reads as false.  That satisfies every
+        # clause holding it: it is negated in its own dependency clauses and
+        # in conflicts, and occurs positively only in dependency clauses of
+        # packages outside the cone, whose owners read as false too.  A cone
+        # package's dependency clauses have all their satisfiers in the cone,
+        # so the search sees them whole.  Hence a model over the cone, with
+        # everything else false, is a model of the whole formula, and any
+        # model containing the package stays one when cut down to the cone.
+        return solver.solve(assumptions=(root,), order=sorted(cone)) is not None
+
+    return installable
 
 
 def explain_unsat(u: Universe, s0: Status, r: Request) -> Unsat:
     """Build the Unsat stub: flag request atoms that are doomed on their own."""
+    installable = _installability(u)
     doomed, witnesses = [], []
     for atom in r.atoms:
         if atom.action == "remove":
@@ -339,7 +374,7 @@ def explain_unsat(u: Universe, s0: Status, r: Request) -> Unsat:
         if not cands:
             doomed.append(atom)
             witnesses.append(f"'{atom}': no candidate in the universe")
-        elif all(not _installable(u, pkg) for pkg in cands):
+        elif all(not installable(pkg.id) for pkg in cands):
             doomed.append(atom)
             witnesses.append(f"'{atom}': no candidate is installable")
     return Unsat(r, tuple(doomed), tuple(witnesses))
@@ -349,15 +384,15 @@ def health_check(u: Universe) -> list[tuple[PackageId, Verdict]]:
     """Installability report for every package in the universe.
 
     A package is healthy when some subset of the universe contains it while
-    satisfying every dependency clause and avoiding all conflicts; decided
-    with the same complete solver pinned to that exact version.
+    satisfying every dependency clause and avoiding all conflicts.  The
+    universe is encoded once and handed to one complete solver; each package
+    is then one solve under the assumption that it is installed, with
+    decisions restricted to its dependency cone (see ``_installability``).
     """
+    installable = _installability(u)
     out: list[tuple[PackageId, Verdict]] = []
     for pid in u.ids:
-        r = Request((RequestAtom("install", pid.name, VersionConstraint("=", pid.version)),))
-        cnf = encode(u, Status(), r)
-        model = DpllSolver(len(cnf.ids), cnf.clauses).solve()
-        if model is not None:
+        if installable(pid):
             out.append((pid, Verdict(True)))
             continue
         witness = None

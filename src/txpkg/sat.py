@@ -2,12 +2,16 @@
 
 Variables are numbered 1..nvars; a clause is a tuple of non-zero ints where a
 negative literal asserts "variable is false".  The engine is deterministic by
-construction: decisions always pick the lowest-numbered unassigned variable
-and try the caller's preferred polarity first, and propagation order is a
-fixed function of the input.  ``minimize`` runs an exhaustive branch-and-bound
-on the same search tree, so both entry points are complete.
+construction: decisions always pick the first unassigned variable of the
+decision order (by default the lowest-numbered one) and try the caller's
+preferred polarity first, and propagation order is a fixed function of the
+input.  ``minimize`` runs an exhaustive branch-and-bound on the same search
+tree, so both entry points are complete.
 
-A solver instance is single-shot: build one per problem.
+``solve`` is reusable: one instance answers many calls, each under its own
+assumption literals and over its own set of decision variables, and undoes
+to the root level before it returns.  ``search`` and ``minimize`` stay
+single-shot: build one instance per optimisation problem.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ class DpllSolver:
         self.wpair: list[list[int]] = []
         self.units: list[int] = []
         self.false_clause = False
-        self._used = False
+        self._used = False  # search or minimize has run
         for idx, clause in enumerate(self.clauses):
             self.wpair.append(list(clause[:2]))
             if not clause:
@@ -38,6 +42,10 @@ class DpllSolver:
             else:
                 for lit in clause[:2]:
                     self.watch.setdefault(lit, []).append(idx)
+        # the root level: every unit clause and what it propagates
+        self.root_ok = (not self.false_clause
+                        and all(self._enqueue(lit) for lit in self.units)
+                        and self._propagate())
 
     def _value(self, lit: int) -> int:
         v = self.assign[abs(lit)]
@@ -113,18 +121,47 @@ class DpllSolver:
         when the formula is unsatisfiable.
         """
         if self._used:
-            raise RuntimeError("solver instances are single-shot")
+            raise RuntimeError("search and minimize are single-shot")
         self._used = True
-        if self.false_clause:
+        return self._run(polarity, (), range(1, self.nvars + 1), on_model, prune)
+
+    def solve(
+        self,
+        polarity: Sequence[bool] | None = None,
+        assumptions: Iterable[int] = (),
+        order: Sequence[int] | None = None,
+    ) -> set[int] | None:
+        """First model (as the set of true variables) in which every literal of
+        ``assumptions`` holds, or None if there is none.  May be called any
+        number of times.
+
+        Only the variables of ``order`` (default: all, lowest first) are
+        decided, in that order; a variable that neither a decision nor unit
+        propagation assigned is left out of the set, i.e. reads as false.
+        None always proves that no model satisfies the assumptions.  With an
+        ``order`` that leaves variables out, a returned set is a model only
+        if reading those variables as false satisfies every clause holding
+        them; the caller must know that it does.
+        """
+        if order is None:
+            order = range(1, self.nvars + 1)
+        return self._run(polarity, assumptions, order)
+
+    def _run(
+        self,
+        pol: Sequence[bool] | None,
+        assumptions: Iterable[int],
+        order: Sequence[int],
+        on_model: Callable[[set[int]], bool] | None = None,
+        prune: Callable[[list[int]], bool] | None = None,
+    ) -> set[int] | None:
+        """Depth-first search under ``assumptions``, deciding the variables of
+        ``order`` in that order; leaves the solver at the root level."""
+        if not self.root_ok:
             return None
-        for lit in self.units:
-            if not self._enqueue(lit):
-                return None
-        if not self._propagate():
-            return None
-        pol = list(polarity) if polarity is not None else [False] * (self.nvars + 1)
+        root, end = len(self.trail), len(order)
         decisions: list[list] = []  # [trail mark, literal, flipped?, scan position]
-        scan = 1
+        scan = 0
 
         def backtrack() -> bool:
             nonlocal scan
@@ -140,31 +177,33 @@ class DpllSolver:
                 # the flip conflicts immediately; next loop pops it as tried
             return False
 
-        while True:
-            if prune is not None and prune(self.assign):
-                if not backtrack():
-                    return None
-                continue
-            v = scan
-            while v <= self.nvars and self.assign[v] != 0:
-                v += 1
-            if v > self.nvars:
-                model = {i for i in range(1, self.nvars + 1) if self.assign[i] > 0}
-                if on_model is None or on_model(model):
-                    return model
-                if not backtrack():
-                    return None
-                continue
-            scan = v
-            lit = v if pol[v] else -v
-            decisions.append([len(self.trail), lit, False, v])
-            if not (self._enqueue(lit) and self._propagate()):
-                if not backtrack():
-                    return None
-
-    def solve(self, polarity: Sequence[bool] | None = None) -> set[int] | None:
-        """First model (as the set of true variables), or None if unsatisfiable."""
-        return self.search(polarity=polarity)
+        try:
+            if not (all(self._enqueue(lit) for lit in assumptions) and self._propagate()):
+                return None
+            while True:
+                if prune is not None and prune(self.assign):
+                    if not backtrack():
+                        return None
+                    continue
+                i = scan
+                while i < end and self.assign[order[i]] != 0:
+                    i += 1
+                if i == end:
+                    model = {v for v in self.trail if self.assign[v] > 0}
+                    if on_model is None or on_model(model):
+                        return model
+                    if not backtrack():
+                        return None
+                    continue
+                scan = i
+                v = order[i]
+                lit = v if pol is not None and pol[v] else -v
+                decisions.append([len(self.trail), lit, False, i])
+                if not (self._enqueue(lit) and self._propagate()):
+                    if not backtrack():
+                        return None
+        finally:
+            self._undo_to(root)
 
     def minimize(
         self,

@@ -275,9 +275,13 @@ class Store:
             fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
             raise AlreadyLocked(f"transaction already open on {self.root}") from None
-        txn = Transaction(self, self._next_id())
-        os.write(fd, str(txn.id).encode())
-        os.close(fd)
+        try:
+            with os.fdopen(fd, "w") as lock:
+                txn = Transaction(self, self._next_id())
+                lock.write(str(txn.id))
+        except BaseException:
+            self._release_lock()
+            raise
         return txn
 
     def _release_lock(self) -> None:

@@ -98,15 +98,17 @@ def _random_constraint(rng: random.Random) -> VersionConstraint:
     return VersionConstraint(rng.choice(OPERATORS), _random_version(rng))
 
 
-def random_universe(rng: random.Random, max_size: int = 12) -> Universe:
-    """Random universe with per-universe dependency/conflict/provide densities."""
-    n = rng.randint(1, max_size)
+def random_universe(rng: random.Random, max_size: int = 12, min_size: int = 1,
+                    names: list[str] = NAMES) -> Universe:
+    """Random universe of ``min_size`` to ``max_size`` ids (at most 16 per name),
+    with per-universe dependency/conflict/provide densities."""
+    n = rng.randint(min_size, max_size)
     dep_density = rng.uniform(0.2, 0.9)
     conflict_density = rng.uniform(0.0, 0.5)
     provide_density = rng.uniform(0.0, 0.5)
     keyset = set()
     while len(keyset) < n:
-        name = rng.choice(NAMES[:max(3, min(n, len(NAMES)))])
+        name = rng.choice(names[:max(3, min(n, len(names)))])
         keyset.add((name, _random_version(rng).raw))
     targets = sorted({nm for nm, _ in keyset}) + FEATURES
     packages = []

@@ -4,18 +4,23 @@ import random
 
 import pytest
 
+import txpkg.resolver
 from txpkg.resolver import (
     Request,
     RequestAtom,
     RequestError,
     Solution,
     Unsat,
+    Verdict,
+    Violation,
     check_solution,
     encode,
+    explain_unsat,
     health_check,
     parse_request,
     solve,
 )
+from txpkg.sat import DpllSolver
 from txpkg.universe import (
     PackageId,
     Status,
@@ -255,3 +260,99 @@ def test_health_agrees_with_oracle_on_random_universes():
                                      VersionConstraint("=", pid.version)),))
             expected = bool(support.oracle_statuses(u, Status(), r))
             assert results[pid].ok == expected
+
+
+def _satisfies(model, clauses):
+    return all(any((lit > 0) == (abs(lit) in model) for lit in clause) for clause in clauses)
+
+
+def reference_health_check(u):
+    """One fresh encoding and one fresh solver per package, pinned by its request."""
+    out = []
+    for pid in u.ids:
+        r = Request((RequestAtom("install", pid.name, VersionConstraint("=", pid.version)),))
+        cnf = encode(u, Status(), r)
+        if DpllSolver(len(cnf.ids), cnf.clauses).solve() is not None:
+            out.append((pid, Verdict(True)))
+            continue
+        witness = Violation("c", f"{pid}: no conflict-free dependency closure exists")
+        for clause in u.get(pid).rel.depends:
+            if not any(u.satisfiers(atom) for atom in clause):
+                rendered = " | ".join(str(a) for a in clause)
+                witness = Violation("b", f"{pid}: dependency clause '{rendered}' has no candidates")
+                break
+        out.append((pid, Verdict(False, (witness,))))
+    return out
+
+
+def test_health_agrees_with_fresh_solver_reference_on_large_universes(monkeypatch):
+    real_solve = DpllSolver.solve
+
+    def checked_solve(self, *args, **kwargs):
+        # a model found over a dependency cone must be a model of the whole formula
+        model = real_solve(self, *args, **kwargs)
+        assert model is None or _satisfies(model, self.clauses)
+        return model
+
+    monkeypatch.setattr(DpllSolver, "solve", checked_solve)
+    names = [f"pkg{i:02d}" for i in range(40)]
+    rng = random.Random(37)
+    for _ in range(6):
+        u = support.random_universe(rng, min_size=60, max_size=180, names=names)
+        assert health_check(u) == reference_health_check(u)
+
+
+def test_health_encodes_once_and_builds_one_solver(monkeypatch):
+    calls = {"encode": 0, "solver": 0}
+    real_encode, real_init = txpkg.resolver.encode, DpllSolver.__init__
+
+    def counting_encode(*args):
+        calls["encode"] += 1
+        return real_encode(*args)
+
+    def counting_init(self, *args):
+        calls["solver"] += 1
+        real_init(self, *args)
+
+    monkeypatch.setattr(txpkg.resolver, "encode", counting_encode)
+    monkeypatch.setattr(DpllSolver, "__init__", counting_init)
+    u = support.random_universe(random.Random(41), min_size=100, max_size=100)
+    assert len(health_check(u)) == len(u) == 100
+    assert calls == {"encode": 1, "solver": 1}
+
+    calls.update(encode=0, solver=0)
+    atoms = tuple(RequestAtom("install", name) for name in sorted({p.name for p in u}))
+    assert sum(len(u.by_name(a.name)) for a in atoms) == 100
+    explain_unsat(u, Status(), Request(atoms))
+    assert calls == {"encode": 1, "solver": 1}
+
+
+# --- the reusable solver ------------------------------------------------------------
+
+
+def test_reusable_solver_agrees_with_fresh_solvers():
+    rng = random.Random(43)
+    formulas = []
+    for _ in range(30):
+        u = support.random_universe(rng, max_size=10)
+        formulas.append(encode(u, Status(), Request(())))
+        formulas.append(encode(u, support.random_status(rng, u), support.random_request(rng, u)))
+    interleaved = 0
+    for cnf in formulas:
+        n = len(cnf.ids)
+        literals = [sign * v for v in range(1, n + 1) for sign in (1, -1)]
+        rng.shuffle(literals)
+        fresh = {lit: DpllSolver(n, cnf.clauses + [(lit,)]).solve() for lit in literals}
+        sat = [lit for lit in literals if fresh[lit] is not None]
+        unsat = [lit for lit in literals if fresh[lit] is None]
+        # alternate SAT and UNSAT calls for as long as both kinds remain
+        calls = [lit for pair in zip(sat, unsat) for lit in pair]
+        calls += sat[len(unsat):] + unsat[len(sat):]
+        interleaved += bool(sat and unsat)
+        solver = DpllSolver(n, cnf.clauses)
+        for lit in calls:
+            model = solver.solve(assumptions=[lit])
+            assert model == fresh[lit]
+            if model is not None:
+                assert _satisfies(model, cnf.clauses + [(lit,)])
+    assert interleaved >= 20

@@ -51,6 +51,14 @@ def test_ids_are_monotonic(store):
     assert store.begin().id == 3  # rolled-back ids are not reused
 
 
+def test_failed_begin_releases_lock(store):
+    store.begin().commit()
+    (store.lock_path.parent / "serial").write_text("garbage")
+    with pytest.raises(ValueError):
+        store.begin()
+    assert not store.lock_path.exists()
+
+
 # --- write_through and the journal ----------------------------------------------
 
 
