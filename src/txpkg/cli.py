@@ -153,28 +153,21 @@ def _make_plan(args):
 
 
 def cmd_solve(args) -> int:
-    try:
-        _repo, _universe, _store_, plan_ = _make_plan(args)
-    except ResolutionFailure as e:
-        _emit(args, {"result": "resolution-failure", "detail": str(e)}, f"error: {e}")
-        return EXIT_FAILURE
-    sm = plan_.summary
+    _repo, _universe, _store_, plan_ = _make_plan(args)
+    diff = plan_.diff
+    transcript = simulate(plan_)
     _emit(args, {"result": "plan",
-                 "summary": {"upgraded": sm.upgraded, "new": sm.new,
-                             "removed": sm.removed, "download_kb": sm.download_kb},
-                 "transcript": simulate(plan_)},
-          simulate(plan_))
+                 "summary": {"upgraded": len(diff.changed), "new": len(diff.new),
+                             "removed": len(diff.removed), "download_kb": diff.download_kb},
+                 "transcript": transcript},
+          transcript)
     return EXIT_OK
 
 
 def cmd_apply(args) -> int:
     if args.dry_run:
         return cmd_solve(args)
-    try:
-        repo, _universe, store, plan_ = _make_plan(args)
-    except ResolutionFailure as e:
-        _emit(args, {"result": "resolution-failure", "detail": str(e)}, f"error: {e}")
-        return EXIT_FAILURE
+    repo, _universe, store, plan_ = _make_plan(args)
     outcome = execute_plan(plan_, store, repo, purge=args.purge)
     if outcome.result == "success" and args.keep is not None:
         store.prune_history(args.keep)
@@ -282,6 +275,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
+    except ResolutionFailure as e:  # from solve and apply
+        _emit(args, {"result": "resolution-failure", "detail": str(e)}, f"error: {e}")
+        return EXIT_FAILURE
     except (ConfigError, MetadataError, RequestError, PreferenceError, ScriptSyntaxError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

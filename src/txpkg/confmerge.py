@@ -7,16 +7,18 @@ files simply take the incoming version, locally modified ones get a
 line-oriented three-way merge (or a per-key merge for ``key=value`` files),
 and overlapping edits surface as a conflict with the incoming version parked
 next to the file as ``<path>.pkgnew``.  A conflict never aborts the upgrade.
+
+``parse_kv``/``dump_kv`` are the engine's one ``key=value`` codec; the
+script DSL's ``setkey``/``delkey`` use it too.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from difflib import SequenceMatcher
 
-from .txn import Store, Transaction
+from .txn import Store, Transaction, _sha
 from .universe import Package
 
 __all__ = [
@@ -25,6 +27,8 @@ __all__ = [
     "PristineStore",
     "merge3",
     "structured_merge",
+    "parse_kv",
+    "dump_kv",
     "is_locally_modified",
     "upgrade_conffile",
     "PKGNEW_SUFFIX",
@@ -52,10 +56,6 @@ class MergeOutcome:
     content: bytes
     conflict_hunks: tuple = ()
     fell_back: bool = False
-
-
-def _sha(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 def _lines(data: bytes) -> list[bytes]:
@@ -143,7 +143,8 @@ def merge3(base: bytes, local: bytes, incoming: bytes) -> MergeOutcome:
     return MergeOutcome("merged", content)
 
 
-def _parse_kv(data: bytes):
+def parse_kv(data: bytes):
+    """key=value lines -> dict, or None when the data is not in that shape."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError:
@@ -175,15 +176,15 @@ def structured_merge(base: bytes, local: bytes, incoming: bytes,
         return merge3(base, local, incoming)
     if syntax != "keyvalue":
         raise ValueError(f"unknown merge syntax {syntax!r}")
-    parsed_b, parsed_l, parsed_i = _parse_kv(base), _parse_kv(local), _parse_kv(incoming)
+    parsed_b, parsed_l, parsed_i = parse_kv(base), parse_kv(local), parse_kv(incoming)
     if parsed_b is None or parsed_l is None or parsed_i is None:
         out = merge3(base, local, incoming)
         return MergeOutcome(out.kind, out.content, out.conflict_hunks, fell_back=True)
 
     if parsed_l == parsed_b:
-        return MergeOutcome("took-new", _dump_kv(parsed_i))
+        return MergeOutcome("took-new", dump_kv(parsed_i))
     if parsed_i == parsed_b:
-        return MergeOutcome("kept-local", _dump_kv(parsed_l))
+        return MergeOutcome("kept-local", dump_kv(parsed_l))
 
     merged: dict[str, str] = {}
     conflicts: list[tuple[bytes, bytes, bytes]] = []
@@ -203,7 +204,7 @@ def structured_merge(base: bytes, local: bytes, incoming: bytes,
             merged[key] = chosen
 
     if not conflicts:
-        return MergeOutcome("merged", _dump_kv(merged))
+        return MergeOutcome("merged", dump_kv(merged))
     rendered: list[bytes] = []
     for key in sorted(set(merged) | conflict_keys):
         if key in conflict_keys:
@@ -220,7 +221,8 @@ def structured_merge(base: bytes, local: bytes, incoming: bytes,
     return MergeOutcome("conflict", b"".join(rendered), tuple(conflicts))
 
 
-def _dump_kv(mapping: dict) -> bytes:
+def dump_kv(mapping: dict) -> bytes:
+    """The canonical rendering of a key=value mapping: one line per key, sorted."""
     return "".join(f"{k}={mapping[k]}\n" for k in sorted(mapping)).encode("utf-8")
 
 

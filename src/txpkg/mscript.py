@@ -11,7 +11,8 @@ Primitives::
     copy SRC DST               copy a store file over/onto DST
     remove PATH                delete a file
     append FILE LINE           append one line (file created if missing)
-    setkey FILE KEY VALUE      set KEY in a key=value file (sorted, unique keys)
+    setkey FILE KEY VALUE      set KEY in a key=value file (sorted, unique keys;
+                               the codec of txpkg.confmerge)
     delkey FILE KEY            drop KEY from a key=value file
     update-cache CACHE GLOB    rewrite CACHE as the sorted "path sha256" listing
                                of store files matching GLOB (idempotent)
@@ -29,10 +30,10 @@ alternative to compensation.
 from __future__ import annotations
 
 import fnmatch
-import hashlib
 from dataclasses import dataclass
 
-from .txn import Transaction
+from .confmerge import dump_kv, parse_kv
+from .txn import Transaction, _sha
 from .universe import MetadataError, check_rel_path
 
 __all__ = [
@@ -199,10 +200,6 @@ def _subst(token: str, env: ScriptEnv, index: int) -> str:
     return out
 
 
-def _sha(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def compute_cache(txn: Transaction, cache_path: str, pattern: str) -> bytes:
     """Deterministic cache content: one ``path sha256`` line per matching file,
     sorted by path.  The cache file itself never matches its own glob."""
@@ -212,29 +209,6 @@ def compute_cache(txn: Transaction, cache_path: str, pattern: str) -> bytes:
             continue
         lines.append(f"{rel} {_sha(txn.read(rel))}\n")
     return "".join(lines).encode("utf-8")
-
-
-def _parse_kv(data: bytes):
-    """key=value lines -> dict, or None when the file is not in that shape."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError:
-        return None
-    out: dict[str, str] = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        key, sep, value = line.partition("=")
-        if not sep or not key or any(c.isspace() for c in key):
-            return None
-        if key in out:
-            return None
-        out[key] = value
-    return out
-
-
-def _dump_kv(mapping: dict) -> bytes:
-    return "".join(f"{k}={mapping[k]}\n" for k in sorted(mapping)).encode("utf-8")
 
 
 def _file_snapshot(txn: Transaction, rel: str):
@@ -322,7 +296,7 @@ def _run_step(index: int, step: Step, txn: Transaction, env: ScriptEnv) -> StepE
         pre, pre_mode = _file_snapshot(txn, target)
         if op == "delkey" and pre is None:
             raise ScriptFailure(index, f"{target!r} does not exist")
-        mapping = _parse_kv(pre) if pre is not None else {}
+        mapping = parse_kv(pre) if pre is not None else {}
         if mapping is None:
             raise ScriptFailure(index, f"{target!r} is not a key=value file")
         if op == "setkey":
@@ -333,7 +307,7 @@ def _run_step(index: int, step: Step, txn: Transaction, env: ScriptEnv) -> StepE
             # nothing to delete: record a no-op so the log stays one record per step
             return StepEffect(index=index, op=op, path=target, pre_image=pre,
                               pre_mode=pre_mode, post_sha=_sha(pre), detail=key)
-        eff = _write_file(txn, index, target, _dump_kv(mapping))
+        eff = _write_file(txn, index, target, dump_kv(mapping))
         eff.op = op
         eff.detail = key
         return eff

@@ -13,7 +13,8 @@ script or I/O failure the transaction is rolled back wholesale and the store
 is byte-identical to its initial state.  Configuration order is topological
 over the dependencies installed in the same plan (a package is set up after
 the packages it depends on), with cycles broken deterministically at the
-smallest edge.
+smallest edge.  The summary counts and the dry-run transcript both come from
+``txpkg.universe.status_diff``, the rule the preference criteria count by.
 """
 
 from __future__ import annotations
@@ -30,14 +31,21 @@ from .mscript import ScriptEnv, ScriptFailure
 from .preferences import PreferenceSpec, optimize
 from .resolver import Request, Solution, Unsat
 from .txn import Store
-from .universe import Package, PackageId, Status, Universe, serialize_status
+from .universe import (
+    Package,
+    PackageId,
+    Status,
+    StatusDiff,
+    Universe,
+    serialize_status,
+    status_diff,
+)
 
 __all__ = [
     "PlanError",
     "MissingPayload",
     "ResolutionFailure",
     "Action",
-    "PlanSummary",
     "Plan",
     "Outcome",
     "plan",
@@ -81,18 +89,10 @@ class Action:
 
 
 @dataclass(frozen=True)
-class PlanSummary:
-    upgraded: int
-    new: int
-    removed: int
-    download_kb: int
-
-
-@dataclass(frozen=True)
 class Plan:
     solution: Solution
     actions: tuple[Action, ...]
-    summary: PlanSummary
+    diff: StatusDiff
     request: Request
     s0: Status
     universe: Universe
@@ -112,13 +112,6 @@ class Outcome:
 
 def payload_dir(repo_dir, pkg: Package) -> Path:
     return Path(repo_dir) / f"{pkg.name}_{pkg.version}"
-
-
-def _name_versions(s: Status) -> dict[str, frozenset]:
-    out: dict[str, set] = {}
-    for pid in s.installed:
-        out.setdefault(pid.name, set()).add(pid.version)
-    return {n: frozenset(vs) for n, vs in out.items()}
 
 
 def _classify(s0: Status, s: Status):
@@ -208,16 +201,7 @@ def plan(u: Universe, s0: Status, r: Request, spec: PreferenceSpec) -> Plan:
                 Action("unpack", pid, old),
                 Action("postinst", pid, old),
             ]
-
-    names0 = _name_versions(s0)
-    names_s = _name_versions(s)
-    summary = PlanSummary(
-        upgraded=sum(1 for n in names0 if n in names_s and names0[n] != names_s[n]),
-        new=sum(1 for n in names_s if n not in names0),
-        removed=sum(1 for n in names0 if n not in names_s),
-        download_kb=sum(u.get(pid).size_kb for pid in s.installed - s0.installed),
-    )
-    return Plan(result, tuple(actions), summary, r, s0, u)
+    return Plan(result, tuple(actions), status_diff(u, s0, s), r, s0, u)
 
 
 def retrieve(pkg: Package, repo_dir, staging_dir) -> str:
@@ -314,36 +298,31 @@ def simulate(plan_: Plan) -> str:
     plus the summary counts and download size.  Never touches a store."""
     if not plan_.actions:
         return "nothing to do\n"
-    s0, s = plan_.s0, plan_.solution.status
-    names0 = _name_versions(s0)
-    names_s = _name_versions(s)
-    removed_names = sorted(n for n in names0 if n not in names_s)
-    upgraded_names = sorted(n for n in names0 if n in names_s and names0[n] != names_s[n])
-    new_names = sorted(n for n in names_s if n not in names0)
+    diff = plan_.diff
     requested = {a.name for a in plan_.request.atoms if a.action in ("install", "upgrade")}
-    extra = sorted(set(new_names) - requested)
+    extra = [n for n in diff.new if n not in requested]
 
     lines = []
-    if removed_names:
+    if diff.removed:
         lines.append("The following packages will be REMOVED:")
-        lines.append("  " + " ".join(removed_names))
-    if upgraded_names:
+        lines.append("  " + " ".join(diff.removed))
+    if diff.changed:
         lines.append("The following packages will be upgraded:")
-        lines.append("  " + " ".join(upgraded_names))
+        lines.append("  " + " ".join(diff.changed))
     if extra:
         lines.append("The following extra packages will be installed:")
         lines.append("  " + " ".join(extra))
-    if new_names:
+    if diff.new:
         lines.append("The following NEW packages will be installed:")
-        lines.append("  " + " ".join(new_names))
-    sm = plan_.summary
-    lines.append(f"{sm.upgraded} upgraded, {sm.new} newly installed, {sm.removed} to remove.")
-    lines.append(f"Need to get {sm.download_kb}kB of archives.")
+        lines.append("  " + " ".join(diff.new))
+    lines.append(f"{len(diff.changed)} upgraded, {len(diff.new)} newly installed, "
+                 f"{len(diff.removed)} to remove.")
+    lines.append(f"Need to get {diff.download_kb}kB of archives.")
     return "\n".join(lines) + "\n"
 
 
 def execute_plan(plan_: Plan, store: Store, repo_dir, *, purge: bool = False,
-                 conffile_policy: str = "auto", io_fault=None) -> Outcome:
+                 io_fault=None) -> Outcome:
     """Run a plan against the store.
 
     ``io_fault``, when given, is called as ``io_fault(event)`` before every
@@ -391,8 +370,7 @@ def execute_plan(plan_: Plan, store: Store, repo_dir, *, purge: bool = False,
                         data = (payload / rel).read_bytes()
                         mode = stat.S_IMODE((payload / rel).stat().st_mode)
                         if rel in pkg.conffiles:
-                            outcome = confmerge.upgrade_conffile(
-                                store, txn, pkg, rel, data, policy=conffile_policy)
+                            outcome = confmerge.upgrade_conffile(store, txn, pkg, rel, data)
                             if outcome.kind == "conflict":
                                 conflicts.append(rel)
                         else:

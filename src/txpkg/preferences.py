@@ -11,6 +11,8 @@ left to right:
 - ``blacklist:<glob>``: packages matching the glob (``maint:<glob>`` matches the
   maintainer field, ``name:<glob>`` or a bare glob matches the package name)
 
+The first four are read off ``txpkg.universe.status_diff``.
+
 Config syntax: ``-removed,-changed,-new,-download`` with optional
 ``-notuptodate`` and ``-blacklist:<glob>`` entries; order is priority.
 """
@@ -20,9 +22,9 @@ from __future__ import annotations
 import fnmatch
 from dataclasses import dataclass
 
-from .resolver import Request, Solution, Unsat, check_solution, encode, explain_unsat
+from .resolver import Request, Solution, Unsat, _certify, encode
 from .sat import DpllSolver
-from .universe import Package, Status, Universe
+from .universe import Package, Status, Universe, Version, status_diff
 
 __all__ = [
     "CRITERION_KINDS",
@@ -107,30 +109,23 @@ def eval_criteria(u: Universe, s0: Status, s: Status, spec: PreferenceSpec) -> t
     Pure recount from the two installed sets; lower is better, compared
     lexicographically left to right.
     """
-    names0: dict[str, set] = {}
-    for pid in s0.installed:
-        names0.setdefault(pid.name, set()).add(pid.version)
-    names_s: dict[str, set] = {}
-    for pid in s.installed:
-        names_s.setdefault(pid.name, set()).add(pid.version)
-
+    diff = status_diff(u, s0, s)
     values = []
     for crit in spec.criteria:
         if crit.kind == "removed":
-            values.append(sum(1 for n in names0 if n not in names_s))
+            values.append(len(diff.removed))
         elif crit.kind == "changed":
-            values.append(sum(1 for n in names0 if n in names_s and names0[n] != names_s[n]))
+            values.append(len(diff.changed))
         elif crit.kind == "new":
-            values.append(sum(1 for n in names_s if n not in names0))
+            values.append(len(diff.new))
         elif crit.kind == "download":
-            values.append(sum(u.get(pid).size_kb for pid in s.installed - s0.installed))
+            values.append(diff.download_kb)
         elif crit.kind == "notuptodate":
-            count = 0
-            for n, versions in names_s.items():
-                newest = u.max_version(n)
-                if newest is not None and max(versions) < newest:
-                    count += 1
-            values.append(count)
+            highest: dict[str, Version] = {}
+            for pid in s.installed:
+                if pid.name not in highest or highest[pid.name] < pid.version:
+                    highest[pid.name] = pid.version
+            values.append(sum(1 for n, v in highest.items() if v < u.max_version(n)))
         else:  # blacklist
             values.append(sum(1 for pid in s.installed if _matches(u.get(pid), crit.pattern)))
     return tuple(values)
@@ -235,11 +230,4 @@ def optimize(u: Universe, s0: Status, r: Request, spec: PreferenceSpec) -> Solut
         return (eval_criteria(u, s0, status, spec), tuple(sorted(model)))
 
     solver = DpllSolver(len(cnf.ids), cnf.clauses)
-    model = solver.minimize(model_key, tables.bound, polarity)
-    if model is None:
-        return explain_unsat(u, s0, r)
-    solution = Solution(cnf.status_of(model))
-    verdict = check_solution(u, solution.status, r, s0)
-    if not verdict.ok:
-        raise RuntimeError(f"optimizer produced an invalid status: {verdict.violations[0].witness}")
-    return solution
+    return _certify(u, s0, r, cnf, solver.minimize(model_key, tables.bound, polarity), "optimizer")

@@ -10,25 +10,26 @@ and a request R when:
 
 ``solve`` is complete: it never reports unsatisfiable when an acceptable
 status exists.  It returns an arbitrary acceptable status; picking the best
-one is the optimizer's job (see txpkg.preferences).
+one is the optimizer's job (see txpkg.preferences).  Both hand their model to
+``_certify``, the one place that explains a missing model and re-checks a
+found one.  A request atom is an action word followed by a dependency atom
+as ``txpkg.universe`` parses it.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from .sat import DpllSolver
 from .universe import (
-    Atom,
+    MetadataError,
     Package,
     PackageId,
     Status,
     Universe,
-    Version,
     VersionConstraint,
-    MetadataError,
-    OPERATORS,
+    _render_clause,
+    parse_dependency_atom,
 )
 
 __all__ = [
@@ -48,11 +49,6 @@ __all__ = [
 ]
 
 ACTIONS = ("install", "remove", "upgrade")
-
-_REQ_ATOM_RE = re.compile(
-    r"(install|remove|upgrade)\s+([a-z0-9][a-z0-9.+-]*)\s*"
-    r"(?:\(\s*([<>=]{1,2})\s*([^\s()]+)\s*\))?$"
-)
 
 
 class RequestError(ValueError):
@@ -83,27 +79,23 @@ class Request:
 def parse_request(text: str) -> Request:
     """Parse ``install|remove|upgrade name [(op version)]`` atoms joined by commas.
 
-    Rejects requests where one name is asked to be both removed and
-    installed/upgraded.
+    After the action word, an atom follows the dependency-atom grammar of
+    ``txpkg.universe.parse_dependency_atom``.  Rejects requests where one name
+    is asked to be both removed and installed/upgraded.
     """
     atoms = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
-        m = _REQ_ATOM_RE.match(chunk)
-        if not m:
+        action, *rest = chunk.split(None, 1)
+        if action not in ACTIONS or not rest:
             raise RequestError(f"bad request atom {chunk!r}")
-        action, name, op, ver = m.groups()
-        constraint = None
-        if op is not None:
-            if op not in OPERATORS:
-                raise RequestError(f"bad operator {op!r} in {chunk!r}")
-            try:
-                constraint = VersionConstraint(op, Version(ver))
-            except MetadataError as e:
-                raise RequestError(str(e)) from None
-        atoms.append(RequestAtom(action, name, constraint))
+        try:
+            atom = parse_dependency_atom(rest[0])
+        except MetadataError as e:
+            raise RequestError(f"bad request atom {chunk!r}: {e}") from None
+        atoms.append(RequestAtom(action, atom.name, atom.constraint))
     if not atoms:
         raise RequestError("empty request")
     actions_by_name: dict[str, set[str]] = {}
@@ -195,10 +187,6 @@ def _request_candidates(u: Universe, s0: Status, atom: RequestAtom) -> tuple[Pac
     if atom.action == "upgrade":
         return _upgrade_candidates(u, s0, atom)
     return _remove_targets(u, atom)
-
-
-def _render_clause(clause: tuple[Atom, ...]) -> str:
-    return " | ".join(str(a) for a in clause)
 
 
 def check_solution(u: Universe, s: Status, r: Request, s0: Status | None = None) -> Verdict:
@@ -313,13 +301,20 @@ def solve(u: Universe, s0: Status, r: Request) -> Solution | Unsat:
     before being handed back.
     """
     cnf = encode(u, s0, r)
-    model = DpllSolver(len(cnf.ids), cnf.clauses).solve()
+    return _certify(u, s0, r, cnf, DpllSolver(len(cnf.ids), cnf.clauses).solve(), "solver")
+
+
+def _certify(u: Universe, s0: Status, r: Request, cnf: Cnf, model: set[int] | None,
+             producer: str) -> Solution | Unsat:
+    """The answer for a model of ``encode(u, s0, r)``: ``explain_unsat`` when
+    there is none, else its status once ``check_solution`` has confirmed it."""
     if model is None:
         return explain_unsat(u, s0, r)
     solution = Solution(cnf.status_of(model))
     verdict = check_solution(u, solution.status, r, s0)
     if not verdict.ok:
-        raise RuntimeError(f"solver produced an invalid status: {verdict.violations[0].witness}")
+        raise RuntimeError(
+            f"{producer} produced an invalid status: {verdict.violations[0].witness}")
     return solution
 
 

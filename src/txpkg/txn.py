@@ -12,6 +12,9 @@ the lock, the transaction serial, persisted history, and the pristine
 conffile store.  Paths matching the store's ``preserve`` globs (by default
 ``var/log/**`` and ``home/**``) are journaled like everything else but are
 skipped on restore, with a warning, so log-like data survives rollbacks.
+
+``_sha`` is the engine's one content digest (hex SHA-256); the conffile and
+script modules import it from here.
 """
 
 from __future__ import annotations
@@ -264,7 +267,12 @@ class Store:
 
     def _next_id(self) -> int:
         serial = self._db / "serial"
-        current = int(serial.read_text()) if serial.is_file() else 0
+        text = serial.read_text() if serial.is_file() else "0"
+        try:
+            current = int(text)
+        except ValueError:
+            raise CorruptedJournal(
+                f"{DB_DIR}/serial holds {text!r}, not a transaction id") from None
         serial.write_text(str(current + 1))
         return current + 1
 

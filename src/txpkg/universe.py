@@ -2,7 +2,11 @@
 
 The on-disk formats are UTF-8 text made of blank-line-separated stanzas of
 ``Key: value`` lines.  ``parse_universe`` documents the accepted keys; status
-files use the same stanza syntax restricted to ``Package`` and ``Version``.
+files use the same stanza syntax restricted to ``Package`` and ``Version``,
+and both are read through one stanza reader.  This module also holds the
+grammar of a ``name (op version)`` atom, which request parsing reuses, and
+``status_diff``, the one definition of which names an upgrade removes,
+changes and adds.
 """
 
 from __future__ import annotations
@@ -24,12 +28,14 @@ __all__ = [
     "Package",
     "Universe",
     "Status",
+    "StatusDiff",
     "OPERATORS",
     "RESERVED_DIR",
     "compare_versions",
     "satisfies",
     "check_rel_path",
     "derive_owned",
+    "status_diff",
     "parse_universe",
     "serialize_universe",
     "parse_status",
@@ -385,15 +391,45 @@ class Status:
     installed: frozenset = frozenset()
     owned_files: Mapping[str, PackageId] = field(default_factory=dict, compare=False)
 
-    def names(self) -> frozenset:
-        return frozenset(pid.name for pid in self.installed)
-
     def versions_of(self, name: str) -> tuple[Version, ...]:
         return tuple(sorted((p.version for p in self.installed if p.name == name)))
 
     def max_version(self, name: str) -> Version | None:
         versions = self.versions_of(name)
         return versions[-1] if versions else None
+
+
+@dataclass(frozen=True)
+class StatusDiff:
+    """How the installed names move from one status to another.
+
+    ``removed``: names installed before with no version left installed;
+    ``changed``: names installed before and after whose version set differs;
+    ``new``: names installed after that were not installed before.  Each is
+    a sorted tuple.  ``download_kb`` is the total size of the packages to
+    fetch (installed after, not before).
+    """
+
+    removed: tuple[str, ...]
+    changed: tuple[str, ...]
+    new: tuple[str, ...]
+    download_kb: int
+
+
+def status_diff(universe: Universe, s0: Status, s: Status) -> StatusDiff:
+    """The move from ``s0`` to ``s``, counted by name; both lie in ``universe``."""
+    before: dict[str, set] = {}
+    for pid in s0.installed:
+        before.setdefault(pid.name, set()).add(pid.version)
+    after: dict[str, set] = {}
+    for pid in s.installed:
+        after.setdefault(pid.name, set()).add(pid.version)
+    return StatusDiff(
+        removed=tuple(sorted(n for n in before if n not in after)),
+        changed=tuple(sorted(n for n in before if n in after and before[n] != after[n])),
+        new=tuple(sorted(n for n in after if n not in before)),
+        download_kb=sum(universe.get(pid).size_kb for pid in s.installed - s0.installed),
+    )
 
 
 def derive_owned(universe: Universe, installed: Iterable[PackageId]) -> dict[str, PackageId]:
@@ -433,6 +469,29 @@ def _parse_version(text: str, line: int | None) -> Version:
         return Version(text)
     except MetadataError as e:
         raise MetadataError(str(e), line) from None
+
+
+def _read_stanza(stanza: list[tuple[int, str, str]], keys, kind: str = ""):
+    """Check a stanza's keys and build its package id: ``(fields, pid)``.
+
+    ``fields`` maps each key to its ``(line, value)``.  Every key must be one
+    of ``keys`` and appear once, and ``Package`` and ``Version`` are required;
+    ``kind`` ("" or "status ") prefixes the texts of those two errors.
+    """
+    fields: dict[str, tuple[int, str]] = {}
+    for no, key, value in stanza:
+        if key not in keys:
+            raise MetadataError(f"unknown {kind}key {key!r}", no)
+        if key in fields:
+            raise MetadataError(f"duplicate key {key!r} in stanza", no)
+        fields[key] = (no, value)
+    if "Package" not in fields or "Version" not in fields:
+        raise MetadataError(f"{kind}stanza needs Package and Version", stanza[0][0])
+    name_line, name = fields["Package"]
+    if not _NAME_RE.match(name):
+        raise MetadataError(f"invalid package name {name!r}", name_line)
+    ver_line, raw_version = fields["Version"]
+    return fields, PackageId(name, _parse_version(raw_version, ver_line))
 
 
 def parse_dependency_atom(text: str, line: int | None = None) -> Atom:
@@ -515,21 +574,8 @@ def parse_universe(text: str) -> Universe:
     """
     packages = []
     for stanza in _split_stanzas(text):
-        fields: dict[str, tuple[int, str]] = {}
-        for no, key, value in stanza:
-            if key not in _UNIVERSE_KEYS:
-                raise MetadataError(f"unknown key {key!r}", no)
-            if key in fields:
-                raise MetadataError(f"duplicate key {key!r} in stanza", no)
-            fields[key] = (no, value)
+        fields, pid = _read_stanza(stanza, _UNIVERSE_KEYS)
         first = stanza[0][0]
-        if "Package" not in fields or "Version" not in fields:
-            raise MetadataError("stanza needs Package and Version", first)
-        name_line, name = fields["Package"]
-        if not _NAME_RE.match(name):
-            raise MetadataError(f"invalid package name {name!r}", name_line)
-        ver_line, raw_version = fields["Version"]
-        pid = PackageId(name, _parse_version(raw_version, ver_line))
 
         depends: tuple[tuple[Atom, ...], ...] = ()
         if "Depends" in fields:
@@ -638,20 +684,8 @@ def parse_status(text: str, universe: Universe) -> Status:
     """Parse an installed-status file; every entry must exist in the universe."""
     installed: set[PackageId] = set()
     for stanza in _split_stanzas(text):
-        fields: dict[str, tuple[int, str]] = {}
-        for no, key, value in stanza:
-            if key not in ("Package", "Version"):
-                raise MetadataError(f"unknown status key {key!r}", no)
-            if key in fields:
-                raise MetadataError(f"duplicate key {key!r} in stanza", no)
-            fields[key] = (no, value)
+        _fields, pid = _read_stanza(stanza, ("Package", "Version"), kind="status ")
         first = stanza[0][0]
-        if "Package" not in fields or "Version" not in fields:
-            raise MetadataError("status stanza needs Package and Version", first)
-        name = fields["Package"][1]
-        if not _NAME_RE.match(name):
-            raise MetadataError(f"invalid package name {name!r}", fields["Package"][0])
-        pid = PackageId(name, _parse_version(fields["Version"][1], fields["Version"][0]))
         if pid not in universe:
             raise MetadataError(
                 f"installed package {pid} unknown: status must be a subset of the universe", first)

@@ -46,8 +46,8 @@ def test_criterion_1_two_package_transcript(tmp_path, capsys):
         p = plan(parse_universe(support.ATERM_META), Status(),
                  parse_request("install aterm"),
                  parse_prefs("-removed,-changed,-new,-download"))
-        assert (p.summary.upgraded, p.summary.new,
-                p.summary.removed, p.summary.download_kb) == (0, 2, 0, 386)
+        assert (len(p.diff.changed), len(p.diff.new),
+                len(p.diff.removed), p.diff.download_kb) == (0, 2, 0, 386)
 
 
 def test_criterion_2_resolver_complete_and_sound():

@@ -279,6 +279,18 @@ def test_preserve_flag_reaches_rollback(setup, capsys):
     assert store.exists("usr/bin/aterm")  # skipped on restore per the glob
 
 
+def test_corrupt_serial_apply_reports_error_without_traceback(setup, capsys):
+    store, repo = setup
+    base = ["--root", str(store.root), "--repo", str(repo)]
+    assert run(capsys, *base, "apply", "install aterm")[0] == 0
+    (store.lock_path.parent / "serial").write_text("garbage")
+    code, out, err = run(capsys, *base, "apply", "remove aterm")
+    assert code == 1
+    assert err.startswith("error: ") and ".pkgdb/serial" in err
+    assert "Traceback" not in out + err
+    assert not store.lock_path.exists()
+
+
 def test_locked_store_apply_exits_four(setup, capsys):
     store, repo = setup
     store.begin()  # leave a transaction open

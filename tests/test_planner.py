@@ -1,7 +1,10 @@
 """Plan construction, retrieval, atomic execution, and dry-run rendering."""
 
+import json
+
 import pytest
 
+from txpkg.cli import main
 from txpkg.planner import (
     MissingPayload,
     ResolutionFailure,
@@ -13,7 +16,7 @@ from txpkg.planner import (
 )
 from txpkg.preferences import parse_prefs
 from txpkg.resolver import parse_request
-from txpkg.universe import PackageId, Status, Version, parse_universe
+from txpkg.universe import PackageId, Status, Version, parse_universe, serialize_status
 
 import support
 
@@ -42,8 +45,8 @@ def _plan_install(request="install aterm", s0=Status()):
 
 def test_fixture_plan_summary_and_actions(repo):
     p = _plan_install()
-    assert (p.summary.upgraded, p.summary.new, p.summary.removed) == (0, 2, 0)
-    assert p.summary.download_kb == 386
+    assert (len(p.diff.changed), len(p.diff.new), len(p.diff.removed)) == (0, 2, 0)
+    assert p.diff.download_kb == 386
     retrieves = [a for a in p.actions if a.kind == "retrieve"]
     assert {a.pkg for a in retrieves} == {ATERM_ID, LIB_ID}
     assert p.actions.index(retrieves[0]) < min(
@@ -60,7 +63,8 @@ def test_satisfied_request_yields_empty_plan():
     s0 = Status(frozenset({ATERM_ID, LIB_ID}))
     p = _plan_install(s0=s0)
     assert p.actions == ()
-    assert p.summary == type(p.summary)(0, 0, 0, 0)
+    assert (len(p.diff.changed), len(p.diff.new), len(p.diff.removed)) == (0, 0, 0)
+    assert p.diff.download_kb == 0
 
 
 def test_unsolvable_request_raises_resolution_failure():
@@ -91,11 +95,11 @@ def test_summary_matches_set_difference_oracle():
         s = p.solution.status
         names0 = {pid.name: set(s0.versions_of(pid.name)) for pid in s0.installed}
         names_s = {pid.name: set(s.versions_of(pid.name)) for pid in s.installed}
-        assert p.summary.removed == sum(1 for n in names0 if n not in names_s)
-        assert p.summary.new == sum(1 for n in names_s if n not in names0)
-        assert p.summary.upgraded == sum(
+        assert len(p.diff.removed) == sum(1 for n in names0 if n not in names_s)
+        assert len(p.diff.new) == sum(1 for n in names_s if n not in names0)
+        assert len(p.diff.changed) == sum(
             1 for n in names0 if n in names_s and names0[n] != names_s[n])
-        assert p.summary.download_kb == sum(
+        assert p.diff.download_kb == sum(
             u.get(pid).size_kb for pid in s.installed - s0.installed)
     assert checked > 20
 
@@ -286,7 +290,7 @@ Conflicts: app (<< 2)
     # local edit in a different region than the upstream change
     (store.root / "etc/app.conf").write_bytes(b"TOP\nmid\nbot\n")
     p = plan(u, store.load_status(u), parse_request("upgrade app"), UPGRADE_PREFS)
-    assert p.summary.upgraded == 1 and p.summary.new == 0
+    assert len(p.diff.changed) == 1 and len(p.diff.new) == 0
     out = execute_plan(p, store, repo)
     assert out.result == "success"
     assert out.conffile_conflicts == ()
@@ -367,3 +371,61 @@ def test_simulate_removals_listed_before_installs(tmp_path):
     assert text.index("REMOVED") < text.index("NEW packages")
     assert "1 upgraded" not in text
     assert "1 newly installed" in text and "1 to remove" in text
+
+
+MIXED_META = """\
+Package: app
+Version: 1
+Size: 5
+
+Package: app
+Version: 2
+Size: 7
+Conflicts: app (<< 2), old
+
+Package: old
+Version: 1
+Size: 3
+
+Package: tool
+Version: 1
+Size: 11
+Depends: helper
+
+Package: helper
+Version: 1
+Size: 13
+"""
+
+MIXED_TRANSCRIPT = """\
+The following packages will be REMOVED:
+  old
+The following packages will be upgraded:
+  app
+The following extra packages will be installed:
+  helper
+The following NEW packages will be installed:
+  helper tool
+1 upgraded, 2 newly installed, 1 to remove.
+Need to get 31kB of archives.
+"""
+
+
+def test_simulate_and_solve_json_pin_every_section(tmp_path, capsys):
+    # one plan with a forced removal, a version change, a requested new
+    # package and an extra new one: every transcript section and count
+    u = parse_universe(MIXED_META)
+    s0 = Status(frozenset({PackageId("app", Version("1")), PackageId("old", Version("1"))}))
+    request = "upgrade app (>= 2), install tool"
+    assert simulate(plan(u, s0, parse_request(request), PREFS)) == MIXED_TRANSCRIPT
+
+    repo = support.write_repo(tmp_path / "repo", MIXED_META, {})
+    store = support.new_store(tmp_path)
+    store.write_status_bytes(serialize_status(s0).encode())
+    code = main(["--root", str(store.root), "--repo", str(repo), "--json", "solve", request])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "result": "plan",
+        "summary": {"upgraded": 1, "new": 2, "removed": 1, "download_kb": 31},
+        "transcript": MIXED_TRANSCRIPT,
+    }

@@ -50,6 +50,10 @@ def test_parse_two_atoms_with_constraint():
         RequestAtom("remove", "aterm"),
         RequestAtom("install", "bash", VersionConstraint(">=", Version("4.0"))),
     )
+    at_least_one = VersionConstraint(">=", Version("1"))
+    assert parse_request("install a(>=1)").atoms == (RequestAtom("install", "a", at_least_one),)
+    assert parse_request("upgrade a ( >= 1 )").atoms == (
+        RequestAtom("upgrade", "a", at_least_one),)
 
 
 def test_parse_contradictory_actions_rejected():
@@ -57,6 +61,8 @@ def test_parse_contradictory_actions_rejected():
         parse_request("install x, remove x")
     with pytest.raises(RequestError, match="contradictory"):
         parse_request("upgrade x, remove x")
+    with pytest.raises(RequestError, match="contradictory"):
+        parse_request("install x (>= 1), remove x (<< 1)")
 
 
 def test_parse_rejects_garbage_and_empty():
@@ -66,6 +72,12 @@ def test_parse_rejects_garbage_and_empty():
         parse_request("   ")
     with pytest.raises(RequestError, match="operator"):
         parse_request("install x (> 1)")
+    with pytest.raises(RequestError, match=r"'install a \(< 1\)'.*operator"):
+        parse_request("install a (< 1)")
+    with pytest.raises(RequestError, match="'frobnicate a'"):
+        parse_request("frobnicate a")
+    with pytest.raises(RequestError, match="'install'"):
+        parse_request("install")
 
 
 # --- check_solution ---------------------------------------------------------

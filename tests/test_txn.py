@@ -54,7 +54,7 @@ def test_ids_are_monotonic(store):
 def test_failed_begin_releases_lock(store):
     store.begin().commit()
     (store.lock_path.parent / "serial").write_text("garbage")
-    with pytest.raises(ValueError):
+    with pytest.raises(CorruptedJournal, match="serial"):
         store.begin()
     assert not store.lock_path.exists()
 
