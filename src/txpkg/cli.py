@@ -165,6 +165,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_apply(args) -> int:
+    if args.keep is not None and args.keep < 0:
+        raise ConfigError(f"--keep must be non-negative, got {args.keep}")
     if args.dry_run:
         return cmd_solve(args)
     repo, _universe, store, plan_ = _make_plan(args)

@@ -278,19 +278,17 @@ def is_locally_modified(store: Store, pkg: Package, path: str) -> bool:
 
 
 def upgrade_conffile(store: Store, txn: Transaction, pkg: Package, path: str,
-                     incoming: bytes, policy: str = "auto") -> MergeOutcome:
+                     incoming: bytes) -> MergeOutcome:
     """Bring one conffile to the incoming version inside an open transaction.
 
-    Policy ``auto``: an unmodified (or never-seen) file takes the incoming
-    content; a modified one is three-way merged against the pristine copy of
-    the installed version.  On conflict the file keeps its local content and
-    the incoming version is written alongside as ``<path>.pkgnew``; the
-    transaction carries on.  ``keep`` and ``new`` force one side.  Whatever
-    happens, the incoming content is registered as the new pristine version
-    and every write is journaled.
+    An unmodified (or never-seen) file takes the incoming content; a modified
+    one is three-way merged against the pristine copy of the installed
+    version, and a locally deleted one stays deleted.  On conflict the file
+    keeps its local content and the incoming version is written alongside as
+    ``<path>.pkgnew``; the transaction carries on.  Whatever happens, the
+    incoming content is registered as the new pristine version and every
+    write is journaled.
     """
-    if policy not in ("auto", "keep", "new"):
-        raise ValueError(f"unknown conffile policy {policy!r}")
     if path not in pkg.conffiles:
         raise ConfmergeError(f"{path!r} is not a conffile of {pkg.id}")
     pristine = PristineStore(store)
@@ -304,13 +302,10 @@ def upgrade_conffile(store: Store, txn: Transaction, pkg: Package, path: str,
         txn.ensure_parent(path)
         txn.write_through(path, data)
 
-    if policy == "new" or current is None and latest is None:
+    if current is None and latest is None:
         write(incoming)
         register()
         return MergeOutcome("took-new", incoming)
-    if policy == "keep":
-        register()
-        return MergeOutcome("kept-local", current if current is not None else b"")
 
     if latest is None:
         # an unowned file already sits where a fresh conffile should go

@@ -20,11 +20,14 @@ Primitives::
     deluser NAME               remove NAME from the user database
     fail MESSAGE               always fails (for testing failure handling)
 
-Executing a program yields an effect log with one record per executed step,
-carrying everything needed to compensate it; ``undo`` applies compensations
-in reverse and restores the pre-execution store exactly.  All mutations run
-through the open transaction, so a journal rollback is always an equivalent
-alternative to compensation.
+Executing a program yields an effect log with one record per executed step:
+the target's pre-image and mode (or that the step created it), a fingerprint
+of what the step left there, and the directories it created.  ``undo`` has
+one rule for every primitive: walking the log in reverse, it puts each target
+back as it was and removes the directories the step created, so
+execute-then-undo restores the pre-execution store byte for byte.  All
+mutations run through the open transaction, so a journal rollback is always
+an equivalent alternative to compensation.
 """
 
 from __future__ import annotations
@@ -129,22 +132,21 @@ class ScriptEnv:
 class StepEffect:
     """Everything needed to compensate one executed step.
 
-    ``post_sha`` fingerprints the target after the step so undo can detect
+    ``created`` says the step created its target; otherwise ``pre_image`` and
+    ``pre_mode`` hold the target as it was.  ``post_sha`` fingerprints the
+    target after the step (None when the step deleted it) so undo can detect
     external tampering; ``created_dirs`` lists directories the step created
-    (outermost first).  ``flag`` is primitive-specific: for adduser/deluser it
-    records whether the user existed beforehand.
+    (outermost first).
     """
 
     index: int
     op: str
-    path: str | None = None
+    path: str
     created: bool = False
     pre_image: bytes | None = None
     pre_mode: int | None = None
     post_sha: str | None = None
     created_dirs: tuple[str, ...] = ()
-    detail: str | None = None
-    flag: bool = False
 
 
 def parse_script(text: str, source_path: str = "<script>") -> ScriptProgram:
@@ -218,21 +220,18 @@ def _file_snapshot(txn: Transaction, rel: str):
     return content, (mode if kind == "file" else None)
 
 
-def _write_file(txn: Transaction, index: int, rel: str, data: bytes) -> StepEffect:
+def _write_file(txn: Transaction, index: int, op: str, rel: str, data: bytes) -> StepEffect:
     pre, pre_mode = _file_snapshot(txn, rel)
     created_dirs = tuple(txn.ensure_parent(rel))
     txn.write_through(rel, data)
-    return StepEffect(index=index, op="", path=rel, created=pre is None,
+    return StepEffect(index=index, op=op, path=rel, created=pre is None,
                       pre_image=pre, pre_mode=pre_mode, post_sha=_sha(data),
                       created_dirs=created_dirs)
 
 
-def _load_users(txn: Transaction) -> tuple[set[str], bool]:
-    data = txn.read_optional(USER_DB)
-    if data is None:
-        return set(), False
-    names = {line.strip() for line in data.decode("utf-8").splitlines() if line.strip()}
-    return names, True
+def _load_users(txn: Transaction) -> set[str]:
+    data = txn.read_optional(USER_DB) or b""
+    return {line.strip() for line in data.decode("utf-8").splitlines() if line.strip()}
 
 
 def _dump_users(names: set[str]) -> bytes:
@@ -255,20 +254,15 @@ def _run_step(index: int, step: Step, txn: Transaction, env: ScriptEnv) -> StepE
         target = args[0]
         if txn.exists(target) and not txn.is_dir(target):
             raise ScriptFailure(index, f"{target!r} exists and is not a directory")
-        existed = txn.is_dir(target)
         created = tuple(txn.mkdir(target))
-        return StepEffect(index=index, op=op, path=target, created=not existed,
+        return StepEffect(index=index, op=op, path=target, created=bool(created),
                           created_dirs=created)
 
     if op == "copy":
         src, dst = args
         if not txn.exists(src) or txn.is_dir(src):
             raise ScriptFailure(index, f"source {src!r} is not a file")
-        data = txn.read(src)
-        eff = _write_file(txn, index, dst, data)
-        eff.op = op
-        eff.detail = src
-        return eff
+        return _write_file(txn, index, op, dst, txn.read(src))
 
     if op == "remove":
         target = args[0]
@@ -276,17 +270,12 @@ def _run_step(index: int, step: Step, txn: Transaction, env: ScriptEnv) -> StepE
             raise ScriptFailure(index, f"{target!r} is not a file")
         pre, pre_mode = _file_snapshot(txn, target)
         txn.write_through(target, None)
-        return StepEffect(index=index, op=op, path=target, pre_image=pre,
-                          pre_mode=pre_mode, post_sha=None)
+        return StepEffect(index=index, op=op, path=target, pre_image=pre, pre_mode=pre_mode)
 
     if op == "append":
         target, line = args
-        pre, pre_mode = _file_snapshot(txn, target)
-        data = (pre or b"") + line.encode("utf-8") + b"\n"
-        eff = _write_file(txn, index, target, data)
-        eff.op = op
-        eff.detail = line
-        return eff
+        pre, _ = _file_snapshot(txn, target)
+        return _write_file(txn, index, op, target, (pre or b"") + line.encode("utf-8") + b"\n")
 
     if op in ("setkey", "delkey"):
         target = args[0]
@@ -306,33 +295,20 @@ def _run_step(index: int, step: Step, txn: Transaction, env: ScriptEnv) -> StepE
         else:
             # nothing to delete: record a no-op so the log stays one record per step
             return StepEffect(index=index, op=op, path=target, pre_image=pre,
-                              pre_mode=pre_mode, post_sha=_sha(pre), detail=key)
-        eff = _write_file(txn, index, target, dump_kv(mapping))
-        eff.op = op
-        eff.detail = key
-        return eff
+                              pre_mode=pre_mode, post_sha=_sha(pre))
+        return _write_file(txn, index, op, target, dump_kv(mapping))
 
     if op == "update-cache":
         cache, pattern = args
-        content = compute_cache(txn, cache, pattern)
-        eff = _write_file(txn, index, cache, content)
-        eff.op = op
-        eff.detail = pattern
-        return eff
+        return _write_file(txn, index, op, cache, compute_cache(txn, cache, pattern))
 
     if op in ("adduser", "deluser"):
-        name = args[0]
-        names, _existed = _load_users(txn)
-        present = name in names
+        names = _load_users(txn)
         if op == "adduser":
-            names.add(name)
+            names.add(args[0])
         else:
-            names.discard(name)
-        eff = _write_file(txn, index, USER_DB, _dump_users(names))
-        eff.op = op
-        eff.detail = name
-        eff.flag = present
-        return eff
+            names.discard(args[0])
+        return _write_file(txn, index, op, USER_DB, _dump_users(names))
 
     raise ScriptFailure(index, f"unknown primitive {op!r}")
 
@@ -359,8 +335,6 @@ def execute(program: ScriptProgram, txn: Transaction, env: ScriptEnv) -> list[St
 
 
 def _verify_post(eff: StepEffect, txn: Transaction) -> None:
-    if eff.path is None:
-        return
     if eff.op == "mkdir":
         for d in eff.created_dirs:
             if not txn.is_dir(d):
@@ -374,64 +348,26 @@ def _verify_post(eff: StepEffect, txn: Transaction) -> None:
             f"(have {current_sha}, logged {eff.post_sha})")
 
 
-def _remove_created_dirs(eff: StepEffect, txn: Transaction) -> None:
-    for d in reversed(eff.created_dirs):
-        if txn.is_dir(d):
-            try:
-                txn.rmdir(d)
-            except OSError:
-                raise CorruptedLog(f"step {eff.index}: directory {d!r} is not empty") from None
+def undo(log, txn: Transaction) -> None:
+    """Compensate the logged steps, last first, so that execute-then-undo is
+    the identity on the store.
 
-
-def _restore_file(eff: StepEffect, txn: Transaction) -> None:
-    if eff.created:
-        if txn.exists(eff.path):
-            txn.write_through(eff.path, None)
-    else:
-        txn.write_through(eff.path, eff.pre_image, mode=eff.pre_mode)
-
-
-def undo(log, txn: Transaction, cache_undo: str = "restore") -> None:
-    """Apply compensations in reverse order.
-
-    With ``cache_undo="restore"`` (the default) every step, caches included,
-    is reverted to its exact pre-image, so execute-then-undo is the identity
-    on the store.  With ``cache_undo="regen"`` an ``update-cache`` step is
-    instead recomputed from whatever inputs currently match its glob (or the
-    cache is deleted when the step created it); that is the sound choice when
-    the cache aggregates inputs owned by other packages changed in the same
-    transaction.  Raises :class:`CorruptedLog` when the store does not match
-    the logged post-state.
+    Every step gets the same rule: check that its target still holds what
+    the step left there, put back the target's pre-image and mode (or delete
+    the target when the step created it; a ``mkdir`` target is only a
+    directory, left to the next rule), then remove the directories the step
+    created.  Raises :class:`CorruptedLog` when the store does not match the
+    logged post-state or a created directory is no longer empty.
     """
-    if cache_undo not in ("restore", "regen"):
-        raise ValueError(f"unknown cache undo mode {cache_undo!r}")
     for eff in reversed(list(log)):
         _verify_post(eff, txn)
-        if eff.op == "mkdir":
-            _remove_created_dirs(eff, txn)
-        elif eff.op == "update-cache" and cache_undo == "regen":
-            if eff.created:
-                if txn.exists(eff.path):
-                    txn.write_through(eff.path, None)
-                _remove_created_dirs(eff, txn)
-            else:
-                txn.write_through(eff.path, compute_cache(txn, eff.path, eff.detail))
-        elif eff.op in ("copy", "append", "setkey", "delkey", "update-cache"):
-            _restore_file(eff, txn)
-            _remove_created_dirs(eff, txn)
-        elif eff.op == "remove":
-            txn.write_through(eff.path, eff.pre_image, mode=eff.pre_mode)
-        elif eff.op in ("adduser", "deluser"):
-            if eff.created:
-                if txn.exists(eff.path):
-                    txn.write_through(eff.path, None)
-                _remove_created_dirs(eff, txn)
-            else:
-                names, _ = _load_users(txn)
-                if eff.op == "adduser" and not eff.flag:
-                    names.discard(eff.detail)
-                elif eff.op == "deluser" and eff.flag:
-                    names.add(eff.detail)
-                txn.write_through(eff.path, _dump_users(names), mode=eff.pre_mode)
-        else:
-            raise CorruptedLog(f"step {eff.index}: unknown effect {eff.op!r}")
+        if eff.op != "mkdir":
+            txn.write_through(eff.path, None if eff.created else eff.pre_image,
+                              mode=eff.pre_mode)
+        for d in reversed(eff.created_dirs):
+            if txn.is_dir(d):
+                try:
+                    txn.rmdir(d)
+                except OSError:
+                    raise CorruptedLog(
+                        f"step {eff.index}: directory {d!r} is not empty") from None

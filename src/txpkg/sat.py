@@ -8,10 +8,10 @@ preferred polarity first, and propagation order is a fixed function of the
 input.  ``minimize`` runs an exhaustive branch-and-bound on the same search
 tree, so both entry points are complete.
 
-``solve`` is reusable: one instance answers many calls, each under its own
-assumption literals and over its own set of decision variables, and undoes
-to the root level before it returns.  ``search`` and ``minimize`` stay
-single-shot: build one instance per optimisation problem.
+Every entry point returns to the root level before it returns, so one
+instance answers any number of calls: ``solve`` each under its own
+assumption literals and over its own set of decision variables, ``search``
+and ``minimize`` over all variables.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ class DpllSolver:
         self.wpair: list[list[int]] = []
         self.units: list[int] = []
         self.false_clause = False
-        self._used = False  # search or minimize has run
         for idx, clause in enumerate(self.clauses):
             self.wpair.append(list(clause[:2]))
             if not clause:
@@ -120,14 +119,10 @@ class DpllSolver:
         With both left as None this returns the first model found, or None
         when the formula is unsatisfiable.
         """
-        if self._used:
-            raise RuntimeError("search and minimize are single-shot")
-        self._used = True
         return self._run(polarity, (), range(1, self.nvars + 1), on_model, prune)
 
     def solve(
         self,
-        polarity: Sequence[bool] | None = None,
         assumptions: Iterable[int] = (),
         order: Sequence[int] | None = None,
     ) -> set[int] | None:
@@ -145,7 +140,7 @@ class DpllSolver:
         """
         if order is None:
             order = range(1, self.nvars + 1)
-        return self._run(polarity, assumptions, order)
+        return self._run(None, assumptions, order)
 
     def _run(
         self,

@@ -52,7 +52,10 @@ _NAME_RE = re.compile(r"[a-z0-9][a-z0-9.+-]*$")
 _SEGMENT_RE = re.compile(r"[A-Za-z0-9+]+$")
 _DIGITS_RE = re.compile(r"[0-9]+$")
 _KEY_LINE_RE = re.compile(r"([A-Za-z][A-Za-z0-9-]*):\s*(.*)$")
-_ATOM_RE = re.compile(r"([a-z0-9][a-z0-9.+-]*)\s*(?:\(\s*([<>=]{1,2})\s*([^\s()]+)\s*\))?$")
+# a version never starts with an operator character; excluding them keeps a
+# missing version ("b (>= )") from taking the operator's second character
+_ATOM_RE = re.compile(
+    r"([a-z0-9][a-z0-9.+-]*)\s*(?:\(\s*([<>=]{1,2})\s*([^\s()<>=][^\s()]*)\s*\))?$")
 
 
 class MetadataError(ValueError):

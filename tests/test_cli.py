@@ -135,6 +135,17 @@ def test_apply_keep_prunes_history(setup, capsys):
     assert store.history_ids() == [2]
 
 
+def test_apply_negative_keep_rejected_before_store_is_touched(setup, capsys):
+    store, repo = setup
+    baseline = store.tree_hash()
+    code, _, err = run(capsys, "--root", str(store.root), "--repo", str(repo),
+                       "apply", "install aterm", "--keep", "-1")
+    assert code == 2
+    assert err.startswith("error:") and "--keep" in err
+    assert store.history_ids() == []
+    assert store.tree_hash() == baseline
+
+
 def test_apply_json_outcome(setup, capsys):
     store, repo = setup
     code, out, _ = run(capsys, "--json", "--root", str(store.root), "--repo", str(repo),

@@ -266,20 +266,6 @@ def test_overlapping_edit_surfaces_conflict_without_aborting(store):
     assert store.read("etc/app/main.conf.pkgnew") == b"value=incoming\n"
 
 
-def test_policy_keep_and_new(store):
-    u = _install_v1(store, b"x\n")
-    (store.root / "etc/app/main.conf").write_bytes(b"edited\n")
-    pkg2 = u.by_name("app")[1]
-    txn = store.begin()
-    out = upgrade_conffile(store, txn, pkg2, "etc/app/main.conf", b"new\n", policy="keep")
-    assert out.kind == "kept-local"
-    assert store.read("etc/app/main.conf") == b"edited\n"
-    out = upgrade_conffile(store, txn, pkg2, "etc/app/main.conf", b"new\n", policy="new")
-    assert out.kind == "took-new"
-    assert store.read("etc/app/main.conf") == b"new\n"
-    txn.commit()
-
-
 def test_locally_deleted_conffile_stays_deleted(store):
     u = _install_v1(store, b"x\n")
     (store.root / "etc/app/main.conf").unlink()

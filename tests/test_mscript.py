@@ -260,29 +260,20 @@ def test_undo_detects_external_tampering(store):
     txn.rollback()
 
 
-def test_update_cache_undo_modes(store):
-    # restore mode: byte-exact pre-image; regen mode: recompute from current inputs
+@pytest.mark.parametrize("users", [b"bob\nalice\n", b"alice\n\nbob\n", b"alice"])
+@pytest.mark.parametrize("line", ["adduser alice", "deluser carol", "adduser zoe"])
+def test_undo_restores_user_db_bytes(store, tmp_path, users, line):
+    # none of these files is in the sorted one-name-per-line form the step writes
+    (store.root / "etc/users.db").write_bytes(users)
+    baseline = store.tree_hash()
+    other = support.copy_store(store, tmp_path / "other")
     txn = store.begin()
-    execute(parse_script("update-cache var/cache/app.idx usr/share/app/*\n"), txn, ENV)
-    stale = store.read("var/cache/app.idx")
-    log = execute(parse_script("update-cache var/cache/app.idx usr/share/app/*\n"), txn, ENV)
-    # another package's file changes under the same transaction
-    txn.write_through("usr/share/app/a.txt", b"changed alpha\n")
-    undo(log, txn, cache_undo="restore")
-    assert store.read("var/cache/app.idx") == stale  # byte-exact, now stale
-    log2 = execute(parse_script("update-cache var/cache/app.idx usr/share/app/*\n"), txn, ENV)
-    txn.write_through("usr/share/app/b.txt", b"changed beta\n")
-    undo(log2, txn, cache_undo="regen")
-    regenerated = store.read("var/cache/app.idx")
-    assert regenerated != stale
-    assert b"usr/share/app/b.txt" in regenerated
-    txn.rollback()
-
-
-def test_regen_mode_deletes_created_cache(store):
-    txn = store.begin()
-    log = execute(parse_script("update-cache var/cache/new.idx usr/share/app/*\n"), txn, ENV)
-    assert store.exists("var/cache/new.idx")
-    undo(log, txn, cache_undo="regen")
-    assert not store.exists("var/cache/new.idx")
-    txn.rollback()
+    undo(execute(parse_script(line + "\n"), txn, ENV), txn)
+    hid = txn.commit()
+    assert store.read("etc/users.db") == users
+    assert store.tree_hash() == baseline
+    assert store.read_history(hid).entries == []
+    txn_b = other.begin()
+    execute(parse_script(line + "\n"), txn_b, ENV)
+    txn_b.rollback()
+    assert other.tree_hash() == baseline

@@ -78,6 +78,8 @@ def test_parse_rejects_garbage_and_empty():
         parse_request("frobnicate a")
     with pytest.raises(RequestError, match="'install'"):
         parse_request("install")
+    with pytest.raises(RequestError, match=r"'install b \(>= \)'.*bad atom"):
+        parse_request("install b (>= )")
 
 
 # --- check_solution ---------------------------------------------------------
@@ -368,3 +370,26 @@ def test_reusable_solver_agrees_with_fresh_solvers():
             if model is not None:
                 assert _satisfies(model, cnf.clauses + [(lit,)])
     assert interleaved >= 20
+
+
+def test_minimize_twice_on_one_instance_agrees_with_a_fresh_instance():
+    # the largest installable set, ties broken by the sorted id list
+    def model_key(model):
+        return (n - len(model), tuple(sorted(model)))
+
+    def bound_key(assign):
+        # ids decided false so far: a prefix no extension's key sorts below
+        return (sum(1 for value in assign[1:] if value < 0),)
+
+    rng = random.Random(44)
+    nontrivial = 0
+    for _ in range(30):
+        u = support.random_universe(rng, max_size=10)
+        cnf = encode(u, Status(), Request(()))
+        n = len(cnf.ids)
+        fresh = DpllSolver(n, cnf.clauses).minimize(model_key, bound_key)
+        solver = DpllSolver(n, cnf.clauses)
+        assert solver.minimize(model_key, bound_key) == fresh
+        assert solver.minimize(model_key, bound_key) == fresh
+        nontrivial += 1 < len(fresh) < n
+    assert nontrivial >= 10

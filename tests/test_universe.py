@@ -180,6 +180,15 @@ def test_unknown_key_rejected():
 def test_ambiguous_operators_rejected():
     with pytest.raises(MetadataError, match="<<"):
         parse_universe("Package: a\nVersion: 1\nDepends: b (< 2)\n")
+    with pytest.raises(MetadataError, match=r"bad operator '>'.*<< or >>"):
+        parse_dependency_atom("b (> 1)")
+
+
+@pytest.mark.parametrize("atom", ["b (>= )", "b (= )", "b (>>)"])
+def test_missing_version_is_a_bad_atom(atom):
+    with pytest.raises(MetadataError, match=r"line 3: bad atom") as info:
+        parse_universe(f"Package: a\nVersion: 1\nDepends: {atom}\n")
+    assert "operator" not in str(info.value)
 
 
 def test_conffiles_must_be_subset_of_files():
