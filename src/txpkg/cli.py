@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .confmerge import merge3, structured_merge
+from .confmerge import structured_merge
 from .mscript import ScriptSyntaxError, classify, parse_script
 from .planner import ResolutionFailure, execute_plan, plan, simulate
 from .preferences import DEFAULT_PREFS, PreferenceError, parse_prefs
@@ -38,7 +38,7 @@ from .txn import (
     Store,
     StoreError,
 )
-from .universe import MetadataError, parse_universe
+from .universe import MetadataError, decode_text, parse_universe
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -120,7 +120,7 @@ def _repo_universe(args):
     index = repo / "Packages"
     if not index.is_file():
         raise ConfigError(f"repo has no Packages file: {index}")
-    return repo, parse_universe(index.read_text(encoding="utf-8"))
+    return repo, parse_universe(decode_text(index.read_bytes(), index))
 
 
 def _emit(args, report: dict, text: str) -> None:
@@ -233,10 +233,7 @@ def cmd_merge_config(args) -> int:
         if not p.is_file():
             raise ConfigError(f"{p} is not a file")
     base, local, incoming = (p.read_bytes() for p in paths)
-    if args.syntax == "lines":
-        outcome = merge3(base, local, incoming)
-    else:
-        outcome = structured_merge(base, local, incoming, syntax=args.syntax)
+    outcome = structured_merge(base, local, incoming, syntax=args.syntax)
     if args.output:
         Path(args.output).write_bytes(outcome.content)
     if args.json:
@@ -255,7 +252,7 @@ def cmd_lint_script(args) -> int:
     path = Path(args.file)
     if not path.is_file():
         raise ConfigError(f"{path} is not a file")
-    program = parse_script(path.read_text(encoding="utf-8"), str(path))
+    program = parse_script(decode_text(path.read_bytes(), path), str(path))
     kind = classify(program)
     _emit(args, {"steps": len(program.steps), "class": kind},
           f"ok: {len(program.steps)} steps, class: {kind}")

@@ -32,11 +32,13 @@ from .preferences import PreferenceSpec, optimize
 from .resolver import Request, Solution, Unsat
 from .txn import Store
 from .universe import (
+    MetadataError,
     Package,
     PackageId,
     Status,
     StatusDiff,
     Universe,
+    decode_text,
     serialize_status,
     status_diff,
 )
@@ -270,8 +272,8 @@ def _preflight(plan_: Plan, repo_dir, staging: Path):
                 raise MissingPayload(f"{pkg.id}: script {rel!r} missing from payload")
             try:
                 scripts[key] = mscript.parse_script(
-                    script_file.read_text(encoding="utf-8"), str(script_file))
-            except mscript.ScriptSyntaxError as e:
+                    decode_text(script_file.read_bytes(), script_file), str(script_file))
+            except (mscript.ScriptSyntaxError, MetadataError) as e:
                 raise MissingPayload(f"{pkg.id}: script {rel!r} invalid: {e}") from None
     return staged, scripts
 

@@ -36,6 +36,7 @@ from .universe import (
     Status,
     Universe,
     check_rel_path,
+    decode_text,
     parse_status,
 )
 
@@ -259,7 +260,7 @@ class Store:
         self.status_path.write_bytes(data)
 
     def load_status(self, universe: Universe) -> Status:
-        return parse_status(self.status_bytes().decode("utf-8"), universe)
+        return parse_status(decode_text(self.status_bytes(), self.status_path), universe)
 
     @property
     def lock_path(self) -> Path:

@@ -6,7 +6,7 @@ files use the same stanza syntax restricted to ``Package`` and ``Version``,
 and both are read through one stanza reader.  This module also holds the
 grammar of a ``name (op version)`` atom, which request parsing reuses, and
 ``status_diff``, the one definition of which names an upgrade removes,
-changes and adds.
+changes and adds; the optimiser reads its bounds off the same function.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ __all__ = [
     "parse_status",
     "serialize_status",
     "parse_dependency_atom",
+    "decode_text",
 ]
 
 #: Relational operators accepted in version constraints.  ``<`` and ``>`` are
@@ -59,11 +60,19 @@ _ATOM_RE = re.compile(
 
 
 class MetadataError(ValueError):
-    """Malformed metadata, status text, version string, or constraint."""
+    """Malformed metadata, status text, version string, constraint, or non-UTF-8 input."""
 
     def __init__(self, message: str, line: int | None = None):
         super().__init__(f"line {line}: {message}" if line is not None else message)
         self.line = line
+
+
+def decode_text(data: bytes, source) -> str:
+    """``data`` as UTF-8 text, or a MetadataError naming ``source``."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise MetadataError(f"{source}: not UTF-8 text ({e.reason} at byte {e.start})") from None
 
 
 def _version_key(raw: str) -> tuple:
@@ -91,11 +100,12 @@ class Version:
     when their segment keys are equal, so ``1.0`` equals ``1.00``.
     """
 
-    __slots__ = ("raw", "key")
+    __slots__ = ("raw", "key", "_hash")
 
     def __init__(self, raw: str):
         self.raw = raw
         self.key = _version_key(raw)
+        self._hash = hash(self.key)
 
     def __eq__(self, other):
         return isinstance(other, Version) and self.key == other.key
@@ -106,7 +116,7 @@ class Version:
         return self.key < other.key
 
     def __hash__(self):
-        return hash(self.key)
+        return self._hash
 
     def __str__(self):
         return self.raw
@@ -128,17 +138,15 @@ def compare_versions(a: Version, b: Version) -> int:
 class PackageId:
     """Name plus version; unique within a universe."""
 
-    __slots__ = ("name", "version")
+    __slots__ = ("name", "version", "key", "_hash")
 
     def __init__(self, name: str, version: Version):
         if not _NAME_RE.match(name):
             raise MetadataError(f"invalid package name {name!r}")
         self.name = name
         self.version = version
-
-    @property
-    def key(self) -> tuple:
-        return (self.name, self.version.key)
+        self.key = (name, version.key)
+        self._hash = hash(self.key)
 
     def __eq__(self, other):
         return isinstance(other, PackageId) and self.key == other.key
@@ -149,7 +157,7 @@ class PackageId:
         return self.key < other.key
 
     def __hash__(self):
-        return hash(self.key)
+        return self._hash
 
     def __str__(self):
         return f"{self.name} {self.version}"
@@ -419,19 +427,27 @@ class StatusDiff:
     download_kb: int
 
 
-def status_diff(universe: Universe, s0: Status, s: Status) -> StatusDiff:
-    """The move from ``s0`` to ``s``, counted by name; both lie in ``universe``."""
-    before: dict[str, set] = {}
-    for pid in s0.installed:
-        before.setdefault(pid.name, set()).add(pid.version)
-    after: dict[str, set] = {}
-    for pid in s.installed:
-        after.setdefault(pid.name, set()).add(pid.version)
+def status_diff(universe: Universe, s0: Status, s: Status,
+                upper: Status | None = None) -> StatusDiff:
+    """The move from ``s0`` to ``s``, counted by name; all lie in ``universe``.
+
+    With ``upper`` given and ``s.installed <= upper.installed``, the diff
+    bounds every status ``t`` between the two from below: each name field
+    lists the names that every such ``t`` counts, and ``download_kb`` is the
+    least download of any ``t`` (that of ``s``).  Omitting ``upper`` (or
+    passing ``s``) gives the diff of ``s`` itself.
+    """
+    old, top = s0.installed, (s if upper is None else upper).installed
+    fetched = s.installed - old
+    before = {pid.name for pid in old}
+    after = {pid.name for pid in s.installed}
+    # a name's version set surely differs once it gains a version or loses one
+    moved = {pid.name for pid in fetched | (old - top)}
     return StatusDiff(
-        removed=tuple(sorted(n for n in before if n not in after)),
-        changed=tuple(sorted(n for n in before if n in after and before[n] != after[n])),
-        new=tuple(sorted(n for n in after if n not in before)),
-        download_kb=sum(universe.get(pid).size_kb for pid in s.installed - s0.installed),
+        removed=tuple(sorted(before - {pid.name for pid in top})),
+        changed=tuple(sorted(before & after & moved)),
+        new=tuple(sorted(after - before)),
+        download_kb=sum(universe.get(pid).size_kb for pid in fetched),
     )
 
 

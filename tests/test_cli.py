@@ -302,6 +302,55 @@ def test_corrupt_serial_apply_reports_error_without_traceback(setup, capsys):
     assert not store.lock_path.exists()
 
 
+# --- input that is not UTF-8 ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("command,target", [
+    ("check", "Packages"), ("solve", "Packages"), ("apply", "Packages"),
+    ("solve", "status"), ("apply", "status"),
+])
+def test_non_utf8_input_file_exits_two(setup, capsys, command, target):
+    store, repo = setup
+    if target == "Packages":
+        path = repo / "Packages"
+        path.write_bytes(support.ATERM_META.replace("aterm-team", "caf\xe9").encode("latin-1"))
+    else:
+        path = store.status_path
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(b"Package: libafterimage0\nVersion: 2.2.8-2\xff\n")
+    baseline = store.tree_hash()
+    argv = ["--root", str(store.root), "--repo", str(repo), command]
+    code, out, err = run(capsys, *argv, *(["install aterm"] if command != "check" else []))
+    assert code == 2
+    assert err.startswith("error: ") and str(path) in err and "not UTF-8" in err
+    assert "Traceback" not in out + err
+    assert store.tree_hash() == baseline and store.history_ids() == []
+
+
+def test_lint_script_non_utf8_exits_two(tmp_path, capsys):
+    script = tmp_path / "postinst"
+    script.write_bytes(b"append etc/motd caf\xe9\n")
+    code, _, err = run(capsys, "lint-script", str(script))
+    assert code == 2
+    assert err.startswith("error: ") and "not UTF-8" in err
+
+
+def test_apply_non_utf8_hook_script_is_an_io_failure(setup, capsys):
+    store, repo = setup
+    u = parse_universe(support.ATERM_META)
+    payload = payload_dir(repo, u.get(PackageId("aterm", Version("1.0.1-4"))))
+    (payload / "hooks/postinst").write_bytes(b"append etc/motd caf\xe9\n")
+    baseline = store.tree_hash()
+    code, out, _ = run(capsys, "--json", "--root", str(store.root), "--repo", str(repo),
+                       "apply", "install aterm")
+    assert code == 4
+    record = json.loads(out)
+    assert record["result"] == "io-failure"
+    assert "hooks/postinst" in record["failing"] and "not UTF-8" in record["failing"]
+    assert store.tree_hash() == baseline and store.history_ids() == []
+    assert not store.lock_path.exists()
+
+
 def test_locked_store_apply_exits_four(setup, capsys):
     store, repo = setup
     store.begin()  # leave a transaction open

@@ -8,13 +8,12 @@ from txpkg.preferences import (
     Criterion,
     PreferenceError,
     PreferenceSpec,
-    _ScoreTables,
     eval_criteria,
     optimize,
     parse_prefs,
 )
-from txpkg.resolver import Solution, Unsat, encode, parse_request, solve
-from txpkg.universe import PackageId, Status, Version, parse_universe
+from txpkg.resolver import Solution, Unsat, parse_request, solve
+from txpkg.universe import PackageId, Status, Version, parse_universe, status_diff
 
 import support
 
@@ -74,23 +73,31 @@ def test_no_change_vector_is_zero():
     assert eval_criteria(ATERM, s, s, spec) == (0, 0, 0, 0)
 
 
-def _recount(u, s0, s, spec):
-    """Independent recount straight from the definitions."""
+def _moves(s0, s):
+    """(removed, changed, new) name sets, recounted straight from the definitions."""
     names0 = {pid.name for pid in s0.installed}
     names_s = {pid.name for pid in s.installed}
+    changed = set()
+    for name in names0 & names_s:
+        v0 = {p.version for p in s0.installed if p.name == name}
+        v1 = {p.version for p in s.installed if p.name == name}
+        if v0 != v1:
+            changed.add(name)
+    return names0 - names_s, changed, names_s - names0
+
+
+def _recount(u, s0, s, spec):
+    """Independent recount straight from the definitions."""
+    names_s = {pid.name for pid in s.installed}
+    removed, changed, new = _moves(s0, s)
     vals = []
     for crit in spec.criteria:
         if crit.kind == "removed":
-            vals.append(len(names0 - names_s))
+            vals.append(len(removed))
         elif crit.kind == "changed":
-            count = 0
-            for name in names0 & names_s:
-                v0 = {p.version for p in s0.installed if p.name == name}
-                v1 = {p.version for p in s.installed if p.name == name}
-                count += v0 != v1
-            vals.append(count)
+            vals.append(len(changed))
         elif crit.kind == "new":
-            vals.append(len(names_s - names0))
+            vals.append(len(new))
         elif crit.kind == "download":
             vals.append(sum(u.get(p).size_kb for p in s.installed if p not in s0.installed))
         elif crit.kind == "notuptodate":
@@ -217,22 +224,35 @@ def test_constraint_tightening_is_monotone():
             previous_ids = {id(st) for st in current}
 
 
-def test_bound_is_exact_at_full_assignments_and_admissible():
+def test_partial_diff_and_bound_are_the_least_over_every_status_between():
+    # status_diff(u, s0, lo, hi) and eval_criteria(..., hi) must be the least
+    # that every status t with lo <= t <= hi gives: a weaker bound or an
+    # unsound one fails here
     rng = random.Random(41)
-    for _ in range(40):
-        u = support.random_universe(rng, max_size=7)
+    for _ in range(60):
+        u = support.random_universe(rng, max_size=8)
         s0 = support.random_status(rng, u)
-        r = support.random_request(rng, u)
-        spec = _random_spec(rng)
-        cnf = encode(u, s0, r)
-        tables = _ScoreTables(u, s0, spec, cnf.ids)
-        n = len(cnf.ids)
-        for _ in range(20):
-            full = [0] + [rng.choice([1, -1]) for _ in range(n)]
-            st = Status(frozenset(cnf.ids[i - 1] for i in range(1, n + 1) if full[i] > 0))
-            assert tables.vector_bound(full) == eval_criteria(u, s0, st, spec)
-            # a partial assignment's bound never exceeds any completion's key
-            partial = [0] + [v if rng.random() < 0.6 else 0 for v in full[1:]]
-            key = (eval_criteria(u, s0, st, spec),
-                   tuple(i for i in range(1, n + 1) if full[i] > 0))
-            assert tables.bound(partial) <= key
+        pattern = rng.choice(["maint:evil*", "name:alpha*", "br*"])
+        kinds = list(ALL_KINDS)
+        rng.shuffle(kinds)
+        spec = PreferenceSpec(tuple(Criterion(k) for k in kinds)
+                              + (Criterion("blacklist", pattern),))
+        for _ in range(8):
+            pool = [pid for pid in u.ids if rng.random() < 0.7]
+            lo = Status(frozenset(pid for pid in pool if rng.random() < 0.4))
+            hi = Status(frozenset(pool))
+            free = [pid for pid in pool if pid not in lo.installed]
+            between = [Status(lo.installed | {free[i] for i in range(len(free)) if m >> i & 1})
+                       for m in range(1 << len(free))]
+            diff = status_diff(u, s0, lo, hi)
+            moves = [_moves(s0, t) for t in between]
+            for k, name in enumerate(("removed", "changed", "new")):
+                common = set.intersection(*(m[k] for m in moves))
+                assert getattr(diff, name) == tuple(sorted(common)), name
+            assert diff.download_kb == min(
+                sum(u.get(p).size_kb for p in t.installed - s0.installed) for t in between)
+            vectors = [_recount(u, s0, t, spec) for t in between]
+            assert eval_criteria(u, s0, lo, spec, hi) == tuple(map(min, zip(*vectors)))
+            for t in (lo, hi):
+                assert status_diff(u, s0, t, t) == status_diff(u, s0, t)
+                assert eval_criteria(u, s0, t, spec, t) == eval_criteria(u, s0, t, spec)

@@ -56,6 +56,9 @@ def test_equal_under_segmenting_rules():
     assert Version("1.00") == Version("1.0")
     assert Version("1-0") == Version("1.0")
     assert hash(Version("1.00")) == hash(Version("1.0"))
+    a, b = PackageId("a", Version("1.0")), PackageId("a", Version("1.00"))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
 
 
 def test_missing_segment_sorts_first():
