@@ -232,10 +232,13 @@ def cmd_merge_config(args) -> int:
     for p in paths:
         if not p.is_file():
             raise ConfigError(f"{p} is not a file")
-    base, local, incoming = (p.read_bytes() for p in paths)
-    outcome = structured_merge(base, local, incoming, syntax=args.syntax)
-    if args.output:
-        Path(args.output).write_bytes(outcome.content)
+    try:
+        base, local, incoming = (p.read_bytes() for p in paths)
+        outcome = structured_merge(base, local, incoming, syntax=args.syntax)
+        if args.output:
+            Path(args.output).write_bytes(outcome.content)
+    except OSError as e:
+        raise ConfigError(str(e)) from None
     if args.json:
         print(json.dumps({"kind": outcome.kind, "fell_back": outcome.fell_back,
                           "conflicts": len(outcome.conflict_hunks)}, sort_keys=True))
@@ -252,7 +255,7 @@ def cmd_lint_script(args) -> int:
     path = Path(args.file)
     if not path.is_file():
         raise ConfigError(f"{path} is not a file")
-    program = parse_script(decode_text(path.read_bytes(), path), str(path))
+    program = parse_script(decode_text(path.read_bytes(), path))
     kind = classify(program)
     _emit(args, {"steps": len(program.steps), "class": kind},
           f"ok: {len(program.steps)} steps, class: {kind}")

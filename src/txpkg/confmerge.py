@@ -7,6 +7,9 @@ files simply take the incoming version, locally modified ones get a
 line-oriented three-way merge (or a per-key merge for ``key=value`` files),
 and overlapping edits surface as a conflict with the incoming version parked
 next to the file as ``<path>.pkgnew``.  A conflict never aborts the upgrade.
+:func:`upgrade_conffile` reads the conffile with the transaction's ``state``
+and writes it with ``write_through``, which creates missing parents; the
+pristine archive is read from the transaction's store.
 
 ``parse_kv``/``dump_kv`` are the engine's one ``key=value`` codec; the
 script DSL's ``setkey``/``delkey`` use it too.
@@ -29,7 +32,6 @@ __all__ = [
     "structured_merge",
     "parse_kv",
     "dump_kv",
-    "is_locally_modified",
     "upgrade_conffile",
     "PKGNEW_SUFFIX",
 ]
@@ -236,7 +238,7 @@ class PristineStore:
     """
 
     def __init__(self, store: Store):
-        self._dir = store.root / ".pkgdb" / "pristine"
+        self._dir = store.pristine_dir
 
     def entries(self, pkg_name: str, path: str) -> list[dict]:
         index = self._dir / "index"
@@ -262,58 +264,39 @@ class PristineStore:
         return obj.read_bytes()
 
 
-def is_locally_modified(store: Store, pkg: Package, path: str) -> bool:
-    """Has the conffile been edited since its pristine version was installed?
-
-    Compares content hashes; a deleted conffile counts as modified.  Raises
-    :class:`ConfmergeError` for paths that are not registered conffiles.
-    """
-    if path not in pkg.conffiles:
-        raise ConfmergeError(f"{path!r} is not a conffile of {pkg.id}")
-    latest = PristineStore(store).latest(pkg.name, path)
-    if latest is None:
-        raise ConfmergeError(f"{path!r} has no pristine record for {pkg.name}")
-    current = store.read_optional(path)
-    return current is None or _sha(current) != latest["sha"]
-
-
-def upgrade_conffile(store: Store, txn: Transaction, pkg: Package, path: str,
+def upgrade_conffile(txn: Transaction, pkg: Package, path: str,
                      incoming: bytes) -> MergeOutcome:
     """Bring one conffile to the incoming version inside an open transaction.
 
     An unmodified (or never-seen) file takes the incoming content; a modified
     one is three-way merged against the pristine copy of the installed
-    version, and a locally deleted one stays deleted.  On conflict the file
-    keeps its local content and the incoming version is written alongside as
-    ``<path>.pkgnew``; the transaction carries on.  Whatever happens, the
-    incoming content is registered as the new pristine version and every
-    write is journaled.
+    version, and a locally deleted one stays deleted.  The file counts as
+    unmodified when its content hash equals the latest pristine record's.
+    On conflict the file keeps its local content and the incoming version is
+    written alongside as ``<path>.pkgnew``; the transaction carries on.
+    Whatever happens, the incoming content is registered as the new pristine
+    version and every write is journaled.
     """
     if path not in pkg.conffiles:
         raise ConfmergeError(f"{path!r} is not a conffile of {pkg.id}")
-    pristine = PristineStore(store)
+    pristine = PristineStore(txn.store)
     latest = pristine.latest(pkg.name, path)
-    current = txn.read_optional(path)
+    _kind, current, _mode = txn.state(path)
 
     def register() -> None:
         txn.add_pristine(pkg.name, path, str(pkg.version), incoming)
 
-    def write(data: bytes) -> None:
-        txn.ensure_parent(path)
-        txn.write_through(path, data)
-
     if current is None and latest is None:
-        write(incoming)
+        txn.write_through(path, incoming)
         register()
         return MergeOutcome("took-new", incoming)
 
     if latest is None:
         # an unowned file already sits where a fresh conffile should go
         if current == incoming:
-            write(incoming)
+            txn.write_through(path, incoming)
             register()
             return MergeOutcome("took-new", incoming)
-        txn.ensure_parent(path)
         txn.write_through(path + PKGNEW_SUFFIX, incoming)
         register()
         return MergeOutcome("conflict", current, ((b"", current, incoming),))
@@ -323,16 +306,15 @@ def upgrade_conffile(store: Store, txn: Transaction, pkg: Package, path: str,
         register()
         return MergeOutcome("kept-local", b"")
     if _sha(current) == latest["sha"]:
-        write(incoming)
+        txn.write_through(path, incoming)
         register()
         return MergeOutcome("took-new", incoming)
 
     base = pristine.content(latest["sha"])
     outcome = structured_merge(base, current, incoming, pkg.syntax_for(path))
     if outcome.kind == "conflict":
-        txn.ensure_parent(path)
         txn.write_through(path + PKGNEW_SUFFIX, incoming)
     else:
-        write(outcome.content)
+        txn.write_through(path, outcome.content)
     register()
     return outcome

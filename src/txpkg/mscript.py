@@ -25,9 +25,11 @@ the target's pre-image and mode (or that the step created it), a fingerprint
 of what the step left there, and the directories it created.  ``undo`` has
 one rule for every primitive: walking the log in reverse, it puts each target
 back as it was and removes the directories the step created, so
-execute-then-undo restores the pre-execution store byte for byte.  All
-mutations run through the open transaction, so a journal rollback is always
-an equivalent alternative to compensation.
+execute-then-undo restores the pre-execution store byte for byte.  Every
+step reads the store only through the open transaction's ``state`` (plus
+``read``/``walk_files`` for ``update-cache``) and mutates it only through
+``write_through``, ``mkdir`` and ``rmdir``, so a journal rollback is always an
+equivalent alternative to compensation.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 from .confmerge import dump_kv, parse_kv
 from .txn import Transaction, _sha
-from .universe import MetadataError, check_rel_path
+from .universe import MetadataError, check_rel_path, decode_text
 
 __all__ = [
     "ScriptSyntaxError",
@@ -115,7 +117,6 @@ class Step:
 @dataclass(frozen=True)
 class ScriptProgram:
     steps: tuple[Step, ...]
-    source_path: str = "<script>"
 
 
 @dataclass(frozen=True)
@@ -125,7 +126,6 @@ class ScriptEnv:
     package: str
     old_version: str | None = None
     new_version: str | None = None
-    hook: str = "postinst"
 
 
 @dataclass
@@ -149,7 +149,7 @@ class StepEffect:
     created_dirs: tuple[str, ...] = ()
 
 
-def parse_script(text: str, source_path: str = "<script>") -> ScriptProgram:
+def parse_script(text: str) -> ScriptProgram:
     """Parse DSL text; rejects unknown primitives and arity mismatches."""
     steps = []
     for no, raw in enumerate(text.splitlines(), 1):
@@ -214,7 +214,7 @@ def compute_cache(txn: Transaction, cache_path: str, pattern: str) -> bytes:
 
 
 def _file_snapshot(txn: Transaction, rel: str):
-    kind, content, mode = txn.store.state(rel)
+    kind, content, mode = txn.state(rel)
     if kind == "dir":
         raise ScriptFailure(-1, f"{rel!r} is a directory")
     return content, (mode if kind == "file" else None)
@@ -222,16 +222,18 @@ def _file_snapshot(txn: Transaction, rel: str):
 
 def _write_file(txn: Transaction, index: int, op: str, rel: str, data: bytes) -> StepEffect:
     pre, pre_mode = _file_snapshot(txn, rel)
-    created_dirs = tuple(txn.ensure_parent(rel))
-    txn.write_through(rel, data)
+    created_dirs = tuple(txn.write_through(rel, data))
     return StepEffect(index=index, op=op, path=rel, created=pre is None,
                       pre_image=pre, pre_mode=pre_mode, post_sha=_sha(data),
                       created_dirs=created_dirs)
 
 
 def _load_users(txn: Transaction) -> set[str]:
-    data = txn.read_optional(USER_DB) or b""
-    return {line.strip() for line in data.decode("utf-8").splitlines() if line.strip()}
+    try:
+        text = decode_text(txn.state(USER_DB)[1] or b"", USER_DB)
+    except MetadataError as e:
+        raise ScriptFailure(-1, str(e)) from None
+    return {line.strip() for line in text.splitlines() if line.strip()}
 
 
 def _dump_users(names: set[str]) -> bytes:
@@ -252,7 +254,7 @@ def _run_step(index: int, step: Step, txn: Transaction, env: ScriptEnv) -> StepE
 
     if op == "mkdir":
         target = args[0]
-        if txn.exists(target) and not txn.is_dir(target):
+        if txn.state(target)[0] == "file":
             raise ScriptFailure(index, f"{target!r} exists and is not a directory")
         created = tuple(txn.mkdir(target))
         return StepEffect(index=index, op=op, path=target, created=bool(created),
@@ -260,15 +262,16 @@ def _run_step(index: int, step: Step, txn: Transaction, env: ScriptEnv) -> StepE
 
     if op == "copy":
         src, dst = args
-        if not txn.exists(src) or txn.is_dir(src):
+        kind, content, _mode = txn.state(src)
+        if kind != "file":
             raise ScriptFailure(index, f"source {src!r} is not a file")
-        return _write_file(txn, index, op, dst, txn.read(src))
+        return _write_file(txn, index, op, dst, content)
 
     if op == "remove":
         target = args[0]
-        if not txn.exists(target) or txn.is_dir(target):
+        kind, pre, pre_mode = txn.state(target)
+        if kind != "file":
             raise ScriptFailure(index, f"{target!r} is not a file")
-        pre, pre_mode = _file_snapshot(txn, target)
         txn.write_through(target, None)
         return StepEffect(index=index, op=op, path=target, pre_image=pre, pre_mode=pre_mode)
 
@@ -337,11 +340,11 @@ def execute(program: ScriptProgram, txn: Transaction, env: ScriptEnv) -> list[St
 def _verify_post(eff: StepEffect, txn: Transaction) -> None:
     if eff.op == "mkdir":
         for d in eff.created_dirs:
-            if not txn.is_dir(d):
+            if txn.state(d)[0] != "dir":
                 raise CorruptedLog(f"step {eff.index}: directory {d!r} vanished")
         return
-    current = txn.read_optional(eff.path)
-    current_sha = None if current is None else _sha(current)
+    kind, current, _mode = txn.state(eff.path)
+    current_sha = _sha(current) if kind == "file" else None
     if current_sha != eff.post_sha:
         raise CorruptedLog(
             f"step {eff.index}: {eff.path!r} changed since execution "
@@ -365,7 +368,7 @@ def undo(log, txn: Transaction) -> None:
             txn.write_through(eff.path, None if eff.created else eff.pre_image,
                               mode=eff.pre_mode)
         for d in reversed(eff.created_dirs):
-            if txn.is_dir(d):
+            if txn.state(d)[0] == "dir":
                 try:
                     txn.rmdir(d)
                 except OSError:

@@ -240,14 +240,13 @@ class _DeployError(OSError):
 def _script_env(action: Action) -> ScriptEnv:
     pure_removal = action.counterpart is None and action.kind in ("prerm", "postrm")
     if pure_removal:
-        return ScriptEnv(package=action.pkg.name, old_version=str(action.pkg.version),
-                         new_version=None, hook=action.kind)
+        return ScriptEnv(package=action.pkg.name, old_version=str(action.pkg.version))
     if action.kind == "prerm":  # upgrade: the action carries the old id
         return ScriptEnv(package=action.pkg.name, old_version=str(action.pkg.version),
-                         new_version=str(action.counterpart.version), hook=action.kind)
+                         new_version=str(action.counterpart.version))
     old = str(action.counterpart.version) if action.counterpart else None
     return ScriptEnv(package=action.pkg.name, old_version=old,
-                     new_version=str(action.pkg.version), hook=action.kind)
+                     new_version=str(action.pkg.version))
 
 
 def _preflight(plan_: Plan, repo_dir, staging: Path):
@@ -272,7 +271,7 @@ def _preflight(plan_: Plan, repo_dir, staging: Path):
                 raise MissingPayload(f"{pkg.id}: script {rel!r} missing from payload")
             try:
                 scripts[key] = mscript.parse_script(
-                    decode_text(script_file.read_bytes(), script_file), str(script_file))
+                    decode_text(script_file.read_bytes(), script_file))
             except (mscript.ScriptSyntaxError, MetadataError) as e:
                 raise MissingPayload(f"{pkg.id}: script {rel!r} invalid: {e}") from None
     return staged, scripts
@@ -288,10 +287,10 @@ def _remove_files(txn, universe: Universe, action: Action, owned: dict, purge: b
             owned.pop(rel)
         if rel in old.conffiles and not purge:
             continue  # conffiles survive removal unless purging
-        if txn.exists(rel) and not txn.is_dir(rel):
+        if txn.state(rel)[0] == "file":
             txn.write_through(rel, None)
         pkgnew = rel + confmerge.PKGNEW_SUFFIX
-        if purge and txn.exists(pkgnew) and not txn.is_dir(pkgnew):
+        if purge and txn.state(pkgnew)[0] == "file":
             txn.write_through(pkgnew, None)
 
 
@@ -372,11 +371,10 @@ def execute_plan(plan_: Plan, store: Store, repo_dir, *, purge: bool = False,
                         data = (payload / rel).read_bytes()
                         mode = stat.S_IMODE((payload / rel).stat().st_mode)
                         if rel in pkg.conffiles:
-                            outcome = confmerge.upgrade_conffile(store, txn, pkg, rel, data)
+                            outcome = confmerge.upgrade_conffile(txn, pkg, rel, data)
                             if outcome.kind == "conflict":
                                 conflicts.append(rel)
                         else:
-                            txn.ensure_parent(rel)
                             txn.write_through(rel, data, mode=mode)
                         owned[rel] = pkg.id
                 else:
@@ -396,7 +394,7 @@ def execute_plan(plan_: Plan, store: Store, repo_dir, *, purge: bool = False,
             return Outcome("io-failure", failing=f"{current}: {failure}",
                            conffile_conflicts=tuple(conflicts))
         except BaseException:
-            if txn.state == "open":
+            if txn.phase == "open":
                 txn.rollback()
             raise
     finally:

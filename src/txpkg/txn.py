@@ -1,11 +1,17 @@
 """Sandboxed filesystem store with copy-before-write journaling.
 
-All engine mutations go through an open :class:`Transaction`, which records a
-pre-image of every touched path before the first mutation (first touch wins).
-Rolling back replays the journal in reverse, restoring the store byte for
-byte.  Committing trims the journal (dropping entries whose pre-image equals
-the final content) and persists it under ``.pkgdb/history/<id>/`` so whole
-upgrades can be undone later with :meth:`Store.rollback_to`.
+An open :class:`Transaction` is the engine's one window on the root.  Its
+reads are ``state(rel) -> (kind, content, mode)`` (kind one of
+absent|dir|file), ``read`` and ``walk_files``.  Its mutations of the tree are
+``write_through`` (write or delete a file; a write creates missing parent
+directories), ``mkdir`` and ``rmdir``; each records a pre-image of every
+path it touches before changing it (first touch wins).  ``set_status`` and
+``add_pristine`` update the engine state under ``.pkgdb``.  Rolling back
+replays the journal in reverse, restoring the store byte for byte, and puts
+the status file back.  Committing trims the journal (dropping entries whose
+pre-image equals the final content) and persists it under
+``.pkgdb/history/<id>/`` so whole upgrades can be undone later with
+:meth:`Store.rollback_to`.
 
 Nothing under ``.pkgdb`` is ever package-visible: it holds the status file,
 the lock, the transaction serial, persisted history, and the pristine
@@ -176,27 +182,16 @@ class Store:
 
     # -- plain reads -----------------------------------------------------
 
-    def exists(self, rel: str) -> bool:
-        return self.resolve(rel).exists()
-
-    def is_dir(self, rel: str) -> bool:
-        return self.resolve(rel).is_dir()
-
     def read(self, rel: str) -> bytes:
         return self.resolve(rel).read_bytes()
 
-    def read_optional(self, rel: str) -> bytes | None:
-        p = self.resolve(rel)
-        if not p.is_file():
-            return None
-        return p.read_bytes()
-
     def state(self, rel: str):
-        """(kind, content, mode) with kind one of absent|dir|file."""
+        """(kind, content, mode) with kind one of absent|dir|file; a path
+        under a file is absent."""
         p = self.resolve(rel)
         try:
             st = os.lstat(p)
-        except FileNotFoundError:
+        except (FileNotFoundError, NotADirectoryError):
             return ("absent", None, 0)
         if stat.S_ISDIR(st.st_mode):
             return ("dir", None, st.st_mode)
@@ -306,6 +301,10 @@ class Store:
     def archive_dir(self) -> Path:
         return self._db / "archive"
 
+    @property
+    def pristine_dir(self) -> Path:
+        return self._db / "pristine"
+
     def history_ids(self) -> list[int]:
         if not self.history_dir.is_dir():
             return []
@@ -375,7 +374,7 @@ class Store:
     def _archive(self, records) -> None:
         self.archive_dir.mkdir(parents=True, exist_ok=True)
         reverted = {rec.id for rec in records}
-        index = self._db / "pristine" / "index"
+        index = self.pristine_dir / "index"
         if index.is_file():
             kept_lines, dropped = [], {}
             for line in index.read_text().splitlines():
@@ -471,24 +470,18 @@ class Transaction:
     def __init__(self, store: Store, txn_id: int):
         self.store = store
         self.id = txn_id
-        self.state = "open"
+        self.phase = "open"
         self._journal: dict[str, JournalEntry] = {}
         self._status_pre = store.status_bytes()
         self._pristine: list[tuple[dict, bytes]] = []
 
     # -- reads (delegated) -------------------------------------------------
 
+    def state(self, rel: str):
+        return self.store.state(rel)
+
     def read(self, rel: str) -> bytes:
         return self.store.read(rel)
-
-    def read_optional(self, rel: str) -> bytes | None:
-        return self.store.read_optional(rel)
-
-    def exists(self, rel: str) -> bool:
-        return self.store.exists(rel)
-
-    def is_dir(self, rel: str) -> bool:
-        return self.store.is_dir(rel)
 
     def walk_files(self):
         return self.store.walk_files()
@@ -496,44 +489,43 @@ class Transaction:
     # -- journaled mutations ------------------------------------------------
 
     def _require_open(self) -> None:
-        if self.state != "open":
-            raise StoreError(f"transaction {self.id} is {self.state}")
+        if self.phase != "open":
+            raise StoreError(f"transaction {self.id} is {self.phase}")
 
-    def _touch(self, rel: str, removing: bool) -> None:
-        if rel in self._journal:
-            return
-        kind, content, mode = self.store.state(rel)
-        if kind == "absent":
-            entry = JournalEntry(rel, "created")
-        elif kind == "dir":
-            entry = JournalEntry(rel, "removed" if removing else "modified", mode, b"")
-        else:
-            entry = JournalEntry(rel, "removed" if removing else "modified", mode, content)
-        self._journal[rel] = entry
+    def _touch(self, entry: JournalEntry) -> None:
+        self._journal.setdefault(entry.path, entry)
 
     def journal_entries(self) -> list[JournalEntry]:
         return list(self._journal.values())
 
-    def write_through(self, rel: str, data: bytes | None, mode: int | None = None) -> None:
-        """Write ``data`` to a file (creating it if needed), or delete it when
-        ``data`` is None.  The pre-image is journaled on first touch."""
+    def write_through(self, rel: str, data: bytes | None, mode: int | None = None) -> list[str]:
+        """Write ``data`` to a file, creating it and its missing parent
+        directories, or delete the file when ``data`` is None.  Pre-images
+        are journaled on first touch, each created directory as ``mkdir``
+        journals it.  Returns the created directories, outermost first."""
         self._require_open()
-        p = self.store.resolve(rel)
-        if p.is_dir():
+        kind, content, st_mode = self.store.state(rel)
+        if kind == "dir":
             raise IsADirectoryError(f"{rel!r} is a directory")
+        p = self.store.resolve(rel)
         if data is None:
-            if not p.exists():
+            if kind == "absent":
                 raise FileNotFoundError(f"{rel!r} does not exist")
-            self._touch(rel, removing=True)
+            self._touch(JournalEntry(rel, "removed", st_mode, content))
             p.unlink()
-            return
-        existed = p.exists()
-        self._touch(rel, removing=False)
+            return []
+        parent = rel.rpartition("/")[0]
+        created = self.mkdir(parent) if kind == "absent" and parent else []
+        if kind == "absent":
+            self._touch(JournalEntry(rel, "created"))
+        else:
+            self._touch(JournalEntry(rel, "modified", st_mode, content))
         p.write_bytes(data)
         if mode is not None:
             os.chmod(p, stat.S_IMODE(mode))
-        elif not existed:
+        elif kind == "absent":
             os.chmod(p, _FILE_MODE)
+        return created
 
     def mkdir(self, rel: str) -> list[str]:
         """Create a directory, with missing parents; each created level is
@@ -545,14 +537,13 @@ class Transaction:
         todo = []
         for i in range(1, len(parts) + 1):
             partial = "/".join(parts[:i])
-            q = self.store.resolve(partial)
-            if q.is_dir():
-                continue
-            if q.exists():
+            kind = self.store.state(partial)[0]
+            if kind == "file":
                 raise FileExistsError(f"{partial!r} exists and is not a directory")
-            todo.append(partial)
+            if kind == "absent":
+                todo.append(partial)
         for partial in todo:
-            self._touch(partial, removing=False)
+            self._touch(JournalEntry(partial, "created"))
             q = self.store.resolve(partial)
             q.mkdir()
             os.chmod(q, _DIR_MODE)
@@ -561,20 +552,14 @@ class Transaction:
     def rmdir(self, rel: str) -> None:
         """Remove an empty directory (journaled)."""
         self._require_open()
-        p = self.store.resolve(rel)
-        if not p.is_dir():
+        kind, _content, st_mode = self.store.state(rel)
+        if kind != "dir":
             raise NotADirectoryError(f"{rel!r} is not a directory")
+        p = self.store.resolve(rel)
         if any(p.iterdir()):
             raise OSError(f"{rel!r} is not empty")
-        self._touch(rel, removing=True)
+        self._touch(JournalEntry(rel, "removed", st_mode, b""))
         p.rmdir()
-
-    def ensure_parent(self, rel: str) -> list[str]:
-        """Create the parent directories of a file path; returns created dirs."""
-        parent = rel.rsplit("/", 1)[0] if "/" in rel else ""
-        if not parent:
-            return []
-        return self.mkdir(parent)
 
     def set_status(self, text: str) -> None:
         self._require_open()
@@ -595,7 +580,7 @@ class Transaction:
         skipped = _apply_reverse(self.store, self._journal.values())
         self.store.write_status_bytes(self._status_pre)
         self._pristine.clear()
-        self.state = "rolled-back"
+        self.phase = "rolled-back"
         self.store._release_lock()
         return skipped
 
@@ -616,14 +601,14 @@ class Transaction:
         info.update(meta or {})
         (record_dir / "meta").write_text(json.dumps(info, sort_keys=True, indent=0))
         self._flush_pristine()
-        self.state = "committed"
+        self.phase = "committed"
         self.store._release_lock()
         return self.id
 
     def _flush_pristine(self) -> None:
         if not self._pristine:
             return
-        pristine_dir = self.store._db / "pristine"
+        pristine_dir = self.store.pristine_dir
         objects = pristine_dir / "objects"
         objects.mkdir(parents=True, exist_ok=True)
         index = pristine_dir / "index"

@@ -221,10 +221,9 @@ def test_criterion_6_trim_soundness(tmp_path):
                 tid = txn.id
                 for rel, data in writes:
                     if data is None:
-                        if txn.exists(rel):
+                        if txn.state(rel)[0] != "absent":
                             txn.write_through(rel, None)
                     else:
-                        txn.ensure_parent(rel)
                         txn.write_through(rel, data)
                 txn.commit(do_trim=do_trim)
             assert trimmed.tree_hash() == full.tree_hash()

@@ -243,6 +243,19 @@ def test_merge_config_keyvalue_mode(tmp_path, capsys):
     assert "a=9" in out
 
 
+
+def test_merge_config_missing_output_directory_exits_two(tmp_path, capsys):
+    inputs = []
+    for name in ("base", "local", "incoming"):
+        (tmp_path / name).write_bytes(b"a\n")
+        inputs.append(str(tmp_path / name))
+    out_file = tmp_path / "nodir" / "out"
+    code, out, err = run(capsys, "merge-config", *inputs, "-o", str(out_file))
+    assert code == 2
+    assert err.startswith("error: ") and str(out_file) in err
+    assert "Traceback" not in out + err
+    assert not out_file.parent.exists()
+
 def test_lint_script_classifies(tmp_path, capsys):
     script = tmp_path / "postinst"
     script.write_text("mkdir var/cache/app\nupdate-cache var/cache/app/idx usr/share/*\n")
@@ -287,7 +300,7 @@ def test_preserve_flag_reaches_rollback(setup, capsys):
     code, out, _ = run(capsys, *base, "rollback", "1")
     assert code == 0
     assert "preserved (not restored): usr/bin/aterm" in out
-    assert store.exists("usr/bin/aterm")  # skipped on restore per the glob
+    assert store.state("usr/bin/aterm")[0] == "file"  # skipped on restore per the glob
 
 
 def test_corrupt_serial_apply_reports_error_without_traceback(setup, capsys):
@@ -350,6 +363,24 @@ def test_apply_non_utf8_hook_script_is_an_io_failure(setup, capsys):
     assert store.tree_hash() == baseline and store.history_ids() == []
     assert not store.lock_path.exists()
 
+
+
+def test_apply_non_utf8_user_db_is_a_script_failure(setup, capsys):
+    store, repo = setup
+    u = parse_universe(support.ATERM_META)
+    payload = payload_dir(repo, u.get(PackageId("aterm", Version("1.0.1-4"))))
+    (payload / "hooks/postinst").write_bytes(b"adduser alice\n")
+    (store.root / "etc").mkdir()
+    (store.root / "etc/users.db").write_bytes(b"caf\xe9\n")
+    baseline = store.tree_hash()
+    code, out, _ = run(capsys, "--json", "--root", str(store.root), "--repo", str(repo),
+                       "apply", "install aterm")
+    assert code == 3
+    record = json.loads(out)
+    assert record["result"] == "script-failure"
+    assert "etc/users.db" in record["failing"] and "not UTF-8" in record["failing"]
+    assert store.tree_hash() == baseline and store.history_ids() == []
+    assert not store.lock_path.exists()
 
 def test_locked_store_apply_exits_four(setup, capsys):
     store, repo = setup

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from txpkg.confmerge import (
     ConfmergeError,
     PristineStore,
-    is_locally_modified,
     merge3,
     structured_merge,
     upgrade_conffile,
@@ -225,7 +224,7 @@ def _install_v1(store, content=b"a=1\nb=2\n"):
     u = parse_universe(CONF_META_V2)
     pkg1 = u.get(PackageId("app", __import__("txpkg").universe.Version("1")))
     txn = store.begin()
-    out = upgrade_conffile(store, txn, pkg1, "etc/app/main.conf", content)
+    out = upgrade_conffile(txn, pkg1, "etc/app/main.conf", content)
     assert out.kind == "took-new"
     txn.commit()
     return u
@@ -235,11 +234,11 @@ def test_unmodified_conffile_takes_incoming(store):
     u = _install_v1(store)
     pkg2 = u.by_name("app")[1]
     txn = store.begin()
-    out = upgrade_conffile(store, txn, pkg2, "etc/app/main.conf", b"a=1\nb=3\n")
+    out = upgrade_conffile(txn, pkg2, "etc/app/main.conf", b"a=1\nb=3\n")
     txn.commit()
     assert out.kind == "took-new"
     assert store.read("etc/app/main.conf") == b"a=1\nb=3\n"
-    assert not store.exists("etc/app/main.conf.pkgnew")
+    assert store.state("etc/app/main.conf.pkgnew")[0] == "absent"
 
 
 def test_nonoverlapping_local_edit_merges(store):
@@ -247,11 +246,11 @@ def test_nonoverlapping_local_edit_merges(store):
     (store.root / "etc/app/main.conf").write_bytes(b"TOP\nmid\nbot\n")  # user edit
     pkg2 = u.by_name("app")[1]
     txn = store.begin()
-    out = upgrade_conffile(store, txn, pkg2, "etc/app/main.conf", b"top\nmid\nBOT\n")
+    out = upgrade_conffile(txn, pkg2, "etc/app/main.conf", b"top\nmid\nBOT\n")
     txn.commit()
     assert out.kind == "merged"
     assert store.read("etc/app/main.conf") == b"TOP\nmid\nBOT\n"
-    assert not store.exists("etc/app/main.conf.pkgnew")
+    assert store.state("etc/app/main.conf.pkgnew")[0] == "absent"
 
 
 def test_overlapping_edit_surfaces_conflict_without_aborting(store):
@@ -259,7 +258,7 @@ def test_overlapping_edit_surfaces_conflict_without_aborting(store):
     (store.root / "etc/app/main.conf").write_bytes(b"value=local\n")
     pkg2 = u.by_name("app")[1]
     txn = store.begin()
-    out = upgrade_conffile(store, txn, pkg2, "etc/app/main.conf", b"value=incoming\n")
+    out = upgrade_conffile(txn, pkg2, "etc/app/main.conf", b"value=incoming\n")
     txn.commit()
     assert out.kind == "conflict"
     assert store.read("etc/app/main.conf") == b"value=local\n"   # local kept
@@ -271,10 +270,10 @@ def test_locally_deleted_conffile_stays_deleted(store):
     (store.root / "etc/app/main.conf").unlink()
     pkg2 = u.by_name("app")[1]
     txn = store.begin()
-    out = upgrade_conffile(store, txn, pkg2, "etc/app/main.conf", b"new\n")
+    out = upgrade_conffile(txn, pkg2, "etc/app/main.conf", b"new\n")
     txn.commit()
     assert out.kind == "kept-local"
-    assert not store.exists("etc/app/main.conf")
+    assert store.state("etc/app/main.conf")[0] == "absent"
 
 
 def test_structured_hint_used_for_conffile(store):
@@ -293,42 +292,51 @@ Conffile-Syntax: etc/app/main.conf=keyvalue
     u = parse_universe(meta)
     pkg1, pkg2 = u.by_name("app")
     txn = store.begin()
-    upgrade_conffile(store, txn, pkg1, "etc/app/main.conf", b"a=1\nb=2\n")
+    upgrade_conffile(txn, pkg1, "etc/app/main.conf", b"a=1\nb=2\n")
     txn.commit()
     # reorder locally; change a value upstream: keyvalue mode merges cleanly
     (store.root / "etc/app/main.conf").write_bytes(b"b=2\na=1\n")
     txn = store.begin()
-    out = upgrade_conffile(store, txn, pkg2, "etc/app/main.conf", b"a=9\nb=2\n")
+    out = upgrade_conffile(txn, pkg2, "etc/app/main.conf", b"a=9\nb=2\n")
     txn.commit()
     assert out.kind in ("merged", "took-new")
     assert store.read("etc/app/main.conf") == b"a=9\nb=2\n"
 
 
-def test_is_locally_modified(store):
+def test_local_modification_is_a_content_hash_compare(store):
     u = _install_v1(store, b"pristine\n")
-    pkg1 = u.by_name("app")[0]
-    assert not is_locally_modified(store, pkg1, "etc/app/main.conf")
+    pkg2 = u.by_name("app")[1]
     path = store.root / "etc/app/main.conf"
     path.write_bytes(b"pristine\nextra\n")
-    assert is_locally_modified(store, pkg1, "etc/app/main.conf")
-    path.write_bytes(b"pristine\n")  # reverted byte-exactly
-    assert not is_locally_modified(store, pkg1, "etc/app/main.conf")
+    txn = store.begin()
+    assert upgrade_conffile(txn, pkg2, "etc/app/main.conf", b"v2\n").kind == "conflict"
+    txn.rollback()
+    path.write_bytes(b"pristine\n")  # reverted byte-exactly: unmodified again
+    txn = store.begin()
+    assert upgrade_conffile(txn, pkg2, "etc/app/main.conf", b"v2\n").kind == "took-new"
+    txn.rollback()
 
 
 def test_unregistered_conffile_is_an_error(store):
-    u = parse_universe(CONF_META_V1)
-    pkg = u.by_name("app")[0]
+    u = _install_v1(store, b"v1\n")
+    pkg2 = u.by_name("app")[1]
+    txn = store.begin()
     with pytest.raises(ConfmergeError, match="not a conffile"):
-        is_locally_modified(store, pkg, "etc/other")
+        upgrade_conffile(txn, pkg2, "etc/other", b"x\n")
+    # a modified conffile cannot be merged once its pristine base is gone
+    (store.root / "etc/app/main.conf").write_bytes(b"edited\n")
+    for obj in (store.pristine_dir / "objects").iterdir():
+        obj.unlink()
     with pytest.raises(ConfmergeError, match="pristine"):
-        is_locally_modified(store, pkg, "etc/app/main.conf")
+        upgrade_conffile(txn, pkg2, "etc/app/main.conf", b"v2\n")
+    txn.rollback()
 
 
 def test_pristine_history_appends_per_version(store):
     u = _install_v1(store, b"v1\n")
     pkg2 = u.by_name("app")[1]
     txn = store.begin()
-    upgrade_conffile(store, txn, pkg2, "etc/app/main.conf", b"v2\n")
+    upgrade_conffile(txn, pkg2, "etc/app/main.conf", b"v2\n")
     txn.commit()
     entries = PristineStore(store).entries("app", "etc/app/main.conf")
     assert [e["version"] for e in entries] == ["1", "2"]
@@ -339,7 +347,7 @@ def test_pristine_rolls_back_with_the_transaction(store):
     u = _install_v1(store, b"v1\n")
     pkg2 = u.by_name("app")[1]
     txn = store.begin()
-    upgrade_conffile(store, txn, pkg2, "etc/app/main.conf", b"v2\n")
+    upgrade_conffile(txn, pkg2, "etc/app/main.conf", b"v2\n")
     txn.rollback()
     entries = PristineStore(store).entries("app", "etc/app/main.conf")
     assert [e["version"] for e in entries] == ["1"]
@@ -350,7 +358,7 @@ def test_conffile_writes_are_journaled(store):
     baseline = store.tree_hash()
     pkg2 = u.by_name("app")[1]
     txn = store.begin()
-    upgrade_conffile(store, txn, pkg2, "etc/app/main.conf", b"v2\n")
+    upgrade_conffile(txn, pkg2, "etc/app/main.conf", b"v2\n")
     txn.rollback()
     assert store.tree_hash() == baseline
 
@@ -359,7 +367,7 @@ def test_history_rollback_prunes_pristine_entries(store):
     u = _install_v1(store, b"v1\n")
     pkg2 = u.by_name("app")[1]
     txn = store.begin()
-    upgrade_conffile(store, txn, pkg2, "etc/app/main.conf", b"v2\n")
+    upgrade_conffile(txn, pkg2, "etc/app/main.conf", b"v2\n")
     txn.commit()
     store.rollback_to(2)
     entries = PristineStore(store).entries("app", "etc/app/main.conf")

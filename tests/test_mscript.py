@@ -18,7 +18,7 @@ from txpkg.mscript import (
 
 import support
 
-ENV = ScriptEnv(package="demo", old_version="1.0", new_version="2.0", hook="postinst")
+ENV = ScriptEnv(package="demo", old_version="1.0", new_version="2.0")
 
 
 @pytest.fixture

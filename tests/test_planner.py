@@ -247,13 +247,13 @@ def test_removal_keeps_conffiles_unless_purged(repo, store, tmp_path):
     removed = support.copy_store(store, tmp_path / "removed")
     out = execute_plan(p, removed, repo)
     assert out.result == "success"
-    assert not removed.exists("usr/bin/aterm")
-    assert removed.exists("etc/aterm/atermrc")  # conffile preserved
+    assert removed.state("usr/bin/aterm")[0] == "absent"
+    assert removed.state("etc/aterm/atermrc")[0] == "file"  # conffile preserved
     assert removed.load_status(ATERM).installed == {LIB_ID}
     purged = support.copy_store(store, tmp_path / "purged")
     out = execute_plan(p, purged, repo, purge=True)
     assert out.result == "success"
-    assert not purged.exists("etc/aterm/atermrc")
+    assert purged.state("etc/aterm/atermrc")[0] == "absent"
 
 
 UPGRADE_PREFS = parse_prefs("-notuptodate,-removed,-changed,-new,-download")
@@ -296,7 +296,7 @@ Conflicts: app (<< 2)
     assert out.conffile_conflicts == ()
     assert store.read("usr/app/bin") == b"v2"
     assert store.read("usr/app/new-only") == b"new"
-    assert not store.exists("usr/app/old-only")
+    assert store.state("usr/app/old-only")[0] == "absent"
     assert store.read("etc/app.conf") == b"TOP\nmid\nBOT\n"  # both edits
     assert store.load_status(u).installed == {PackageId("app", Version("2"))}
 

@@ -77,8 +77,29 @@ def test_create_records_created_without_preimage(store):
     (entry,) = txn.journal_entries()
     assert entry.kind == "created" and entry.pre_image is None
     txn.rollback()
-    assert not store.exists("etc/fresh")
+    assert store.state("etc/fresh")[0] == "absent"
 
+
+
+def test_write_creates_missing_parents_journaled_outermost_first(store):
+    baseline = store.tree_hash()
+    txn = store.begin()
+    assert txn.write_through("opt/a/b/file", b"x") == ["opt", "opt/a", "opt/a/b"]
+    assert [(e.path, e.kind) for e in txn.journal_entries()] == [
+        ("opt", "created"), ("opt/a", "created"), ("opt/a/b", "created"),
+        ("opt/a/b/file", "created")]
+    assert txn.write_through("opt/a/b/file", b"y") == []
+    txn.rollback()
+    assert store.tree_hash() == baseline
+
+
+def test_path_under_a_file_is_absent_and_not_writable(store):
+    assert store.state("etc/motd/x") == ("absent", None, 0)
+    txn = store.begin()
+    with pytest.raises(FileExistsError, match="'etc/motd' exists and is not a directory"):
+        txn.write_through("etc/motd/x", b"x")
+    assert txn.journal_entries() == []
+    txn.rollback()
 
 def test_delete_records_removed(store):
     txn = store.begin()
@@ -114,12 +135,11 @@ def test_rollback_restores_arbitrary_sequences(store):
         for _ in range(rng.randint(1, 8)):
             rel = rng.choice(pool)
             roll = rng.random()
-            if roll < 0.2 and txn.exists(rel):
+            if roll < 0.2 and txn.state(rel)[0] != "absent":
                 txn.write_through(rel, None)
             elif roll < 0.3:
                 txn.mkdir("srv/" + rng.choice("abc"))
             else:
-                txn.ensure_parent(rel)
                 txn.write_through(rel, rng.randbytes(8))
         txn.rollback()
         assert store.tree_hash() == baseline
@@ -139,7 +159,7 @@ def test_io_error_leaves_txn_open_for_rollback(store):
     txn.mkdir("opt/adir")
     with pytest.raises(IsADirectoryError):
         txn.write_through("opt/adir", b"boom")
-    assert txn.state == "open"
+    assert txn.phase == "open"
     txn.rollback()
     assert store.tree_hash() == baseline
 
@@ -155,7 +175,7 @@ def test_commit_persists_at_most_touched_paths(store):
     hid = txn.commit()
     rec = store.read_history(hid)
     assert len(rec.entries) <= 3
-    assert txn.state == "committed"
+    assert txn.phase == "committed"
 
 
 def test_commit_empty_txn_empty_record(store):
@@ -198,10 +218,9 @@ def test_rollback_same_after_trim(store, tmp_path):
             txn = s.begin()
             for rel, data in writes:
                 if data is None:
-                    if txn.exists(rel):
+                    if txn.state(rel)[0] != "absent":
                         txn.write_through(rel, None)
                 else:
-                    txn.ensure_parent(rel)
                     txn.write_through(rel, data)
             txn.commit(do_trim=do_trim)
         assert a.tree_hash() == b.tree_hash()
@@ -218,7 +237,6 @@ def test_persisted_preimages_are_exactly_the_real_divergence(store):
     txn = store.begin()
     txn.write_through("etc/motd", b"welcome\n")     # no-op rewrite
     txn.write_through("etc/app.conf", b"k=1\n")     # genuine change
-    txn.ensure_parent("opt/created")
     txn.write_through("opt/created", b"xyz")        # creation: no pre-image
     hid = txn.commit()
     rec = store.read_history(hid)
@@ -249,7 +267,6 @@ def test_journal_load_rejects_garbage():
 
 def _commit_write(store, rel, data):
     txn = store.begin()
-    txn.ensure_parent(rel)
     txn.write_through(rel, data)
     return txn.commit(meta={"request": f"write {rel}"})
 
@@ -329,7 +346,6 @@ def test_ids_continue_after_history_rollback(store):
 
 def test_preserve_globs_skip_restore_with_warning(store):
     txn = store.begin()
-    txn.ensure_parent("var/log/app.log")
     txn.write_through("var/log/app.log", b"log line\n")
     txn.write_through("etc/motd", b"changed\n")
     skipped = txn.rollback()
@@ -343,7 +359,6 @@ def test_preserve_globs_skip_restore_with_warning(store):
 
 def test_preserve_globs_apply_to_history_rollback(store):
     txn = store.begin()
-    txn.ensure_parent("var/log/app.log")
     txn.write_through("var/log/app.log", b"log line\n")
     txn.write_through("etc/motd", b"changed\n")
     txn.commit()
@@ -357,7 +372,6 @@ def test_custom_preserve_globs(tmp_path):
     s = support.new_store(tmp_path, preserve=("srv/**",))
     support.seed_tree(s.root)
     txn = s.begin()
-    txn.ensure_parent("srv/data/x")
     txn.write_through("srv/data/x", b"keep me")
     skipped = txn.rollback()
     assert "srv/data/x" in skipped

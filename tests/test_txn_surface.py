@@ -1,0 +1,53 @@
+"""The open transaction is the engine's one window on the root.
+
+``mscript``, ``confmerge`` and ``planner`` may call only the transaction's
+read and mutation surface on ``txn``, and nothing through ``txn.store``.  An
+in-memory overlay with the same surface can then stand in for the
+transaction.
+"""
+
+import ast
+from pathlib import Path
+
+import txpkg
+
+SRC = Path(txpkg.__file__).resolve().parent
+ENGINE = ("mscript", "confmerge", "planner")
+SURFACE = {"state", "read", "walk_files", "write_through", "mkdir", "rmdir",
+           "add_pristine", "set_status", "commit", "rollback"}
+
+
+def _is_txn(node) -> bool:
+    return isinstance(node, ast.Name) and node.id == "txn"
+
+
+def surface_violations(src: Path, modules=ENGINE) -> list[str]:
+    """``module:line txn...method`` for each call outside the surface."""
+    out = []
+    for module in modules:
+        tree = ast.parse((src / f"{module}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            owner, method = node.func.value, node.func.attr
+            if _is_txn(owner) and method not in SURFACE:
+                out.append(f"{module}:{node.lineno} txn.{method}")
+            elif (isinstance(owner, ast.Attribute) and owner.attr == "store"
+                  and _is_txn(owner.value)):
+                out.append(f"{module}:{node.lineno} txn.store.{method}")
+    return sorted(out)
+
+
+def test_engine_uses_only_the_transaction_surface():
+    assert surface_violations(SRC) == []
+
+
+def test_detector_reports_calls_off_the_surface(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "def f(txn, other):\n"
+        "    txn.state('a')\n"
+        "    txn.exists('a')\n"
+        "    txn.store.read('a')\n"
+        "    other.exists('a')\n"
+        "    g(txn.store)\n")
+    assert surface_violations(tmp_path, ("m",)) == ["m:3 txn.exists", "m:4 txn.store.read"]
