@@ -27,7 +27,8 @@ one rule for every primitive: walking the log in reverse, it puts each target
 back as it was and removes the directories the step created, so
 execute-then-undo restores the pre-execution store byte for byte.  Every
 step reads the store only through the open transaction's ``state`` (plus
-``read``/``walk_files`` for ``update-cache``) and mutates it only through
+``walk_files``/``digest`` for ``update-cache``, so the tree is walked and
+each file hashed once per transaction) and mutates it only through
 ``write_through``, ``mkdir`` and ``rmdir``, so a journal rollback is always an
 equivalent alternative to compensation.
 """
@@ -209,7 +210,7 @@ def compute_cache(txn: Transaction, cache_path: str, pattern: str) -> bytes:
     for rel in txn.walk_files():
         if rel == cache_path or not fnmatch.fnmatchcase(rel, pattern):
             continue
-        lines.append(f"{rel} {_sha(txn.read(rel))}\n")
+        lines.append(f"{rel} {txn.digest(rel)}\n")
     return "".join(lines).encode("utf-8")
 
 

@@ -389,7 +389,7 @@ def execute_plan(plan_: Plan, store: Store, repo_dir, *, purge: bool = False,
             txn.rollback()
             return Outcome("script-failure", failing=f"{current}: {failure}",
                            conffile_conflicts=tuple(conflicts))
-        except OSError as failure:
+        except (OSError, confmerge.ConfmergeError) as failure:
             txn.rollback()
             return Outcome("io-failure", failing=f"{current}: {failure}",
                            conffile_conflicts=tuple(conflicts))

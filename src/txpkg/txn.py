@@ -2,7 +2,14 @@
 
 An open :class:`Transaction` is the engine's one window on the root.  Its
 reads are ``state(rel) -> (kind, content, mode)`` (kind one of
-absent|dir|file), ``read`` and ``walk_files``.  Its mutations of the tree are
+absent|dir|file), ``read``, ``walk_files`` and ``digest`` (``_sha`` of a
+file).  The file list and each file's digest are read from disk once per
+transaction and memoized: ``write_through`` drops the digest of the path it
+writes and keeps the list current (a failed write makes the next walk list
+the disk again), ``mkdir`` and ``rmdir`` never change either, and ``commit``
+and ``rollback`` clear both.  The memo assumes that no two package-visible
+paths name one file; a symlink or hard link placed in the root by hand can
+leave a digest stale.  Its mutations of the tree are
 ``write_through`` (write or delete a file; a write creates missing parent
 directories), ``mkdir`` and ``rmdir``; each records a pre-image of every
 path it touches before changing it (first touch wins).  ``set_status`` and
@@ -209,17 +216,16 @@ class Store:
     def walk(self):
         """Sorted (relpath, kind) pairs for everything outside .pkgdb."""
         out = []
-        base = str(self.root)
+        prefixes = {str(self.root): ""}  # each directory's relpath prefix, set by its parent
         for dirpath, dirnames, filenames in os.walk(self.root):
-            rel_dir = os.path.relpath(dirpath, base)
-            if rel_dir == ".":
-                dirnames[:] = [d for d in dirnames if d != DB_DIR]
-                rel_prefix = ""
+            rel_prefix = prefixes.pop(dirpath)
+            if rel_prefix:
+                out.append((rel_prefix[:-1], "dir"))
             else:
-                rel_prefix = rel_dir.replace(os.sep, "/") + "/"
-                out.append((rel_prefix.rstrip("/"), "dir"))
-            for name in filenames:
-                out.append((rel_prefix + name, "file"))
+                dirnames[:] = [d for d in dirnames if d != DB_DIR]
+            for name in dirnames:
+                prefixes[os.path.join(dirpath, name)] = rel_prefix + name + "/"
+            out.extend((rel_prefix + name, "file") for name in filenames)
         out.sort()
         return out
 
@@ -474,8 +480,10 @@ class Transaction:
         self._journal: dict[str, JournalEntry] = {}
         self._status_pre = store.status_bytes()
         self._pristine: list[tuple[dict, bytes]] = []
+        self._files: set[str] | None = None  # package-visible files, listed on first walk
+        self._digests: dict[str, str] = {}  # path -> hex SHA-256 of its current content
 
-    # -- reads (delegated) -------------------------------------------------
+    # -- reads -------------------------------------------------------------
 
     def state(self, rel: str):
         return self.store.state(rel)
@@ -483,8 +491,27 @@ class Transaction:
     def read(self, rel: str) -> bytes:
         return self.store.read(rel)
 
-    def walk_files(self):
-        return self.store.walk_files()
+    def walk_files(self) -> list[str]:
+        """Sorted package-visible files; the disk is listed once per open
+        transaction and ``write_through`` keeps the listing current."""
+        if self.phase != "open":
+            return self.store.walk_files()
+        if self._files is None:
+            self._files = set(self.store.walk_files())
+        return sorted(self._files)
+
+    def digest(self, rel: str) -> str:
+        """``_sha`` of a file's content, hashed once per open transaction
+        until ``write_through`` touches the path."""
+        if self.phase != "open":
+            return _sha(self.store.read(rel))
+        sha = self._digests.get(rel)
+        if sha is None:
+            sha = self._digests[rel] = _sha(self.store.read(rel))
+        return sha
+
+    def _forget(self) -> None:
+        self._files, self._digests = None, {}
 
     # -- journaled mutations ------------------------------------------------
 
@@ -504,6 +531,19 @@ class Transaction:
         are journaled on first touch, each created directory as ``mkdir``
         journals it.  Returns the created directories, outermost first."""
         self._require_open()
+        self._digests.pop(rel, None)
+        # a write that raises part-way may have changed the disk: list it again
+        files, self._files = self._files, None
+        created = self._write(rel, data, mode)
+        if files is not None:
+            if data is None:
+                files.discard(rel)
+            else:
+                files.add(rel)
+        self._files = files
+        return created
+
+    def _write(self, rel: str, data: bytes | None, mode: int | None) -> list[str]:
         kind, content, st_mode = self.store.state(rel)
         if kind == "dir":
             raise IsADirectoryError(f"{rel!r} is a directory")
@@ -577,6 +617,7 @@ class Transaction:
     def rollback(self) -> list[str]:
         """Undo everything this transaction did; returns preserve-skipped paths."""
         self._require_open()
+        self._forget()
         skipped = _apply_reverse(self.store, self._journal.values())
         self.store.write_status_bytes(self._status_pre)
         self._pristine.clear()
@@ -587,6 +628,7 @@ class Transaction:
     def commit(self, meta: dict | None = None, do_trim: bool = True) -> int:
         """Trim and persist the journal under history/<id>; returns the id."""
         self._require_open()
+        self._forget()
         entries = self.journal_entries()
         if do_trim:
             entries = trim(entries, self.store)

@@ -52,6 +52,7 @@ OPERATORS = ("<<", "<=", "=", ">=", ">>")
 _NAME_RE = re.compile(r"[a-z0-9][a-z0-9.+-]*$")
 _SEGMENT_RE = re.compile(r"[A-Za-z0-9+]+$")
 _DIGITS_RE = re.compile(r"[0-9]+$")
+_SPACE_RE = re.compile(r"\s")  # matches exactly the characters where str.isspace() holds
 _KEY_LINE_RE = re.compile(r"([A-Za-z][A-Za-z0-9-]*):\s*(.*)$")
 # a version never starts with an operator character; excluding them keeps a
 # missing version ("b (>= )") from taking the operator's second character
@@ -234,7 +235,7 @@ RESERVED_DIR = ".pkgdb"
 
 def check_rel_path(path: str, line: int | None = None) -> str:
     """Validate a sandbox-relative path: normalized, no traversal, no funny business."""
-    if not path or path.startswith("/") or "\\" in path or any(c.isspace() for c in path):
+    if not path or path.startswith("/") or "\\" in path or _SPACE_RE.search(path):
         raise MetadataError(f"invalid relative path {path!r}", line)
     for part in path.split("/"):
         if part in ("", ".", ".."):

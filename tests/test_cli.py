@@ -389,3 +389,26 @@ def test_locked_store_apply_exits_four(setup, capsys):
                        "apply", "install aterm")
     assert code == 4
     assert "already open" in err
+
+
+def test_apply_missing_pristine_object_is_an_io_failure(tmp_path, capsys):
+    meta = ("Package: a\nVersion: 1\nFiles: etc/a.conf\nConffiles: etc/a.conf\n\n"
+            "Package: a\nVersion: 2\nConflicts: a (<< 2)\nFiles: etc/a.conf\n"
+            "Conffiles: etc/a.conf\n")
+    repo = support.write_repo(tmp_path / "repo", meta, {
+        "a_1": {"etc/a.conf": b"k=1\n"},
+        "a_2": {"etc/a.conf": b"k=2\n"},
+    })
+    store = support.new_store(tmp_path)
+    base = ["--root", str(store.root), "--repo", str(repo)]
+    assert run(capsys, *base, "apply", "install a (= 1)")[0] == 0
+    (store.root / "etc/a.conf").write_bytes(b"k=1\nlocal=yes\n")
+    for obj in (store.pristine_dir / "objects").iterdir():
+        obj.unlink()
+    baseline, status = store.tree_hash(), store.status_bytes()
+    code, out, err = run(capsys, *base, "apply", "upgrade a (>= 2)")
+    assert code == 4
+    assert "failed (io-failure): unpack a 2: pristine object " in out
+    assert "Traceback" not in out + err
+    assert store.tree_hash() == baseline and store.status_bytes() == status
+    assert not store.lock_path.exists()

@@ -1,9 +1,14 @@
 """Copy-before-write journaling: locking, rollback, commit, trim, history."""
 
+import fnmatch
+import hashlib
+import os
 import random
+from pathlib import Path
 
 import pytest
 
+from txpkg.mscript import compute_cache
 from txpkg.txn import (
     AlreadyLocked,
     CorruptedJournal,
@@ -387,3 +392,87 @@ def test_prune_history_keeps_newest(store):
     removed = store.prune_history(keep=2)
     assert removed == [1, 2]
     assert store.history_ids() == [3, 4]
+
+
+# --- the transaction's file index and digest memo ------------------------------------
+
+MEMO_FILES = ["etc/motd", "etc/app.conf", "usr/share/app/a.txt", "opt/x/new.txt",
+              "opt/x/y/deep.txt", "srv/a/f"]
+MEMO_DIRS = ["srv/a", "srv/b", "opt/x/y", "opt/z"]
+MEMO_GLOBS = ["*", "etc/*", "opt/*", "usr/*/app/*.txt", "*.txt", "var/*"]
+MEMO_CACHE = "var/cache/files.idx"
+
+
+def _disk_files(root: Path) -> dict:
+    """Every package-visible file and its sha256, read with os.walk alone."""
+    out = {}
+    for dirpath, dirnames, filenames in os.walk(root):
+        if dirpath == str(root):
+            dirnames[:] = [d for d in dirnames if d != ".pkgdb"]
+        for name in filenames:
+            rel = os.path.relpath(os.path.join(dirpath, name), root).replace(os.sep, "/")
+            with open(os.path.join(dirpath, name), "rb") as fh:
+                out[rel] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
+def _listing(root: Path, cache: str, pattern: str) -> bytes:
+    files = _disk_files(root)
+    return "".join(f"{rel} {files[rel]}\n" for rel in sorted(files)
+                   if rel != cache and fnmatch.fnmatchcase(rel, pattern)).encode()
+
+
+def _half_write(path, data):
+    with open(path, "wb") as fh:
+        fh.write(data[:len(data) // 2])
+    raise OSError("disk full")
+
+
+def _memo_step(rng, txn, monkeypatch):
+    roll = rng.random()
+    rel = rng.choice(MEMO_FILES)
+    if roll < 0.35:
+        try:  # create or overwrite; a path under a file is refused
+            txn.write_through(rel, rng.randbytes(rng.randint(0, 6)))
+        except FileExistsError:
+            pass
+    elif roll < 0.5:
+        if txn.state(rel)[0] == "file":
+            txn.write_through(rel, None)
+    elif roll < 0.6:
+        try:
+            txn.mkdir(rng.choice(MEMO_DIRS))
+        except FileExistsError:
+            pass
+    elif roll < 0.7:
+        try:  # refused unless the directory exists and is empty
+            txn.rmdir(rng.choice(MEMO_DIRS))
+        except OSError:
+            pass
+    elif roll < 0.8:
+        with monkeypatch.context() as m:
+            m.setattr(Path, "write_bytes", _half_write)
+            with pytest.raises(OSError):
+                txn.write_through(rel, rng.randbytes(8))
+    else:
+        pattern = rng.choice(MEMO_GLOBS)
+        txn.write_through(MEMO_CACHE, compute_cache(txn, MEMO_CACHE, pattern))
+
+
+def test_memo_matches_the_disk_after_every_mutation(store, monkeypatch):
+    rng = random.Random(11)
+    for _ in range(200):
+        txn = store.begin()
+        for _ in range(rng.randint(1, 8)):
+            _memo_step(rng, txn, monkeypatch)
+            disk = _disk_files(store.root)
+            assert txn.walk_files() == store.walk_files() == sorted(disk)
+            assert {rel: txn.digest(rel) for rel in disk} == disk
+            pattern = rng.choice(MEMO_GLOBS)
+            assert compute_cache(txn, MEMO_CACHE, pattern) == _listing(
+                store.root, MEMO_CACHE, pattern)
+        if rng.random() < 0.5:
+            txn.commit()
+        else:
+            txn.rollback()
+        assert txn._files is None and txn._digests == {}
