@@ -7,9 +7,14 @@ file).  The file list and each file's digest are read from disk once per
 transaction and memoized: ``write_through`` drops the digest of the path it
 writes and keeps the list current (a failed write makes the next walk list
 the disk again), ``mkdir`` and ``rmdir`` never change either, and ``commit``
-and ``rollback`` clear both.  The memo assumes that no two package-visible
-paths name one file; a symlink or hard link placed in the root by hand can
-leave a digest stale.  Its mutations of the tree are
+and ``rollback`` clear both; like the mutations, ``walk_files`` and
+``digest`` need an open transaction.  The memo assumes that no two
+package-visible paths name one file, and a link placed in the root by hand
+breaks that: with ``y -> x`` or a hard link, ``digest("y")`` stays stale
+after a write to ``x``; with ``lib -> usr/lib``, a write to ``lib/x`` puts
+``lib/x`` into the file list, which a walk of the disk never shows, and
+leaves the entry and digest of ``usr/lib/x`` as they were.  Its mutations
+of the tree are
 ``write_through`` (write or delete a file; a write creates missing parent
 directories), ``mkdir`` and ``rmdir``; each records a pre-image of every
 path it touches before changing it (first touch wins).  ``set_status`` and
@@ -494,8 +499,7 @@ class Transaction:
     def walk_files(self) -> list[str]:
         """Sorted package-visible files; the disk is listed once per open
         transaction and ``write_through`` keeps the listing current."""
-        if self.phase != "open":
-            return self.store.walk_files()
+        self._require_open()
         if self._files is None:
             self._files = set(self.store.walk_files())
         return sorted(self._files)
@@ -503,8 +507,7 @@ class Transaction:
     def digest(self, rel: str) -> str:
         """``_sha`` of a file's content, hashed once per open transaction
         until ``write_through`` touches the path."""
-        if self.phase != "open":
-            return _sha(self.store.read(rel))
+        self._require_open()
         sha = self._digests.get(rel)
         if sha is None:
             sha = self._digests[rel] = _sha(self.store.read(rel))

@@ -15,6 +15,7 @@ from txpkg.txn import (
     GapInHistory,
     JournalEntry,
     PathEscape,
+    StoreError,
     journal_dump,
     journal_load,
     trim,
@@ -476,3 +477,7 @@ def test_memo_matches_the_disk_after_every_mutation(store, monkeypatch):
         else:
             txn.rollback()
         assert txn._files is None and txn._digests == {}
+        with pytest.raises(StoreError):
+            txn.walk_files()
+        with pytest.raises(StoreError):
+            txn.digest(MEMO_CACHE)
