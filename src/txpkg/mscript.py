@@ -21,14 +21,17 @@ Primitives::
     fail MESSAGE               always fails (for testing failure handling)
 
 Executing a program yields an effect log with one record per executed step:
-the target's pre-image and mode (or that the step created it), a fingerprint
-of what the step left there, and the directories it created.  ``undo`` has
-one rule for every primitive: walking the log in reverse, it puts each target
-back as it was and removes the directories the step created, so
-execute-then-undo restores the pre-execution store byte for byte.  Every
-step reads the store only through the open transaction's ``state`` (plus
-``walk_files``/``digest`` for ``update-cache``, so the tree is walked and
-each file hashed once per transaction) and mutates it only through
+the target's pre-image and mode (None when it was absent), a fingerprint of
+what the step left there, and the directories it created.  Every writing
+step (``copy``, ``append``, ``setkey``, ``delkey``, ``update-cache``,
+``adduser``, ``deluser``) follows one rule: it reads its target once, computes
+the new content as a function of that pre-image, and writes only when the
+content differs.  ``undo`` has one rule for every primitive: walking the log
+in reverse, it puts each target back as it was and removes the directories
+the step created, so execute-then-undo restores the pre-execution store byte
+for byte.  Every step reads the store only through the open transaction's
+``state`` (plus ``walk_files``/``digest`` for ``update-cache``, so the tree is
+walked and each file hashed once per transaction) and mutates it only through
 ``write_through``, ``mkdir`` and ``rmdir``, so a journal rollback is always an
 equivalent alternative to compensation.
 """
@@ -60,28 +63,20 @@ __all__ = [
 
 USER_DB = "etc/users.db"
 
-# op -> (fixed argument count, does the last argument swallow the rest of the line)
-_ARITY = {
-    "mkdir": (1, False),
-    "copy": (2, False),
-    "remove": (1, False),
-    "append": (2, True),
-    "setkey": (3, True),
-    "delkey": (2, False),
-    "update-cache": (2, False),
-    "adduser": (1, False),
-    "deluser": (1, False),
-    "fail": (1, True),
-}
-
-_PATH_ARGS = {
-    "mkdir": (0,),
-    "copy": (0, 1),
-    "remove": (0,),
-    "append": (0,),
-    "setkey": (0,),
-    "delkey": (0,),
-    "update-cache": (0,),
+# op -> (argument count, does the last argument swallow the rest of the line,
+#        positions of path arguments); a writing step's target is its last path
+#        argument, or USER_DB for adduser/deluser
+_OPS = {
+    "mkdir": (1, False, (0,)),
+    "copy": (2, False, (0, 1)),
+    "remove": (1, False, (0,)),
+    "append": (2, True, (0,)),
+    "setkey": (3, True, (0,)),
+    "delkey": (2, False, (0,)),
+    "update-cache": (2, False, (0,)),
+    "adduser": (1, False, ()),
+    "deluser": (1, False, ()),
+    "fail": (1, True, ()),
 }
 
 
@@ -133,17 +128,16 @@ class ScriptEnv:
 class StepEffect:
     """Everything needed to compensate one executed step.
 
-    ``created`` says the step created its target; otherwise ``pre_image`` and
-    ``pre_mode`` hold the target as it was.  ``post_sha`` fingerprints the
-    target after the step (None when the step deleted it) so undo can detect
-    external tampering; ``created_dirs`` lists directories the step created
-    (outermost first).
+    ``pre_image`` and ``pre_mode`` hold the target as it was, both None when
+    it was absent, so putting ``pre_image`` back (None deletes) undoes the
+    step.  ``post_sha`` fingerprints the target after the step (None when the
+    step deleted it) so undo can detect external tampering; ``created_dirs``
+    lists directories the step created (outermost first).
     """
 
     index: int
     op: str
     path: str
-    created: bool = False
     pre_image: bytes | None = None
     pre_mode: int | None = None
     post_sha: str | None = None
@@ -158,9 +152,9 @@ def parse_script(text: str) -> ScriptProgram:
         if not line or line.startswith("#"):
             continue
         op = line.split(None, 1)[0]
-        if op not in _ARITY:
+        if op not in _OPS:
             raise ScriptSyntaxError(f"unknown primitive {op!r}", no)
-        count, greedy = _ARITY[op]
+        count, greedy, paths = _OPS[op]
         if greedy:
             parts = line.split(None, count)
         else:
@@ -169,7 +163,7 @@ def parse_script(text: str) -> ScriptProgram:
         if len(args) != count:
             raise ScriptSyntaxError(
                 f"{op} takes {count} argument{'s' if count != 1 else ''}, got {len(args)}", no)
-        for pos in _PATH_ARGS.get(op, ()):
+        for pos in paths:
             if "$" not in args[pos]:  # substituted paths are re-checked at run time
                 _check_path(args[pos], no)
         steps.append(Step(op, args, no))
@@ -214,24 +208,9 @@ def compute_cache(txn: Transaction, cache_path: str, pattern: str) -> bytes:
     return "".join(lines).encode("utf-8")
 
 
-def _file_snapshot(txn: Transaction, rel: str):
-    kind, content, mode = txn.state(rel)
-    if kind == "dir":
-        raise ScriptFailure(-1, f"{rel!r} is a directory")
-    return content, (mode if kind == "file" else None)
-
-
-def _write_file(txn: Transaction, index: int, op: str, rel: str, data: bytes) -> StepEffect:
-    pre, pre_mode = _file_snapshot(txn, rel)
-    created_dirs = tuple(txn.write_through(rel, data))
-    return StepEffect(index=index, op=op, path=rel, created=pre is None,
-                      pre_image=pre, pre_mode=pre_mode, post_sha=_sha(data),
-                      created_dirs=created_dirs)
-
-
-def _load_users(txn: Transaction) -> set[str]:
+def _parse_users(pre: bytes | None) -> set[str]:
     try:
-        text = decode_text(txn.state(USER_DB)[1] or b"", USER_DB)
+        text = decode_text(pre or b"", USER_DB)
     except MetadataError as e:
         raise ScriptFailure(-1, str(e)) from None
     return {line.strip() for line in text.splitlines() if line.strip()}
@@ -241,14 +220,44 @@ def _dump_users(names: set[str]) -> bytes:
     return "".join(f"{n}\n" for n in sorted(names)).encode("utf-8")
 
 
+def _rewrite(op: str, args: tuple[str, ...], pre: bytes | None, txn: Transaction) -> bytes:
+    """The new content of a writing step's target, given its pre-image (None
+    when absent); ``copy`` is not here, its content is the source's."""
+    if op == "append":
+        return (pre or b"") + args[1].encode("utf-8") + b"\n"
+    if op == "update-cache":
+        return compute_cache(txn, args[0], args[1])
+    if op in ("adduser", "deluser"):
+        names = _parse_users(pre)
+        if op == "adduser":
+            names.add(args[0])
+        else:
+            names.discard(args[0])
+        return _dump_users(names)
+    target, key = args[0], args[1]  # setkey, delkey
+    if op == "delkey" and pre is None:
+        raise ScriptFailure(-1, f"{target!r} does not exist")
+    mapping = parse_kv(pre) if pre is not None else {}
+    if mapping is None:
+        raise ScriptFailure(-1, f"{target!r} is not a key=value file")
+    if op == "setkey":
+        mapping[key] = args[2]
+    elif key in mapping:
+        del mapping[key]
+    else:
+        return pre
+    return dump_kv(mapping)
+
+
 def _run_step(index: int, step: Step, txn: Transaction, env: ScriptEnv) -> StepEffect:
+    op = step.op
+    paths = _OPS[op][2]
     args = tuple(_subst(a, env, index) for a in step.args)
-    for pos in _PATH_ARGS.get(step.op, ()):
+    for pos in paths:
         try:
             _check_path(args[pos])
         except MetadataError as e:
             raise ScriptFailure(index, str(e)) from None
-    op = step.op
 
     if op == "fail":
         raise ScriptFailure(index, args[0])
@@ -257,16 +266,7 @@ def _run_step(index: int, step: Step, txn: Transaction, env: ScriptEnv) -> StepE
         target = args[0]
         if txn.state(target)[0] == "file":
             raise ScriptFailure(index, f"{target!r} exists and is not a directory")
-        created = tuple(txn.mkdir(target))
-        return StepEffect(index=index, op=op, path=target, created=bool(created),
-                          created_dirs=created)
-
-    if op == "copy":
-        src, dst = args
-        kind, content, _mode = txn.state(src)
-        if kind != "file":
-            raise ScriptFailure(index, f"source {src!r} is not a file")
-        return _write_file(txn, index, op, dst, content)
+        return StepEffect(index=index, op=op, path=target, created_dirs=tuple(txn.mkdir(target)))
 
     if op == "remove":
         target = args[0]
@@ -276,45 +276,22 @@ def _run_step(index: int, step: Step, txn: Transaction, env: ScriptEnv) -> StepE
         txn.write_through(target, None)
         return StepEffect(index=index, op=op, path=target, pre_image=pre, pre_mode=pre_mode)
 
-    if op == "append":
-        target, line = args
-        pre, _ = _file_snapshot(txn, target)
-        return _write_file(txn, index, op, target, (pre or b"") + line.encode("utf-8") + b"\n")
-
-    if op in ("setkey", "delkey"):
-        target = args[0]
-        key = args[1]
-        if "=" in key:
-            raise ScriptFailure(index, f"key {key!r} may not contain '='")
-        pre, pre_mode = _file_snapshot(txn, target)
-        if op == "delkey" and pre is None:
-            raise ScriptFailure(index, f"{target!r} does not exist")
-        mapping = parse_kv(pre) if pre is not None else {}
-        if mapping is None:
-            raise ScriptFailure(index, f"{target!r} is not a key=value file")
-        if op == "setkey":
-            mapping[key] = args[2]
-        elif key in mapping:
-            del mapping[key]
-        else:
-            # nothing to delete: record a no-op so the log stays one record per step
-            return StepEffect(index=index, op=op, path=target, pre_image=pre,
-                              pre_mode=pre_mode, post_sha=_sha(pre))
-        return _write_file(txn, index, op, target, dump_kv(mapping))
-
-    if op == "update-cache":
-        cache, pattern = args
-        return _write_file(txn, index, op, cache, compute_cache(txn, cache, pattern))
-
-    if op in ("adduser", "deluser"):
-        names = _load_users(txn)
-        if op == "adduser":
-            names.add(args[0])
-        else:
-            names.discard(args[0])
-        return _write_file(txn, index, op, USER_DB, _dump_users(names))
-
-    raise ScriptFailure(index, f"unknown primitive {op!r}")
+    # a writing step: checks that do not read the target, one read, a rewrite
+    if op == "copy":
+        kind, source, _mode = txn.state(args[0])
+        if kind != "file":
+            raise ScriptFailure(index, f"source {args[0]!r} is not a file")
+    elif op in ("setkey", "delkey") and "=" in args[1]:
+        raise ScriptFailure(index, f"key {args[1]!r} may not contain '='")
+    target = args[paths[-1]] if paths else USER_DB
+    kind, pre, pre_mode = txn.state(target)
+    if kind == "dir":
+        raise ScriptFailure(index, f"{target!r} is a directory")
+    data = source if op == "copy" else _rewrite(op, args, pre, txn)
+    created_dirs = () if data == pre else tuple(txn.write_through(target, data))
+    return StepEffect(index=index, op=op, path=target, pre_image=pre,
+                      pre_mode=pre_mode if kind == "file" else None, post_sha=_sha(data),
+                      created_dirs=created_dirs)
 
 
 def execute(program: ScriptProgram, txn: Transaction, env: ScriptEnv) -> list[StepEffect]:
@@ -357,17 +334,16 @@ def undo(log, txn: Transaction) -> None:
     the identity on the store.
 
     Every step gets the same rule: check that its target still holds what
-    the step left there, put back the target's pre-image and mode (or delete
-    the target when the step created it; a ``mkdir`` target is only a
-    directory, left to the next rule), then remove the directories the step
-    created.  Raises :class:`CorruptedLog` when the store does not match the
-    logged post-state or a created directory is no longer empty.
+    the step left there, write back the target's pre-image and mode (a None
+    pre-image deletes the target; a ``mkdir`` target is only a directory,
+    left to the next rule), then remove the directories the step created.
+    Raises :class:`CorruptedLog` when the store does not match the logged
+    post-state or a created directory is no longer empty.
     """
     for eff in reversed(list(log)):
         _verify_post(eff, txn)
         if eff.op != "mkdir":
-            txn.write_through(eff.path, None if eff.created else eff.pre_image,
-                              mode=eff.pre_mode)
+            txn.write_through(eff.path, eff.pre_image, mode=eff.pre_mode)
         for d in reversed(eff.created_dirs):
             if txn.state(d)[0] == "dir":
                 try:

@@ -19,7 +19,6 @@ smallest edge.  The summary counts and the dry-run transcript both come from
 
 from __future__ import annotations
 
-import hashlib
 import shutil
 import stat
 import tempfile
@@ -32,6 +31,7 @@ from .preferences import PreferenceSpec, optimize
 from .resolver import Request, Solution, Unsat
 from .txn import Store
 from .universe import (
+    SCRIPT_HOOKS,
     MetadataError,
     Package,
     PackageId,
@@ -56,9 +56,6 @@ __all__ = [
     "simulate",
     "payload_dir",
 ]
-
-SCRIPT_HOOKS = ("prerm", "preinst", "postrm", "postinst")
-
 
 class PlanError(Exception):
     pass
@@ -206,31 +203,27 @@ def plan(u: Universe, s0: Status, r: Request, spec: PreferenceSpec) -> Plan:
     return Plan(result, tuple(actions), status_diff(u, s0, s), r, s0, u)
 
 
-def retrieve(pkg: Package, repo_dir, staging_dir) -> str:
-    """Copy one package payload into the staging area and fingerprint it.
+def retrieve(pkg: Package, repo_dir, staging_dir) -> Path:
+    """Copy one package payload into the staging area; returns the staged
+    directory.
 
     The payload directory must hold every manifest file and every declared
     script; anything missing raises :class:`MissingPayload` (nothing has
-    touched the store at that point).  Returns a digest over the staged
-    content, stable under re-retrieval.
+    touched the store at that point).
     """
     src = payload_dir(repo_dir, pkg)
     if not src.is_dir():
         raise MissingPayload(f"{pkg.id}: payload directory {src} missing")
-    wanted = list(pkg.files) + [p for p in (pkg.preinst, pkg.postinst, pkg.prerm, pkg.postrm) if p]
+    scripts = [pkg.script_for(hook) for hook in SCRIPT_HOOKS]
     dest = Path(staging_dir) / src.name
-    digest = hashlib.sha256()
-    for rel in sorted(set(wanted)):
+    for rel in sorted(set(pkg.files) | {p for p in scripts if p}):
         src_file = src / rel
         if not src_file.is_file():
             raise MissingPayload(f"{pkg.id}: payload file {rel!r} missing")
         target = dest / rel
         target.parent.mkdir(parents=True, exist_ok=True)
         shutil.copy2(src_file, target)
-        digest.update(f"{rel}\0".encode())
-        digest.update(src_file.read_bytes())
-        digest.update(b"\0")
-    return digest.hexdigest()
+    return dest
 
 
 class _DeployError(OSError):
@@ -257,8 +250,7 @@ def _preflight(plan_: Plan, repo_dir, staging: Path):
     for action in plan_.actions:
         pkg = universe.get(action.pkg)
         if action.kind == "retrieve":
-            retrieve(pkg, repo_dir, staging)
-            staged[action.pkg] = payload_dir(staging, pkg)
+            staged[action.pkg] = retrieve(pkg, repo_dir, staging)
         elif action.kind in SCRIPT_HOOKS:
             key = (action.kind, action.pkg)
             rel = pkg.script_for(action.kind)
@@ -283,8 +275,10 @@ def _remove_files(txn, universe: Universe, action: Action, owned: dict, purge: b
     if action.counterpart is not None:
         keep = set(universe.get(action.counterpart).files)
     for rel in sorted(set(old.files) - keep):
-        if owned.get(rel) == action.pkg:
-            owned.pop(rel)
+        owner = owned.get(rel)
+        if owner is not None and owner != action.pkg:
+            continue  # unpacked earlier in this plan by the package that owns it now
+        owned.pop(rel, None)
         if rel in old.conffiles and not purge:
             continue  # conffiles survive removal unless purging
         if txn.state(rel)[0] == "file":

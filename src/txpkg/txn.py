@@ -2,9 +2,9 @@
 
 An open :class:`Transaction` is the engine's one window on the root.  Its
 reads are ``state(rel) -> (kind, content, mode)`` (kind one of
-absent|dir|file), ``read``, ``walk_files`` and ``digest`` (``_sha`` of a
-file).  The file list and each file's digest are read from disk once per
-transaction and memoized: ``write_through`` drops the digest of the path it
+absent|dir|file), ``walk_files`` and ``digest`` (``_sha`` of a file).  The
+file list and each file's digest are read from disk once per transaction
+and memoized: ``write_through`` drops the digest of the path it
 writes and keeps the list current (a failed write makes the next walk list
 the disk again), ``mkdir`` and ``rmdir`` never change either, and ``commit``
 and ``rollback`` clear both; like the mutations, ``walk_files`` and
@@ -169,6 +169,16 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _token(state):
+    """Compact fingerprint of a ``Store.state`` triple: None, 'dir', or a sha."""
+    kind, content, _mode = state
+    if kind == "absent":
+        return None
+    if kind == "dir":
+        return "dir"
+    return _sha(content)
+
+
 class Store:
     """A sandbox root plus the engine state underneath ``<root>/.pkgdb``."""
 
@@ -211,12 +221,7 @@ class Store:
 
     def state_token(self, rel: str):
         """Compact fingerprint of a path's current state: None, 'dir', or a sha."""
-        kind, content, _mode = self.state(rel)
-        if kind == "absent":
-            return None
-        if kind == "dir":
-            return "dir"
-        return _sha(content)
+        return _token(self.state(rel))
 
     def walk(self):
         """Sorted (relpath, kind) pairs for everything outside .pkgdb."""
@@ -449,15 +454,16 @@ def _apply_reverse(store: Store, entries) -> list[str]:
     return skipped
 
 
-def trim(entries, store: Store) -> list[JournalEntry]:
-    """Drop journal entries whose pre-image equals the path's current state.
+def trim(entries, states) -> list[JournalEntry]:
+    """Drop journal entries whose pre-image equals the path's current state,
+    given as ``states[path]``, the path's ``Store.state``.
 
     A rollback over the trimmed journal lands in the same place as over the
     full one, and the trimmed journal is never larger.
     """
     kept = []
     for e in entries:
-        kind, content, mode = store.state(e.path)
+        kind, content, mode = states[e.path]
         if e.kind == "created":
             unchanged = kind == "absent"
         elif stat.S_ISDIR(e.mode):
@@ -492,9 +498,6 @@ class Transaction:
 
     def state(self, rel: str):
         return self.store.state(rel)
-
-    def read(self, rel: str) -> bytes:
-        return self.store.read(rel)
 
     def walk_files(self) -> list[str]:
         """Sorted package-visible files; the disk is listed once per open
@@ -629,17 +632,19 @@ class Transaction:
         return skipped
 
     def commit(self, meta: dict | None = None, do_trim: bool = True) -> int:
-        """Trim and persist the journal under history/<id>; returns the id."""
+        """Trim and persist the journal under history/<id>; returns the id.
+        Each journaled path is read once, for both the trim and ``post``."""
         self._require_open()
         self._forget()
         entries = self.journal_entries()
+        states = {e.path: self.store.state(e.path) for e in entries}
         if do_trim:
-            entries = trim(entries, self.store)
+            entries = trim(entries, states)
         record_dir = self.store.history_dir / str(self.id)
         record_dir.mkdir(parents=True, exist_ok=True)
         (record_dir / "journal").write_bytes(journal_dump(entries))
         (record_dir / "status-pre").write_bytes(self._status_pre)
-        post = {e.path: self.store.state_token(e.path) for e in entries}
+        post = {e.path: _token(states[e.path]) for e in entries}
         (record_dir / "post").write_text(json.dumps(post, sort_keys=True, indent=0))
         info = {"timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
                 "request": "", "outcome": "committed"}

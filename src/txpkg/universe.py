@@ -31,6 +31,7 @@ __all__ = [
     "StatusDiff",
     "OPERATORS",
     "RESERVED_DIR",
+    "SCRIPT_HOOKS",
     "compare_versions",
     "satisfies",
     "check_rel_path",
@@ -245,7 +246,8 @@ def check_rel_path(path: str, line: int | None = None) -> str:
     return path
 
 
-_HOOKS = ("preinst", "postinst", "prerm", "postrm")
+# the maintainer-script hooks; each is a Package field and, capitalised, a stanza key
+SCRIPT_HOOKS = ("preinst", "postinst", "prerm", "postrm")
 
 
 @dataclass(frozen=True)
@@ -282,7 +284,7 @@ class Package:
         return self.id.version
 
     def script_for(self, hook: str) -> str | None:
-        if hook not in _HOOKS:
+        if hook not in SCRIPT_HOOKS:
             raise ValueError(f"unknown hook {hook!r}")
         return getattr(self, hook)
 
@@ -364,10 +366,6 @@ class Universe:
 
     def providers_of(self, feature: str) -> tuple[tuple[Package, Version | None], ...]:
         return self._providers.get(feature, ())
-
-    def provider_index(self) -> dict[str, frozenset]:
-        """feature name -> set of provider PackageIds (rebuildable from packages)."""
-        return {n: frozenset(p.id for p, _ in ps) for n, ps in self._providers.items()}
 
     def versions_of(self, name: str) -> tuple[Version, ...]:
         return tuple(p.id.version for p in self.by_name(name))
@@ -560,7 +558,7 @@ def _parse_paths(value: str, line: int) -> tuple[str, ...]:
 
 _UNIVERSE_KEYS = {
     "Package", "Version", "Depends", "Conflicts", "Provides", "Size", "Maintainer",
-    "Files", "Conffiles", "Preinst", "Postinst", "Prerm", "Postrm", "Conffile-Syntax",
+    "Files", "Conffiles", "Conffile-Syntax", *(hook.capitalize() for hook in SCRIPT_HOOKS),
 }
 
 
@@ -628,11 +626,10 @@ def parse_universe(text: str) -> Universe:
             if not conffiles <= set(files):
                 raise MetadataError("Conffiles must be a subset of Files", line)
 
-        scripts: dict[str, str | None] = {h: None for h in _HOOKS}
-        for key, hook in (("Preinst", "preinst"), ("Postinst", "postinst"),
-                          ("Prerm", "prerm"), ("Postrm", "postrm")):
-            if key in fields:
-                line, value = fields[key]
+        scripts: dict[str, str] = {}
+        for hook in SCRIPT_HOOKS:
+            if hook.capitalize() in fields:
+                line, value = fields[hook.capitalize()]
                 scripts[hook] = check_rel_path(value, line)
 
         syntax: tuple[tuple[str, str], ...] = ()
@@ -657,9 +654,7 @@ def parse_universe(text: str) -> Universe:
             packages.append(Package(
                 id=pid, rel=Relationship(depends, conflicts, provides),
                 size_kb=size, maintainer=maintainer, files=files, conffiles=conffiles,
-                preinst=scripts["preinst"], postinst=scripts["postinst"],
-                prerm=scripts["prerm"], postrm=scripts["postrm"],
-                conffile_syntax=syntax,
+                conffile_syntax=syntax, **scripts,
             ))
         except MetadataError as e:
             raise MetadataError(str(e), first) from None
@@ -689,11 +684,10 @@ def serialize_universe(universe: Universe) -> str:
             lines.append("Files: " + ", ".join(pkg.files))
         if pkg.conffiles:
             lines.append("Conffiles: " + ", ".join(sorted(pkg.conffiles)))
-        for key, hook in (("Preinst", "preinst"), ("Postinst", "postinst"),
-                          ("Prerm", "prerm"), ("Postrm", "postrm")):
+        for hook in SCRIPT_HOOKS:
             value = pkg.script_for(hook)
             if value:
-                lines.append(f"{key}: {value}")
+                lines.append(f"{hook.capitalize()}: {value}")
         if pkg.conffile_syntax:
             lines.append("Conffile-Syntax: " + ", ".join(f"{p}={m}" for p, m in pkg.conffile_syntax))
         stanzas.append("\n".join(lines))

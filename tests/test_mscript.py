@@ -15,6 +15,7 @@ from txpkg.mscript import (
     parse_script,
     undo,
 )
+from txpkg.txn import Transaction
 
 import support
 
@@ -182,6 +183,75 @@ def test_copy_requires_existing_source(store):
     with pytest.raises(ScriptFailure, match="not a file"):
         execute(parse_script("copy nope/missing etc/x\n"), txn, ENV)
     txn.rollback()
+
+
+@pytest.mark.parametrize("line, target", [
+    ("copy etc/motd etc/motd.copy", "etc/motd.copy"),
+    ("append etc/motd hi", "etc/motd"),
+    ("setkey etc/app.conf color blue", "etc/app.conf"),
+    ("delkey etc/app.conf port", "etc/app.conf"),
+    ("update-cache var/cache/app.idx usr/share/app/*", "var/cache/app.idx"),
+    ("adduser zoe", "etc/users.db"),
+    ("deluser amy", "etc/users.db"),
+])
+def test_writing_step_reads_its_target_once(store, monkeypatch, line, target):
+    reads = []
+    original = Transaction.state
+
+    def counting_state(self, rel):
+        reads.append(rel)
+        return original(self, rel)
+
+    monkeypatch.setattr(Transaction, "state", counting_state)
+    txn = store.begin()
+    execute(parse_script(line + "\n"), txn, ENV)
+    assert reads.count(target) == 1
+    txn.rollback()
+
+
+@pytest.mark.parametrize("line", [
+    "adduser amy",
+    "setkey etc/app.conf color red",
+    "delkey etc/app.conf nosuch",
+    "update-cache var/cache/app.idx usr/share/app/*",
+])
+def test_step_that_keeps_its_pre_image_writes_nothing(store, line):
+    program = parse_script(line + "\n")
+    if line.startswith("update-cache"):  # the repeated run is the one that keeps it
+        txn = store.begin()
+        execute(program, txn, ENV)
+        txn.commit()
+    before = store.tree_hash()
+    txn = store.begin()
+    log = execute(program, txn, ENV)
+    assert len(log) == 1
+    assert txn.journal_entries() == []
+    assert store.tree_hash() == before
+    undo(log, txn)
+    txn.commit()
+    assert store.tree_hash() == before
+
+
+@pytest.mark.parametrize("text, index, message", [
+    ("mkdir srv/d\ncopy nope/missing srv/d", 1, "source 'nope/missing' is not a file"),
+    ("remove etc", 0, "'etc' is not a file"),
+    ("append etc hi", 0, "'etc' is a directory"),
+    ("setkey etc a=b c", 0, "key 'a=b' may not contain '='"),
+    ("delkey etc/none.conf k", 0, "'etc/none.conf' does not exist"),
+    ("setkey etc/motd color red", 0, "'etc/motd' is not a key=value file"),
+    ("adduser zoe", 0, "etc/users.db: not UTF-8 text (invalid start byte at byte 4)"),
+    ("update-cache etc usr/*", 0, "'etc' is a directory"),
+])
+def test_failing_steps_report_text_and_index(store, text, index, message):
+    (store.root / "etc/users.db").write_bytes(b"amy\n\xff\n")
+    before = store.tree_hash()
+    txn = store.begin()
+    with pytest.raises(ScriptFailure) as info:
+        execute(parse_script(text + "\n"), txn, ENV)
+    assert (info.value.step_index, info.value.message) == (index, message)
+    assert len(info.value.log) == index
+    txn.rollback()
+    assert store.tree_hash() == before
 
 
 # --- undo ------------------------------------------------------------------------

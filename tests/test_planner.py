@@ -119,11 +119,18 @@ def test_dependency_cycles_break_deterministically():
 # --- retrieve ------------------------------------------------------------------
 
 
-def test_retrieve_stages_payload_and_hashes(repo, tmp_path):
+def _tree_bytes(top):
+    return {str(f.relative_to(top)): f.read_bytes() for f in sorted(top.rglob("*")) if f.is_file()}
+
+
+def test_retrieve_stages_payload(repo, tmp_path):
     staging = tmp_path / "staging"
-    digest = retrieve(ATERM.get(ATERM_ID), repo, staging)
-    assert (staging / "aterm_1.0.1-4" / "usr/bin/aterm").is_file()
-    assert retrieve(ATERM.get(ATERM_ID), repo, staging) == digest  # idempotent
+    staged = retrieve(ATERM.get(ATERM_ID), repo, staging)
+    assert staged == staging / "aterm_1.0.1-4"
+    first = _tree_bytes(staged)
+    assert first == _tree_bytes(payload_dir(repo, ATERM.get(ATERM_ID)))
+    assert retrieve(ATERM.get(ATERM_ID), repo, staging) == staged
+    assert _tree_bytes(staged) == first  # idempotent
 
 
 def test_retrieve_missing_payload_raises(tmp_path):
@@ -343,6 +350,31 @@ def test_path_ownership_conflict_fails_atomically(tmp_path, store):
     out = execute_plan(p, store, repo)
     assert out.result == "io-failure"
     assert "owned by" in out.failing
+    assert store.tree_hash() == baseline
+
+
+@pytest.mark.parametrize("purge", [False, True])
+def test_path_handed_over_in_one_plan_keeps_new_owners_bytes(tmp_path, store, purge):
+    # q takes usr/f over from x 1 before x's block removes the files x 2 drops
+    meta = ("Package: x\nVersion: 1\nFiles: usr/f, usr/x1\n\n"
+            "Package: x\nVersion: 2\nConflicts: x (<< 2)\nFiles: usr/x2\n\n"
+            "Package: q\nVersion: 1\nFiles: usr/f\n")
+    payloads = {"x_1": {"usr/f": b"x1 f\n", "usr/x1": b"x1\n"}, "x_2": {"usr/x2": b"x2\n"},
+                "q_1": {"usr/f": b"q f\n"}}
+    repo = support.write_repo(tmp_path / "repo", meta, payloads)
+    u = parse_universe(meta)
+    first = execute_plan(plan(u, Status(), parse_request("install x (= 1)"), PREFS), store, repo)
+    assert first.result == "success"
+    (store.root / "usr/f.pkgnew").write_bytes(b"parked\n")
+    baseline = store.tree_hash()
+    p = plan(u, store.load_status(u), parse_request("install q, upgrade x (>= 2)"), PREFS)
+    out = execute_plan(p, store, repo, purge=purge)
+    assert out.result == "success"
+    assert store.read("usr/f") == b"q f\n"
+    assert store.read("usr/f.pkgnew") == b"parked\n"
+    assert not (store.root / "usr/x1").exists()
+    assert store.load_status(u).owned_files["usr/f"] == PackageId("q", Version("1"))
+    store.rollback_to(out.history_id)
     assert store.tree_hash() == baseline
 
 

@@ -164,7 +164,6 @@ def test_solve_fixture_install():
     res = solve(ATERM, Status(), parse_request("install aterm"))
     assert isinstance(res, Solution)
     assert res.status.installed == {ATERM_ID, LIB_ID}
-    assert res.certified == ("a", "b", "c")
 
 
 def test_solve_remove_absent_is_satisfiable():

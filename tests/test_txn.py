@@ -194,7 +194,7 @@ def test_trim_drops_noop_rewrites_keeps_real_changes(store):
     txn.write_through("etc/motd", b"welcome\n")  # identical rewrite
     txn.write_through("etc/app.conf", b"different\n")
     entries = txn.journal_entries()
-    kept = trim(entries, store)
+    kept = trim(entries, {e.path: store.state(e.path) for e in entries})
     assert [e.path for e in kept] == ["etc/app.conf"]
     assert len(kept) <= len(entries)
     txn.rollback()
@@ -204,7 +204,8 @@ def test_trim_create_then_delete_is_noop(store):
     txn = store.begin()
     txn.write_through("etc/tmpfile", b"x")
     txn.write_through("etc/tmpfile", None)
-    assert trim(txn.journal_entries(), store) == []
+    entries = txn.journal_entries()
+    assert trim(entries, {e.path: store.state(e.path) for e in entries}) == []
     txn.rollback()
 
 

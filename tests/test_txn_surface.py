@@ -13,7 +13,7 @@ import txpkg
 
 SRC = Path(txpkg.__file__).resolve().parent
 ENGINE = ("mscript", "confmerge", "planner")
-SURFACE = {"state", "read", "walk_files", "digest", "write_through", "mkdir", "rmdir",
+SURFACE = {"state", "walk_files", "digest", "write_through", "mkdir", "rmdir",
            "add_pristine", "set_status", "commit", "rollback"}
 
 

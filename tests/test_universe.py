@@ -128,7 +128,7 @@ def test_satisfies_via_provides():
     assert satisfies(Atom("mail-agent"), exim)
     # and the provider index agrees
     u = Universe([exim])
-    assert u.provider_index() == {"mail-agent": frozenset({exim.id})}
+    assert u.providers_of("mail-agent") == ((exim, None),)
 
 
 def test_versioned_provides_rules():
@@ -161,7 +161,8 @@ def test_parse_empty_universe():
 
 def test_provides_builds_index():
     u = parse_universe("Package: exim\nVersion: 4.92\nProvides: mail-agent\n")
-    assert u.provider_index()["mail-agent"] == {PackageId("exim", Version("4.92"))}
+    assert [(p.id, v) for p, v in u.providers_of("mail-agent")] == [
+        (PackageId("exim", Version("4.92")), None)]
 
 
 def test_duplicate_package_rejected():
@@ -281,8 +282,9 @@ def test_universe_round_trip_random():
         rebuilt = {}
         for pkg in again:
             for prov in pkg.rel.provides:
-                rebuilt.setdefault(prov.name, set()).add(pkg.id)
-        assert {k: set(v) for k, v in again.provider_index().items()} == rebuilt
+                rebuilt.setdefault(prov.name, set()).add((pkg.id, prov.version))
+        for name, providers in rebuilt.items():
+            assert {(p.id, v) for p, v in again.providers_of(name)} == providers
 
 
 def test_universe_is_immutable_mapping():
