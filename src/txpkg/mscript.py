@@ -336,13 +336,15 @@ def undo(log, txn: Transaction) -> None:
     Every step gets the same rule: check that its target still holds what
     the step left there, write back the target's pre-image and mode (a None
     pre-image deletes the target; a ``mkdir`` target is only a directory,
-    left to the next rule), then remove the directories the step created.
+    left to the next rule, and a step that kept its pre-image wrote nothing
+    to put back), then remove the directories the step created.
     Raises :class:`CorruptedLog` when the store does not match the logged
     post-state or a created directory is no longer empty.
     """
     for eff in reversed(list(log)):
         _verify_post(eff, txn)
-        if eff.op != "mkdir":
+        kept = eff.pre_image is not None and _sha(eff.pre_image) == eff.post_sha
+        if eff.op != "mkdir" and not kept:
             txn.write_through(eff.path, eff.pre_image, mode=eff.pre_mode)
         for d in reversed(eff.created_dirs):
             if txn.state(d)[0] == "dir":

@@ -228,6 +228,7 @@ def test_step_that_keeps_its_pre_image_writes_nothing(store, line):
     assert txn.journal_entries() == []
     assert store.tree_hash() == before
     undo(log, txn)
+    assert txn.journal_entries() == []
     txn.commit()
     assert store.tree_hash() == before
 

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from txpkg import preferences
 from txpkg.preferences import (
+    DEFAULT_PREFS,
     Criterion,
     PreferenceError,
     PreferenceSpec,
@@ -13,6 +15,7 @@ from txpkg.preferences import (
     parse_prefs,
 )
 from txpkg.resolver import Solution, Unsat, parse_request, solve
+from txpkg.sat import DpllSolver
 from txpkg.universe import PackageId, Status, Version, parse_universe, status_diff
 
 import support
@@ -113,6 +116,33 @@ def _recount(u, s0, s, spec):
     return tuple(vals)
 
 
+def _restrict(status, name):
+    return Status(frozenset(pid for pid in status.installed if pid.name == name))
+
+
+def test_criteria_add_up_name_by_name():
+    # optimize bounds a node by summing eval_criteria over names; a
+    # criterion that is not a sum over names fails here
+    rng = random.Random(53)
+    for _ in range(80):
+        u = support.random_universe(rng, max_size=10)
+        s0 = support.random_status(rng, u)
+        kinds = list(ALL_KINDS)
+        rng.shuffle(kinds)
+        blacklist = Criterion("blacklist", rng.choice(["maint:evil*", "name:alpha*", "br*"]))
+        crits = [Criterion(k) for k in kinds]
+        crits.insert(rng.randrange(len(crits) + 1), blacklist)
+        spec = PreferenceSpec(tuple(crits))
+        names = sorted({pid.name for pid in u.ids})
+        for _ in range(6):
+            pool = [pid for pid in u.ids if rng.random() < 0.7]
+            lo = Status(frozenset(pid for pid in pool if rng.random() < 0.4))
+            for upper in (None, Status(frozenset(pool))):
+                parts = [eval_criteria(u, _restrict(s0, n), _restrict(lo, n), spec,
+                                       upper and _restrict(upper, n)) for n in names]
+                assert eval_criteria(u, s0, lo, spec, upper) == tuple(map(sum, zip(*parts)))
+
+
 def test_eval_matches_independent_recount():
     rng = random.Random(5)
     for _ in range(60):
@@ -181,6 +211,30 @@ def _oracle_best(u, s0, r, spec):
     return best
 
 
+def _pulling_spec(rng):
+    """A spec whose first criterion pulls away from the baseline status."""
+    first = rng.choice([Criterion("notuptodate"),
+                        Criterion("blacklist", rng.choice(["maint:evil*", "name:alpha*", "br*"]))])
+    rest = [Criterion(k) for k in ALL_KINDS if k != first.kind]
+    rng.shuffle(rest)
+    return PreferenceSpec((first,) + tuple(rest[: rng.randint(0, len(rest))]))
+
+
+def _matches_oracle(u, s0, r, spec):
+    """Assert that optimize finds the oracle's optimum; False when unsatisfiable."""
+    expected = _oracle_best(u, s0, r, spec)
+    got = optimize(u, s0, r, spec)
+    if expected is None:
+        assert isinstance(got, Unsat)
+        return False
+    assert isinstance(got, Solution)
+    got_key = (eval_criteria(u, s0, got.status, spec),
+               tuple(sorted(pid.key for pid in got.status.installed)))
+    assert got_key == expected[0]
+    assert got.status == expected[1]
+    return True
+
+
 def test_optimize_matches_oracle_vector_and_tiebreak():
     rng = random.Random(17)
     checked = 0
@@ -188,19 +242,80 @@ def test_optimize_matches_oracle_vector_and_tiebreak():
         u = support.random_universe(rng, max_size=8)
         s0 = support.random_status(rng, u)
         r = support.random_request(rng, u)
-        spec = _random_spec(rng)
-        expected = _oracle_best(u, s0, r, spec)
-        got = optimize(u, s0, r, spec)
-        if expected is None:
-            assert isinstance(got, Unsat)
-            continue
-        checked += 1
-        assert isinstance(got, Solution)
-        got_key = (eval_criteria(u, s0, got.status, spec),
-                   tuple(sorted(pid.key for pid in got.status.installed)))
-        assert got_key == expected[0]
-        assert got.status == expected[1]
+        checked += _matches_oracle(u, s0, r, _random_spec(rng))
     assert checked > 15
+    # the search starts each name at its best state, which moves away from
+    # s0 when the first criterion pulls that way
+    pulled = 0
+    for seed in (3, 31, 59, 83):
+        rng = random.Random(seed)
+        for _ in range(60):
+            u = support.random_universe(rng, max_size=8)
+            s0 = support.random_status(rng, u)
+            r = support.random_request(rng, u)
+            pulled += _matches_oracle(u, s0, r, _pulling_spec(rng))
+    assert pulled > 40
+
+
+def _layered_universe(rng, n):
+    """Names p00.. at versions 1 and 2; each version depends on earlier names,
+    and version 2 conflicts with version 1 of its own name."""
+    stanzas = []
+    for i in range(n):
+        for v in (1, 2):
+            lines = [f"Package: p{i:02d}", f"Version: {v}", f"Size: {rng.randint(1, 50)}"]
+            deps = [f"p{j:02d}" + (" (>= 2)" if v == 2 and rng.random() < 0.3 else "")
+                    for j in rng.sample(range(i), min(i, rng.randint(0, 2)))]
+            if deps:
+                lines.append("Depends: " + ", ".join(deps))
+            if v == 2:
+                lines.append(f"Conflicts: p{i:02d} (<< 2)")
+            stanzas.append("\n".join(lines) + "\n")
+    return parse_universe("\n".join(stanzas))
+
+
+def test_optimize_scores_per_model_and_memo_entry_not_per_node(monkeypatch):
+    # the bound reads a memo of per-name vectors, so eval_criteria runs once
+    # per model and once per (name, partial state), never once per node
+    u = _layered_universe(random.Random(3), 14)
+    s0 = Status(frozenset(pid for pid in u.ids
+                          if pid.version == Version("1") and int(pid.name[1:]) % 3 == 0))
+    counts = {"nodes": 0, "models": 0}
+    bounded, exact = [], []
+
+    search = DpllSolver.search
+
+    def counting_search(self, polarity=None, on_model=None, prune=None):
+        def counting_prune(assign):
+            counts["nodes"] += 1
+            return prune(assign)
+
+        def counting_on_model(model):
+            counts["models"] += 1
+            return on_model(model)
+
+        return search(self, polarity, counting_on_model, counting_prune)
+
+    def recording_eval(u, s0, s, spec, upper=None):
+        (exact if upper is None else bounded).append(s)
+        return eval_criteria(u, s0, s, spec, upper)
+
+    tables = []
+
+    class RecordingTable(preferences._NameTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    monkeypatch.setattr(DpllSolver, "search", counting_search)
+    monkeypatch.setattr(preferences, "eval_criteria", recording_eval)
+    monkeypatch.setattr(preferences, "_NameTable", RecordingTable)
+    res = optimize(u, s0, parse_request("install p13"), parse_prefs(DEFAULT_PREFS))
+    assert isinstance(res, Solution)
+    assert counts["nodes"] >= 1000
+    (table,) = tables
+    assert len(bounded) == len(table.memo)  # each memo entry is scored once
+    assert len(exact) + len(bounded) <= counts["models"] + len(table.memo)
 
 
 def test_constraint_tightening_is_monotone():
