@@ -300,7 +300,7 @@ def solve(u: Universe, s0: Status, r: Request) -> Solution | Unsat:
     before being handed back.
     """
     cnf = encode(u, s0, r)
-    return _certify(u, s0, r, cnf, DpllSolver(len(cnf.ids), cnf.clauses).solve(), "solver")
+    return _certify(u, s0, r, cnf, DpllSolver(len(cnf.ids), cnf.clauses).search(), "solver")
 
 
 def _certify(u: Universe, s0: Status, r: Request, cnf: Cnf, model: set[int] | None,
@@ -321,40 +321,13 @@ def _installability(u: Universe):
     """A predicate deciding whether a package of ``u`` is installable.
 
     Encodes the universe once, with the empty request, and keeps one solver.
-    Each question is one solve under the assumption that the package is
-    installed, deciding only the package's dependency cone: the ids reachable
-    from it through the satisfiers of its dependency clauses.
+    Each question is one goal-directed solve under the assumption that the
+    package is installed: it decides only satisfiers of dependency clauses
+    that the packages already installed leave unmet.
     """
     cnf = encode(u, Status(), Request(()))
     solver = DpllSolver(len(cnf.ids), cnf.clauses)
-    needs = {cnf.var_of[pid]: [cnf.var_of[q.id] for clause in u.get(pid).rel.depends
-                               for atom in clause for q in u.satisfiers(atom)]
-             for pid in u.ids}
-
-    def installable(pid: PackageId) -> bool:
-        root = cnf.var_of[pid]
-        cone, todo = {root}, [root]
-        while todo:
-            for q in needs[todo.pop()]:
-                if q not in cone:
-                    cone.add(q)
-                    todo.append(q)
-        # Deciding only the cone is sound and complete.  The clauses are
-        # "(not p) or s1 or ... or sk" (p depends on one of the s_i) and
-        # "(not p) or (not q)" (a conflict); there is no positive unit.  So
-        # propagation makes a variable true only as a satisfier of a true cone
-        # package, which is in the cone again, and every variable outside the
-        # cone stays unassigned and reads as false.  That satisfies every
-        # clause holding it: it is negated in its own dependency clauses and
-        # in conflicts, and occurs positively only in dependency clauses of
-        # packages outside the cone, whose owners read as false too.  A cone
-        # package's dependency clauses have all their satisfiers in the cone,
-        # so the search sees them whole.  Hence a model over the cone, with
-        # everything else false, is a model of the whole formula, and any
-        # model containing the package stays one when cut down to the cone.
-        return solver.solve(assumptions=(root,), order=sorted(cone)) is not None
-
-    return installable
+    return lambda pid: solver.solve(assumptions=(cnf.var_of[pid],)) is not None
 
 
 def explain_unsat(u: Universe, s0: Status, r: Request) -> Unsat:
@@ -380,8 +353,8 @@ def health_check(u: Universe) -> list[tuple[PackageId, Verdict]]:
     A package is healthy when some subset of the universe contains it while
     satisfying every dependency clause and avoiding all conflicts.  The
     universe is encoded once and handed to one complete solver; each package
-    is then one solve under the assumption that it is installed, with
-    decisions restricted to its dependency cone (see ``_installability``).
+    is then one goal-directed solve under the assumption that it is
+    installed (see ``_installability``).
     """
     installable = _installability(u)
     out: list[tuple[PackageId, Verdict]] = []

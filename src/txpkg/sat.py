@@ -2,16 +2,24 @@
 
 Variables are numbered 1..nvars; a clause is a tuple of non-zero ints where a
 negative literal asserts "variable is false".  The engine is deterministic by
-construction: decisions always pick the first unassigned variable of the
-decision order (by default the lowest-numbered one) and try the caller's
-preferred polarity first, and propagation order is a fixed function of the
-input.  ``minimize`` runs an exhaustive branch-and-bound on the same search
-tree, so both entry points are complete.
+construction: propagation order is a fixed function of the input, and one
+depth-first loop serves two decision rules.
+
+- ``search`` and ``minimize`` decide the lowest-numbered unassigned variable,
+  trying the caller's preferred polarity first.  ``minimize`` runs an
+  exhaustive branch-and-bound on that tree, so both are complete.
+- ``solve`` is goal-directed.  Reading every unassigned variable as false, it
+  finds a clause that is then unsatisfied and decides that clause's first
+  unassigned positive literal, true first.  When no such clause is left, the
+  true variables are a model.  Such a clause is positive-only or negates a
+  true variable, so ``solve`` looks only at those, and it resumes its scan of
+  the trail where the parent node stopped: a clause satisfied at a node stays
+  satisfied below it unless a variable it negates becomes true, and that
+  variable joins the trail after the scan position.
 
 Every entry point returns to the root level before it returns, so one
 instance answers any number of calls: ``solve`` each under its own
-assumption literals and over its own set of decision variables, ``search``
-and ``minimize`` over all variables.
+assumption literals, ``search`` and ``minimize`` over all variables.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ class DpllSolver:
         self.wpair: list[list[int]] = []
         self.units: list[int] = []
         self.false_clause = False
+        self.negated: list[list[tuple[int, ...]]] | None = None  # see solve
         for idx, clause in enumerate(self.clauses):
             self.wpair.append(list(clause[:2]))
             if not clause:
@@ -119,42 +128,65 @@ class DpllSolver:
         With both left as None this returns the first model found, or None
         when the formula is unsatisfiable.
         """
-        return self._run(polarity, (), range(1, self.nvars + 1), on_model, prune)
+        assign, n = self.assign, self.nvars
 
-    def solve(
-        self,
-        assumptions: Iterable[int] = (),
-        order: Sequence[int] | None = None,
-    ) -> set[int] | None:
-        """First model (as the set of true variables) in which every literal of
+        def lowest_unassigned(i: int) -> tuple[int, int]:
+            while i < n and assign[i + 1] != 0:
+                i += 1
+            if i == n:
+                return 0, i
+            return (i + 1 if polarity is not None and polarity[i + 1] else -i - 1), i
+
+        return self._run((), lowest_unassigned, on_model, prune)
+
+    def solve(self, assumptions: Iterable[int] = ()) -> set[int] | None:
+        """A model (as the set of true variables) in which every literal of
         ``assumptions`` holds, or None if there is none.  May be called any
         number of times.
 
-        Only the variables of ``order`` (default: all, lowest first) are
-        decided, in that order; a variable that neither a decision nor unit
-        propagation assigned is left out of the set, i.e. reads as false.
-        None always proves that no model satisfies the assumptions.  With an
-        ``order`` that leaves variables out, a returned set is a model only
-        if reading those variables as false satisfies every clause holding
-        them; the caller must know that it does.
+        Goal-directed: only satisfiers of clauses that the true variables
+        leave unmet are decided, and a variable left unassigned is not in the
+        set, i.e. reads as false.
         """
-        if order is None:
-            order = range(1, self.nvars + 1)
-        return self._run(None, assumptions, order)
+        if self.negated is None:  # built here, so search and minimize never pay for it
+            self.negated = [[] for _ in range(self.nvars + 1)]
+            for clause in self.clauses:
+                for v in [-lit for lit in clause if lit < 0] or [0]:
+                    self.negated[v].append(clause)
+        return self._run(assumptions, self._unmet_satisfier)
+
+    def _unmet_satisfier(self, i: int) -> tuple[int, int]:
+        """The first unassigned positive literal of the first clause, from scan
+        position ``i`` on, that is unsatisfied with unassigned variables read as
+        false (0 if none), and that clause's position.  Position 0 holds the
+        positive-only clauses, position p > 0 those negating ``trail[p - 1]``."""
+        assign, trail, negated = self.assign, self.trail, self.negated
+        while i <= len(trail):
+            v = trail[i - 1] if i else 0
+            if assign[v] > 0 or not i:
+                for clause in negated[v]:
+                    for lit in clause:
+                        if assign[lit] > 0 if lit > 0 else assign[-lit] <= 0:
+                            break  # satisfied
+                    else:  # unmet; propagation left it two or more open literals
+                        return next(lit for lit in clause if lit > 0 and not assign[lit]), i
+            i += 1
+        return 0, i
 
     def _run(
         self,
-        pol: Sequence[bool] | None,
         assumptions: Iterable[int],
-        order: Sequence[int],
+        pick: Callable[[int], tuple[int, int]],
         on_model: Callable[[set[int]], bool] | None = None,
         prune: Callable[[list[int]], bool] | None = None,
     ) -> set[int] | None:
-        """Depth-first search under ``assumptions``, deciding the variables of
-        ``order`` in that order; leaves the solver at the root level."""
+        """Depth-first search under ``assumptions``; leaves the solver at the root
+        level.  ``pick(scan)`` is the decision rule: it returns the next decision
+        literal (0 once the assignment is a model) and the scan position that
+        the literal's subtree resumes from."""
         if not self.root_ok:
             return None
-        root, end = len(self.trail), len(order)
+        root = len(self.trail)
         decisions: list[list] = []  # [trail mark, literal, flipped?, scan position]
         scan = 0
 
@@ -180,20 +212,15 @@ class DpllSolver:
                     if not backtrack():
                         return None
                     continue
-                i = scan
-                while i < end and self.assign[order[i]] != 0:
-                    i += 1
-                if i == end:
+                lit, scan = pick(scan)
+                if not lit:
                     model = {v for v in self.trail if self.assign[v] > 0}
                     if on_model is None or on_model(model):
                         return model
                     if not backtrack():
                         return None
                     continue
-                scan = i
-                v = order[i]
-                lit = v if pol is not None and pol[v] else -v
-                decisions.append([len(self.trail), lit, False, i])
+                decisions.append([len(self.trail), lit, False, scan])
                 if not (self._enqueue(lit) and self._propagate()):
                     if not backtrack():
                         return None

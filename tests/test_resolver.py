@@ -280,12 +280,13 @@ def _satisfies(model, clauses):
 
 
 def reference_health_check(u):
-    """One fresh encoding and one fresh solver per package, pinned by its request."""
+    """One fresh encoding and one fresh solver per package, pinned by its request;
+    ``search`` shares no decision rule with the goal-directed ``solve``."""
     out = []
     for pid in u.ids:
         r = Request((RequestAtom("install", pid.name, VersionConstraint("=", pid.version)),))
         cnf = encode(u, Status(), r)
-        if DpllSolver(len(cnf.ids), cnf.clauses).solve() is not None:
+        if DpllSolver(len(cnf.ids), cnf.clauses).search() is not None:
             out.append((pid, Verdict(True)))
             continue
         witness = Violation("c", f"{pid}: no conflict-free dependency closure exists")
@@ -298,13 +299,45 @@ def reference_health_check(u):
     return out
 
 
+def count_flips(monkeypatch):
+    """Patch the solver to count flips: a decision undone, then its negation enqueued.
+
+    A decision literal is the first one on the trail above its mark, so a flip
+    is an ``_undo_to(mark)`` followed by an ``_enqueue`` of the negation of
+    what ``trail[mark]`` held.  Returns the one-element flip counter and the
+    one-element slot holding the literal that would count as the next flip.
+    """
+    flips, expected = [0], [None]
+    real_undo, real_enqueue = DpllSolver._undo_to, DpllSolver._enqueue
+
+    def undo_to(self, mark):
+        if mark < len(self.trail):
+            v = self.trail[mark]
+            expected[0] = -v if self.assign[v] > 0 else v
+        real_undo(self, mark)
+
+    def enqueue(self, lit):
+        flips[0] += lit == expected[0]
+        expected[0] = None
+        return real_enqueue(self, lit)
+
+    monkeypatch.setattr(DpllSolver, "_undo_to", undo_to)
+    monkeypatch.setattr(DpllSolver, "_enqueue", enqueue)
+    return flips, expected
+
+
 def test_health_agrees_with_fresh_solver_reference_on_large_universes(monkeypatch):
     real_solve = DpllSolver.solve
+    flips, expected = count_flips(monkeypatch)
+    solve_flips = [0]
 
     def checked_solve(self, *args, **kwargs):
-        # a model found over a dependency cone must be a model of the whole formula
+        # a goal-directed model, with every undecided variable false, must be
+        # a model of the whole formula
+        expected[0], before = None, flips[0]
         model = real_solve(self, *args, **kwargs)
         assert model is None or _satisfies(model, self.clauses)
+        solve_flips[0] += flips[0] - before
         return model
 
     monkeypatch.setattr(DpllSolver, "solve", checked_solve)
@@ -313,6 +346,7 @@ def test_health_agrees_with_fresh_solver_reference_on_large_universes(monkeypatc
     for _ in range(6):
         u = support.random_universe(rng, min_size=60, max_size=180, names=names)
         assert health_check(u) == reference_health_check(u)
+    assert solve_flips[0] >= 1  # some solve backtracked
 
 
 def test_health_encodes_once_and_builds_one_solver(monkeypatch):
@@ -338,6 +372,76 @@ def test_health_encodes_once_and_builds_one_solver(monkeypatch):
     assert sum(len(u.by_name(a.name)) for a in atoms) == 100
     explain_unsat(u, Status(), Request(atoms))
     assert calls == {"encode": 1, "solver": 1}
+
+
+def _health_universe(rng, n):
+    """Names h000.. at versions 1 and 2 over ``2 * n + 4`` ids.  Dependencies
+    point at earlier names: plain, versioned, ``|`` alternatives and features,
+    each of which an earlier version-2 package provides.  Version 2 conflicts
+    with version 1 of its own name.  A missing dependency and a conflicting
+    pair are planted."""
+    stanzas = []
+    for i in range(n):
+        for v in (1, 2):
+            lines = [f"Package: h{i:03d}", f"Version: {v}"]
+            deps = []
+            for _ in range(rng.randint(0, 2) if i else 0):
+                a, b = rng.randrange(i), rng.randrange(i)
+                deps.append(rng.choice([f"h{a:03d}", f"h{a:03d} (>= 2)",
+                                        f"h{a:03d} | h{b:03d}", f"feat{a // 10 % 4}"]))
+            if deps:
+                lines.append("Depends: " + ", ".join(dict.fromkeys(deps)))
+            if v == 2:
+                lines.append(f"Conflicts: h{i:03d} (<< 2)")
+                if i % 10 == 0:
+                    lines.append(f"Provides: feat{i // 10 % 4}")
+            stanzas.append("\n".join(lines) + "\n")
+    stanzas += ["Package: ghost\nVersion: 1\nDepends: missing\n",
+                "Package: clasha\nVersion: 1\nConflicts: clashb\n",
+                "Package: clashb\nVersion: 1\n",
+                "Package: pair\nVersion: 1\nDepends: clasha, clashb\n"]
+    return parse_universe("\n".join(stanzas))
+
+
+def test_health_check_work_is_bounded_by_the_goal(monkeypatch):
+    # each solve decides only satisfiers of unmet dependency clauses, so it
+    # assigns a few dozen variables, not its whole dependency cone (and, by
+    # propagation, much of the universe).  This takes 14,710 enqueues;
+    # deciding every cone variable false first takes 396,997.
+    u = _health_universe(random.Random(47), 498)
+    assert len(u) == 1000
+    enqueues = [0]
+    real_enqueue = DpllSolver._enqueue
+
+    def counting_enqueue(self, lit):
+        enqueues[0] += 1
+        return real_enqueue(self, lit)
+
+    monkeypatch.setattr(DpllSolver, "_enqueue", counting_enqueue)
+    results = dict(health_check(u))
+    broken = {str(pid) for pid, verdict in results.items() if not verdict.ok}
+    assert broken == {"ghost 1", "pair 1"}
+    assert enqueues[0] <= 30 * len(u)
+
+
+def test_solve_returns_the_least_acceptable_status_in_sorted_id_order():
+    # "lowest id first, not installed before installed": over the sorted ids,
+    # the first status in lexicographic order, absent ranking before present
+    rng = random.Random(53)
+    found = 0
+    for _ in range(300):
+        u = support.random_universe(rng, max_size=8)
+        s0 = support.random_status(rng, u)
+        r = support.random_request(rng, u)
+        oracle = support.oracle_statuses(u, s0, r)
+        res = solve(u, s0, r)
+        if not oracle:
+            assert isinstance(res, Unsat)
+            continue
+        least = min(oracle, key=lambda st: [pid in st.installed for pid in u.ids])
+        assert isinstance(res, Solution) and res.status == least
+        found += 1
+    assert found >= 80
 
 
 # --- the reusable solver ------------------------------------------------------------
@@ -392,3 +496,44 @@ def test_minimize_twice_on_one_instance_agrees_with_a_fresh_instance():
         assert solver.minimize(model_key, bound_key) == fresh
         nontrivial += 1 < len(fresh) < n
     assert nontrivial >= 10
+
+
+def _random_cnf(rng):
+    """A CNF over at most 12 variables mixing dependency-shaped clauses,
+    positive-only ones, clauses with two or more negative literals, and units."""
+    n = rng.randint(1, 12)
+    clauses = []
+    for _ in range(rng.randint(0, 2 * n)):
+        kind = rng.randrange(4)
+        if kind == 0:  # (not p) or s1 or ... or sk
+            clauses.append((-rng.randint(1, n),)
+                           + tuple(rng.sample(range(1, n + 1), rng.randint(1, min(n, 3)))))
+        elif kind == 1:  # positive-only
+            clauses.append(tuple(rng.sample(range(1, n + 1), rng.randint(1, min(n, 3)))))
+        elif kind == 2 and n >= 2:  # two or more negative literals, maybe positives
+            negs = rng.sample(range(1, n + 1), rng.randint(2, min(n, 3)))
+            poss = rng.sample(range(1, n + 1), rng.randint(0, min(n, 2)))
+            clauses.append(tuple(-v for v in negs) + tuple(poss))
+        else:  # unit
+            clauses.append((rng.choice((1, -1)) * rng.randint(1, n),))
+    return n, clauses
+
+
+def test_goal_directed_solve_agrees_with_brute_force():
+    rng = random.Random(59)
+    outcomes = {True: 0, False: 0}
+    for _ in range(2000):
+        n, clauses = _random_cnf(rng)
+        assumptions = [rng.choice((1, -1)) * v
+                       for v in rng.sample(range(1, n + 1), rng.randint(0, min(n, 3)))]
+        wanted = clauses + [(lit,) for lit in assumptions]
+        # each clause as (positive mask, negative mask) over bit v - 1
+        masks = [(sum(1 << (l - 1) for l in c if l > 0), sum(1 << (-l - 1) for l in c if l < 0))
+                 for c in wanted]
+        exists = any(all(m & pos or ~m & neg for pos, neg in masks) for m in range(1 << n))
+        model = DpllSolver(n, clauses).solve(assumptions)
+        assert (model is not None) == exists, (clauses, assumptions)
+        if model is not None:
+            assert _satisfies(model, wanted), (clauses, assumptions, model)
+        outcomes[exists] += 1
+    assert min(outcomes.values()) >= 300
