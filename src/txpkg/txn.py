@@ -1,35 +1,43 @@
 """Sandboxed filesystem store with copy-before-write journaling.
 
+One seam reads and writes the package-visible tree.  ``Store.state(rel)``
+is the triple ``(kind, content, mode)``: kind absent|dir|file, a file's
+bytes (else None), and ``st_mode`` (0 when absent).  ``Store.put(rel,
+state)`` makes a path hold such a triple: ``absent`` removes a file or an
+empty directory, ``dir`` makes the directory and ``file`` writes the bytes
+(both make missing parents and set the permission bits).  A journal entry's
+``pre_state()`` is its pre-image as the same triple.  Only ``state``,
+``put`` and ``read`` map a path to disk, through ``Store.resolve``.  Outside
+the seam on purpose: the engine state under ``.pkgdb``, and
+``Store.tree_hash``, the oracles' own reading of the disk.
+
 An open :class:`Transaction` is the engine's one window on the root.  Its
-reads are ``state(rel) -> (kind, content, mode)`` (kind one of
-absent|dir|file), ``walk_files`` and ``digest`` (``_sha`` of a file).  The
-file list and each file's digest are read from disk once per transaction
-and memoized: ``write_through`` drops the digest of the path it
-writes and keeps the list current (a failed write makes the next walk list
-the disk again), ``mkdir`` and ``rmdir`` never change either, and ``commit``
-and ``rollback`` clear both; like the mutations, ``walk_files`` and
-``digest`` need an open transaction.  The memo assumes that no two
-package-visible paths name one file, and a link placed in the root by hand
-breaks that: with ``y -> x`` or a hard link, ``digest("y")`` stays stale
-after a write to ``x``; with ``lib -> usr/lib``, a write to ``lib/x`` puts
-``lib/x`` into the file list, which a walk of the disk never shows, and
-leaves the entry and digest of ``usr/lib/x`` as they were.  Its mutations
-of the tree are
-``write_through`` (write or delete a file; a write creates missing parent
-directories), ``mkdir`` and ``rmdir``; each records a pre-image of every
-path it touches before changing it (first touch wins).  ``set_status`` and
-``add_pristine`` update the engine state under ``.pkgdb``.  Rolling back
-replays the journal in reverse, restoring the store byte for byte, and puts
-the status file back.  Committing trims the journal (dropping entries whose
-pre-image equals the final content) and persists it under
-``.pkgdb/history/<id>/`` so whole upgrades can be undone later with
-:meth:`Store.rollback_to`.
+reads are ``state``, ``walk_files`` and ``digest``.  The file list and each
+file's digest are read from disk once per transaction and memoized; each
+mutation drops the digest of its path and keeps the list current (a failed
+one makes the next walk list the disk again), and ``commit`` and
+``rollback`` clear both; ``walk_files`` and ``digest`` need an open
+transaction.  The memo assumes that no two package-visible paths name one
+file, and a link placed in the root by hand breaks that: with ``y -> x`` or
+a hard link, ``digest("y")`` stays stale after a write to ``x``; with
+``lib -> usr/lib``, a write to ``lib/x`` puts ``lib/x`` into the file list,
+which a walk of the disk never shows, and leaves the entry and digest of
+``usr/lib/x`` as they were.  The mutations ``write_through`` (write or
+delete a file, making missing parents), ``mkdir`` and ``rmdir`` share one
+step: journal the path's state on first touch, ``put`` the new one.
+``set_status`` and ``add_pristine`` update the engine state under
+``.pkgdb``.  Rolling back ``put``s each entry's ``pre_state()``, last
+first, puts the status file back and lists the id in ``.pkgdb/rolled-back``.
+Committing trims the journal (dropping entries whose ``pre_state()`` equals
+the final state) and persists it under ``.pkgdb/history/<id>/``;
+:meth:`Store.rollback_to` puts the same pre-images back.
 
 Nothing under ``.pkgdb`` is ever package-visible: it holds the status file,
-the lock, the transaction serial, persisted history, and the pristine
-conffile store.  Paths matching the store's ``preserve`` globs (by default
-``var/log/**`` and ``home/**``) are journaled like everything else but are
-skipped on restore, with a warning, so log-like data survives rollbacks.
+the lock, the transaction serial, the rolled-back ids, persisted history,
+and the pristine conffile store.  Paths matching the store's ``preserve``
+globs (by default ``var/log/**`` and ``home/**``) are journaled like
+everything else but are skipped on restore, with a warning, so log-like
+data survives rollbacks.
 
 ``_sha`` is the engine's one content digest (hex SHA-256); the conffile and
 script modules import it from here.
@@ -37,6 +45,7 @@ script modules import it from here.
 
 from __future__ import annotations
 
+import errno
 import fnmatch
 import hashlib
 import json
@@ -48,15 +57,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .universe import (
-    MetadataError,
-    RESERVED_DIR,
-    Status,
-    Universe,
-    check_rel_path,
-    decode_text,
-    parse_status,
-)
+from .universe import RESERVED_DIR, Status, Universe, decode_text, parse_status
 
 __all__ = [
     "DB_DIR",
@@ -82,6 +83,7 @@ _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
 _FILE_MODE = 0o644
 _DIR_MODE = 0o755
+_ABSENT = ("absent", None, 0)
 
 
 class StoreError(Exception):
@@ -117,6 +119,14 @@ class JournalEntry:
     kind: str  # created | modified | removed
     mode: int = 0
     pre_image: bytes | None = None
+
+    def pre_state(self):
+        """The pre-image as a ``Store.state`` triple."""
+        if self.kind == "created":
+            return _ABSENT
+        if stat.S_ISDIR(self.mode):
+            return ("dir", None, self.mode)
+        return ("file", self.pre_image or b"", self.mode)
 
 
 @dataclass
@@ -188,15 +198,16 @@ class Store:
             raise StoreError(f"store root {self.root} is not a directory")
         self.preserve = tuple(preserve)
         self._db = self.root / DB_DIR
+        self._rolled_back = self._db / "rolled-back"  # one rolled-back id a line
 
     # -- path discipline -------------------------------------------------
 
     def resolve(self, rel: str) -> Path:
-        """Map a sandbox-relative path to disk; rejects traversal and .pkgdb."""
-        try:
-            check_rel_path(rel)
-        except MetadataError as e:
-            raise PathEscape(str(e)) from None
+        """Map a sandbox-relative path to disk; rejects absolute paths,
+        traversal and .pkgdb, and accepts any file name (unlike metadata paths)."""
+        parts = rel.split("/")
+        if any(part in ("", ".", "..") for part in parts) or parts[0] == DB_DIR:
+            raise PathEscape(f"not a package-visible path: {rel!r}")
         return self.root / rel
 
     def preserved(self, rel: str) -> bool:
@@ -214,10 +225,28 @@ class Store:
         try:
             st = os.lstat(p)
         except (FileNotFoundError, NotADirectoryError):
-            return ("absent", None, 0)
+            return _ABSENT
         if stat.S_ISDIR(st.st_mode):
             return ("dir", None, st.st_mode)
         return ("file", p.read_bytes(), st.st_mode)
+
+    def put(self, rel: str, state) -> None:
+        """Make a path hold a ``state`` triple; the one write of the root.
+        Removing an absent path does nothing."""
+        kind, content, mode = state
+        p = self.resolve(rel)
+        if kind == "absent":
+            if p.is_dir():
+                p.rmdir()
+            elif os.path.lexists(p):
+                p.unlink()
+            return
+        if kind == "dir":
+            p.mkdir(parents=True, exist_ok=True)
+        else:
+            p.parent.mkdir(parents=True, exist_ok=True)
+            p.write_bytes(content)
+        os.chmod(p, stat.S_IMODE(mode))
 
     def state_token(self, rel: str):
         """Compact fingerprint of a path's current state: None, 'dir', or a sha."""
@@ -277,16 +306,15 @@ class Store:
     def lock_path(self) -> Path:
         return self._db / "lock"
 
-    def _next_id(self) -> int:
+    def _last_id(self) -> int:
+        """The last transaction id handed out, 0 before the first."""
         serial = self._db / "serial"
         text = serial.read_text() if serial.is_file() else "0"
         try:
-            current = int(text)
+            return int(text)
         except ValueError:
             raise CorruptedJournal(
                 f"{DB_DIR}/serial holds {text!r}, not a transaction id") from None
-        serial.write_text(str(current + 1))
-        return current + 1
 
     def begin(self) -> "Transaction":
         """Open the store's single transaction; fails if one is already open."""
@@ -297,7 +325,8 @@ class Store:
             raise AlreadyLocked(f"transaction already open on {self.root}") from None
         try:
             with os.fdopen(fd, "w") as lock:
-                txn = Transaction(self, self._next_id())
+                txn = Transaction(self, self._last_id() + 1)
+                (self._db / "serial").write_text(str(txn.id))
                 lock.write(str(txn.id))
         except BaseException:
             self._release_lock()
@@ -344,26 +373,31 @@ class Store:
     def rollback_to(self, target: int, force: bool = False) -> list[str]:
         """Restore the store to the state just before transaction ``target``.
 
-        Replays persisted journals newest first; every record from ``target``
-        to the newest must still be present.  Reverted records are archived
-        under ``.pkgdb/archive``, not deleted.  Returns the paths skipped
-        because of the preserve globs.  Without ``force``, the current state
-        of every journaled path must match what the recorded transaction left
-        behind, otherwise :class:`CorruptedJournal` is raised before anything
-        is touched.
+        Replays persisted journals newest first.  Each transaction from
+        ``target`` on whose changes are still in the tree needs its record;
+        ids that rolled back, or whose record is archived, are skipped on
+        that evidence, and any other id without a record raises
+        :class:`GapInHistory`.  Reverted records are archived under
+        ``.pkgdb/archive``, not deleted.  Returns the paths skipped because of
+        the preserve globs.  Without ``force``, every journaled path must
+        match what the recorded transaction left behind, otherwise
+        :class:`CorruptedJournal` is raised before anything is touched.
         """
         if self.lock_path.exists():
             raise AlreadyLocked("cannot roll back history while a transaction is open")
-        ids = self.history_ids()
-        latest = ids[-1] if ids else 0
-        if target == latest + 1:
-            return []
-        if target < 1 or target > latest + 1:
+        ids = set(self.history_ids())
+        last = max(self._last_id(), *ids, 0)
+        if target < 1 or target > last + 1:
             raise GapInHistory(f"no history record {target}")
-        needed = list(range(target, latest + 1))
+        rolled = set(self._rolled_back.read_text().split()
+                     if self._rolled_back.is_file() else ())
+        needed = [i for i in range(target, last + 1) if i in ids or not (
+            str(i) in rolled or (self.archive_dir / str(i)).is_dir())]
         missing = [i for i in needed if i not in ids]
         if missing:
-            raise GapInHistory(f"history record {missing[0]} is missing (archived or pruned)")
+            raise GapInHistory(f"history record {missing[0]} is missing (pruned)")
+        if not needed:
+            return []
         records = [self.read_history(i) for i in needed]
 
         if not force:
@@ -373,9 +407,7 @@ class Store:
                     if e.path in seen or self.preserved(e.path):
                         continue
                     seen.add(e.path)
-                    expected = rec.post.get(e.path)
-                    actual = self.state_token(e.path)
-                    if actual != expected:
+                    if self.state_token(e.path) != rec.post.get(e.path):
                         raise CorruptedJournal(
                             f"{e.path!r} was changed outside the engine since "
                             f"transaction {rec.id} (use force to restore anyway)")
@@ -421,57 +453,37 @@ class Store:
 
 
 def _apply_reverse(store: Store, entries) -> list[str]:
-    """Undo journal entries in reverse order; returns preserve-skipped paths.
-
-    Restores are lenient about already-reverted state (a mutation may have
-    failed after its entry was journaled), but a created directory that still
-    has children is skipped with a warning rather than force-deleted.
-    """
+    """``put`` each entry's ``pre_state()``, last entry first.  Lenient
+    about already-reverted state (a mutation may have failed after its entry
+    was journaled); returns the skipped paths: preserved ones, and created
+    directories that still have children (never force-deleted)."""
     skipped: list[str] = []
     for e in reversed(list(entries)):
         if store.preserved(e.path):
             skipped.append(e.path)
             continue
-        p = store.resolve(e.path)
-        if e.kind == "created":
-            if p.is_dir():
-                try:
-                    p.rmdir()
-                except OSError:
-                    skipped.append(e.path)
-            elif p.exists():
-                p.unlink()
-        else:
-            if stat.S_ISDIR(e.mode):
-                p.mkdir(parents=True, exist_ok=True)
-                os.chmod(p, stat.S_IMODE(e.mode))
-            else:
-                if p.is_dir():
-                    raise CorruptedJournal(f"{e.path!r}: directory where file expected")
-                p.parent.mkdir(parents=True, exist_ok=True)
-                p.write_bytes(e.pre_image or b"")
-                os.chmod(p, stat.S_IMODE(e.mode))
+        try:
+            store.put(e.path, e.pre_state())
+        except IsADirectoryError:
+            raise CorruptedJournal(f"{e.path!r}: directory where file expected") from None
+        except OSError as err:
+            if err.errno != errno.ENOTEMPTY:
+                raise
+            skipped.append(e.path)
     return skipped
 
 
 def trim(entries, states) -> list[JournalEntry]:
-    """Drop journal entries whose pre-image equals the path's current state,
-    given as ``states[path]``, the path's ``Store.state``.
+    """Drop journal entries whose ``pre_state()`` equals the path's current
+    state, given as ``states[path]``, in kind, content and permission bits.
 
     A rollback over the trimmed journal lands in the same place as over the
     full one, and the trimmed journal is never larger.
     """
     kept = []
     for e in entries:
-        kind, content, mode = states[e.path]
-        if e.kind == "created":
-            unchanged = kind == "absent"
-        elif stat.S_ISDIR(e.mode):
-            unchanged = kind == "dir" and stat.S_IMODE(mode) == stat.S_IMODE(e.mode)
-        else:
-            unchanged = (kind == "file" and content == (e.pre_image or b"")
-                         and stat.S_IMODE(mode) == stat.S_IMODE(e.mode))
-        if not unchanged:
+        (kind, content, mode), now = e.pre_state(), states[e.path]
+        if (kind, content) != now[:2] or stat.S_IMODE(mode) != stat.S_IMODE(now[2]):
             kept.append(e)
     return kept
 
@@ -501,7 +513,7 @@ class Transaction:
 
     def walk_files(self) -> list[str]:
         """Sorted package-visible files; the disk is listed once per open
-        transaction and ``write_through`` keeps the listing current."""
+        transaction and each mutation keeps the listing current."""
         self._require_open()
         if self._files is None:
             self._files = set(self.store.walk_files())
@@ -509,7 +521,7 @@ class Transaction:
 
     def digest(self, rel: str) -> str:
         """``_sha`` of a file's content, hashed once per open transaction
-        until ``write_through`` touches the path."""
+        until a mutation sets the path."""
         self._require_open()
         sha = self._digests.get(rel)
         if sha is None:
@@ -525,11 +537,24 @@ class Transaction:
         if self.phase != "open":
             raise StoreError(f"transaction {self.id} is {self.phase}")
 
-    def _touch(self, entry: JournalEntry) -> None:
-        self._journal.setdefault(entry.path, entry)
-
     def journal_entries(self) -> list[JournalEntry]:
         return list(self._journal.values())
+
+    def _set(self, rel: str, old, new) -> None:
+        """Journal ``old``, the path's state, on first touch, ``put`` ``new``
+        and keep the memo current."""
+        if rel not in self._journal:
+            kind, content, mode = old
+            action = ("created" if kind == "absent" else
+                      "removed" if new[0] == "absent" else "modified")
+            self._journal[rel] = JournalEntry(rel, action, mode, b"" if kind == "dir" else content)
+        self._digests.pop(rel, None)
+        # a put that raises part-way may have changed the disk: list it again
+        files, self._files = self._files, None
+        self.store.put(rel, new)
+        if files is not None:
+            (files.add if new[0] == "file" else files.discard)(rel)
+        self._files = files
 
     def write_through(self, rel: str, data: bytes | None, mode: int | None = None) -> list[str]:
         """Write ``data`` to a file, creating it and its missing parent
@@ -537,40 +562,19 @@ class Transaction:
         are journaled on first touch, each created directory as ``mkdir``
         journals it.  Returns the created directories, outermost first."""
         self._require_open()
-        self._digests.pop(rel, None)
-        # a write that raises part-way may have changed the disk: list it again
-        files, self._files = self._files, None
-        created = self._write(rel, data, mode)
-        if files is not None:
-            if data is None:
-                files.discard(rel)
-            else:
-                files.add(rel)
-        self._files = files
-        return created
-
-    def _write(self, rel: str, data: bytes | None, mode: int | None) -> list[str]:
-        kind, content, st_mode = self.store.state(rel)
+        kind, _content, st_mode = old = self.store.state(rel)
         if kind == "dir":
             raise IsADirectoryError(f"{rel!r} is a directory")
-        p = self.store.resolve(rel)
         if data is None:
             if kind == "absent":
                 raise FileNotFoundError(f"{rel!r} does not exist")
-            self._touch(JournalEntry(rel, "removed", st_mode, content))
-            p.unlink()
+            self._set(rel, old, _ABSENT)
             return []
         parent = rel.rpartition("/")[0]
         created = self.mkdir(parent) if kind == "absent" and parent else []
-        if kind == "absent":
-            self._touch(JournalEntry(rel, "created"))
-        else:
-            self._touch(JournalEntry(rel, "modified", st_mode, content))
-        p.write_bytes(data)
-        if mode is not None:
-            os.chmod(p, stat.S_IMODE(mode))
-        elif kind == "absent":
-            os.chmod(p, _FILE_MODE)
+        if mode is None:
+            mode = st_mode if kind == "file" else _FILE_MODE
+        self._set(rel, old, ("file", data, mode))
         return created
 
     def mkdir(self, rel: str) -> list[str]:
@@ -589,23 +593,16 @@ class Transaction:
             if kind == "absent":
                 todo.append(partial)
         for partial in todo:
-            self._touch(JournalEntry(partial, "created"))
-            q = self.store.resolve(partial)
-            q.mkdir()
-            os.chmod(q, _DIR_MODE)
+            self._set(partial, _ABSENT, ("dir", None, _DIR_MODE))
         return todo
 
     def rmdir(self, rel: str) -> None:
-        """Remove an empty directory (journaled)."""
+        """Remove an empty directory (journaled); OSError if it is not empty."""
         self._require_open()
-        kind, _content, st_mode = self.store.state(rel)
-        if kind != "dir":
+        old = self.store.state(rel)
+        if old[0] != "dir":
             raise NotADirectoryError(f"{rel!r} is not a directory")
-        p = self.store.resolve(rel)
-        if any(p.iterdir()):
-            raise OSError(f"{rel!r} is not empty")
-        self._touch(JournalEntry(rel, "removed", st_mode, b""))
-        p.rmdir()
+        self._set(rel, old, _ABSENT)
 
     def set_status(self, text: str) -> None:
         self._require_open()
@@ -626,6 +623,8 @@ class Transaction:
         self._forget()
         skipped = _apply_reverse(self.store, self._journal.values())
         self.store.write_status_bytes(self._status_pre)
+        with open(self.store._rolled_back, "a", encoding="utf-8") as fh:
+            fh.write(f"{self.id}\n")
         self._pristine.clear()
         self.phase = "rolled-back"
         self.store._release_lock()

@@ -252,7 +252,8 @@ SCRIPT_HOOKS = ("preinst", "postinst", "prerm", "postrm")
 
 @dataclass(frozen=True)
 class Package:
-    """One versioned unit: identity, relationships, payload manifest, scripts."""
+    """One versioned unit: identity, relationships, payload manifest, scripts.
+    :func:`parse_universe` validates the fields, with line numbers."""
 
     id: PackageId
     rel: Relationship = Relationship()
@@ -265,15 +266,6 @@ class Package:
     prerm: str | None = None
     postrm: str | None = None
     conffile_syntax: tuple[tuple[str, str], ...] = ()
-
-    def __post_init__(self):
-        if self.size_kb < 0:
-            raise MetadataError(f"{self.id}: negative size")
-        extra = set(self.conffiles) - set(self.files)
-        if extra:
-            raise MetadataError(f"{self.id}: conffiles not in files: {sorted(extra)}")
-        for path in self.files:
-            check_rel_path(path)
 
     @property
     def name(self) -> str:
@@ -593,7 +585,6 @@ def parse_universe(text: str) -> Universe:
     packages = []
     for stanza in _split_stanzas(text):
         fields, pid = _read_stanza(stanza, _UNIVERSE_KEYS)
-        first = stanza[0][0]
 
         depends: tuple[tuple[Atom, ...], ...] = ()
         if "Depends" in fields:
@@ -650,14 +641,11 @@ def parse_universe(text: str) -> Universe:
             syntax = tuple(entries)
 
         maintainer = fields["Maintainer"][1] if "Maintainer" in fields else ""
-        try:
-            packages.append(Package(
-                id=pid, rel=Relationship(depends, conflicts, provides),
-                size_kb=size, maintainer=maintainer, files=files, conffiles=conffiles,
-                conffile_syntax=syntax, **scripts,
-            ))
-        except MetadataError as e:
-            raise MetadataError(str(e), first) from None
+        packages.append(Package(
+            id=pid, rel=Relationship(depends, conflicts, provides),
+            size_kb=size, maintainer=maintainer, files=files, conffiles=conffiles,
+            conffile_syntax=syntax, **scripts,
+        ))
     return Universe(packages)
 
 

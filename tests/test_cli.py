@@ -1,5 +1,6 @@
 """Command line contract: subcommands, exit codes, reports."""
 
+import hashlib
 import json
 
 import pytest
@@ -188,6 +189,48 @@ def test_rollback_tampered_file_needs_force(setup, capsys):
     assert "outside the engine" in out
     code, _, _ = run(capsys, "--root", str(store.root), "rollback", "1", "--force")
     assert code == 0
+
+
+def test_rollback_steps_over_a_failed_apply(tmp_path, capsys):
+    meta = ("Package: a\nVersion: 1\nFiles: usr/share/a\n\n"
+            "Package: b\nVersion: 1\nFiles: usr/share/b\nPostinst: hooks/postinst\n\n"
+            "Package: c\nVersion: 1\nFiles: usr/share/c\n")
+    repo = support.write_repo(tmp_path / "repo", meta, {
+        "a_1": {"usr/share/a": b"a\n"},
+        "b_1": {"usr/share/b": b"b\n", "hooks/postinst": b"fail broken postinst\n"},
+        "c_1": {"usr/share/c": b"c\n"},
+    })
+    store = support.new_store(tmp_path)
+    base = ["--root", str(store.root), "--repo", str(repo)]
+    before = {1: (store.tree_hash(), store.status_bytes())}
+    assert run(capsys, *base, "apply", "install a")[0] == 0
+    before[2] = (store.tree_hash(), store.status_bytes())
+    assert run(capsys, *base, "apply", "install b")[0] == 3
+    assert (store.tree_hash(), store.status_bytes()) == before[2]
+    code, out, _ = run(capsys, *base, "apply", "install c")
+    assert code == 0 and "applied as transaction 3" in out
+    code, out, _ = run(capsys, *base, "history")
+    assert [line.split("\t")[0] for line in out.splitlines()] == ["1", "3"]
+    for hid in (1, 2):
+        copy = support.copy_store(store, tmp_path / f"copy{hid}")
+        code, out, _ = run(capsys, "--root", str(copy.root), "rollback", str(hid))
+        assert code == 0, out
+        assert (copy.tree_hash(), copy.status_bytes()) == before[hid]
+
+
+def test_update_cache_lists_a_hand_placed_file_with_a_space(tmp_path, capsys):
+    meta = "Package: a\nVersion: 1\nFiles: usr/share/a\nPostinst: hooks/postinst\n"
+    repo = support.write_repo(tmp_path / "repo", meta, {"a_1": {
+        "usr/share/a": b"a\n",
+        "hooks/postinst": b"update-cache var/cache/index usr/share/**\n"}})
+    store = support.new_store(tmp_path)
+    (store.root / "usr/share/doc").mkdir(parents=True)
+    (store.root / "usr/share/doc/my notes").write_bytes(b"notes\n")
+    code, out, err = run(capsys, "--root", str(store.root), "--repo", str(repo),
+                         "apply", "install a")
+    assert code == 0, out + err
+    sha = hashlib.sha256(b"notes\n").hexdigest()
+    assert f"usr/share/doc/my notes {sha}\n" in store.read("var/cache/index").decode()
 
 
 def test_history_empty_then_lists_records(setup, capsys):

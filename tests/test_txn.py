@@ -159,6 +159,16 @@ def test_paths_outside_sandbox_rejected(store):
     txn.rollback()
 
 
+def test_any_file_name_inside_the_sandbox_is_a_path(store):
+    (store.root / "etc/my notes").write_bytes(b"n\n")
+    txn = store.begin()
+    assert txn.digest("etc/my notes") == hashlib.sha256(b"n\n").hexdigest()
+    txn.write_through("etc/a\\b", b"x")
+    assert txn.state("etc/a\\b")[:2] == ("file", b"x")
+    txn.rollback()
+    assert store.state("etc/a\\b")[0] == "absent"
+
+
 def test_io_error_leaves_txn_open_for_rollback(store):
     baseline = store.tree_hash()
     txn = store.begin()
@@ -323,6 +333,31 @@ def test_rollback_to_over_pruned_history_is_gap(store):
     with pytest.raises(GapInHistory):
         store.rollback_to(1)
     store.rollback_to(2)  # the kept record still works
+
+
+def test_rollback_to_over_fully_pruned_history_is_gap(store):
+    _commit_write(store, "etc/a", b"1")
+    store.prune_history(keep=0)
+    with pytest.raises(GapInHistory, match="record 1 is missing"):
+        store.rollback_to(1)
+    assert store.rollback_to(2) == []  # nothing after transaction 1 to undo
+
+
+def test_rollback_to_steps_over_rolled_back_and_archived_ids(store):
+    h0 = store.tree_hash()
+    _commit_write(store, "etc/a", b"1")
+    h1 = store.tree_hash()
+    _commit_write(store, "etc/a", b"2")
+    store.rollback_to(2)  # archives record 2
+    txn = store.begin()
+    txn.write_through("etc/b", b"3")
+    txn.rollback()  # transaction 3 leaves no record
+    _commit_write(store, "etc/a", b"4")
+    assert store.history_ids() == [1, 4]
+    for target, expected in ((5, None), (4, h1), (3, h1), (2, h1), (1, h0)):
+        copy = support.copy_store(store, store.root.parent / f"copy{target}")
+        copy.rollback_to(target)
+        assert copy.tree_hash() == (expected or store.tree_hash()), target
 
 
 def test_hand_edit_detected_unless_forced(store):

@@ -3,7 +3,9 @@
 ``mscript``, ``confmerge`` and ``planner`` may call only the transaction's
 read and mutation surface on ``txn``, and nothing through ``txn.store``.  An
 in-memory overlay with the same surface can then stand in for the
-transaction.
+transaction.  Inside ``txn``, only the filesystem seam (``Store.state``,
+``put`` and ``read``) maps a package-visible path to disk with ``resolve``,
+so a no-follow resolution has one place to go.
 """
 
 import ast
@@ -15,6 +17,7 @@ SRC = Path(txpkg.__file__).resolve().parent
 ENGINE = ("mscript", "confmerge", "planner")
 SURFACE = {"state", "walk_files", "digest", "write_through", "mkdir", "rmdir",
            "add_pristine", "set_status", "commit", "rollback"}
+SEAM = {"state", "put", "read"}
 
 
 def _is_txn(node) -> bool:
@@ -51,3 +54,30 @@ def test_detector_reports_calls_off_the_surface(tmp_path):
         "    other.exists('a')\n"
         "    g(txn.store)\n")
     assert surface_violations(tmp_path, ("m",)) == ["m:3 txn.exists", "m:4 txn.store.read"]
+
+
+def resolve_callers(path: Path, allowed=SEAM) -> list[str]:
+    """``line function`` for each call of ``resolve`` in a function outside ``allowed``."""
+    out = []
+    for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.name not in allowed:
+            out.extend(f"{node.lineno} {fn.name}" for node in ast.walk(fn)
+                       if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                       and node.func.attr == "resolve")
+    return sorted(out)
+
+
+def test_only_the_seam_resolves_paths():
+    assert resolve_callers(SRC / "txn.py") == []
+
+
+def test_detector_reports_resolve_outside_the_seam(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "class S:\n"
+        "    def state(self, rel):\n"
+        "        return self.resolve(rel)\n"
+        "    def rollback(self, rel):\n"
+        "        def undo():\n"
+        "            return self.resolve(rel)\n"
+        "        return undo\n")
+    assert resolve_callers(tmp_path / "m.py") == ["6 rollback", "6 undo"]
