@@ -27,13 +27,13 @@ delete a file, making missing parents), ``mkdir`` and ``rmdir`` share one
 step: journal the path's state on first touch, ``put`` the new one.
 ``set_status`` and ``add_pristine`` update the engine state under
 ``.pkgdb``.  Rolling back ``put``s each entry's ``pre_state()``, last
-first, puts the status file back and lists the id in ``.pkgdb/rolled-back``.
+first, puts the status file back and notes the id in ``.pkgdb/rolled-back``.
 Committing trims the journal (dropping entries whose ``pre_state()`` equals
 the final state) and persists it under ``.pkgdb/history/<id>/``;
 :meth:`Store.rollback_to` puts the same pre-images back.
 
 Nothing under ``.pkgdb`` is ever package-visible: it holds the status file,
-the lock, the transaction serial, the rolled-back ids, persisted history,
+the lock, the transaction serial, the rolled-back id ranges, persisted history,
 and the pristine conffile store.  Paths matching the store's ``preserve``
 globs (by default ``var/log/**`` and ``home/**``) are journaled like
 everything else but are skipped on restore, with a warning, so log-like
@@ -45,7 +45,6 @@ script modules import it from here.
 
 from __future__ import annotations
 
-import errno
 import fnmatch
 import hashlib
 import json
@@ -182,11 +181,7 @@ def _sha(data: bytes) -> str:
 def _token(state):
     """Compact fingerprint of a ``Store.state`` triple: None, 'dir', or a sha."""
     kind, content, _mode = state
-    if kind == "absent":
-        return None
-    if kind == "dir":
-        return "dir"
-    return _sha(content)
+    return None if kind == "absent" else "dir" if kind == "dir" else _sha(content)
 
 
 class Store:
@@ -198,7 +193,7 @@ class Store:
             raise StoreError(f"store root {self.root} is not a directory")
         self.preserve = tuple(preserve)
         self._db = self.root / DB_DIR
-        self._rolled_back = self._db / "rolled-back"  # one rolled-back id a line
+        self._rolled_back = self._db / "rolled-back"  # "lo hi": a rollback undid lo..hi
 
     # -- path discipline -------------------------------------------------
 
@@ -232,14 +227,12 @@ class Store:
 
     def put(self, rel: str, state) -> None:
         """Make a path hold a ``state`` triple; the one write of the root.
-        Removing an absent path does nothing."""
+        Removing an absent path does nothing; a link is removed, not followed."""
         kind, content, mode = state
         p = self.resolve(rel)
         if kind == "absent":
-            if p.is_dir():
-                p.rmdir()
-            elif os.path.lexists(p):
-                p.unlink()
+            if os.path.lexists(p):
+                (p.rmdir if stat.S_ISDIR(os.lstat(p).st_mode) else p.unlink)()
             return
         if kind == "dir":
             p.mkdir(parents=True, exist_ok=True)
@@ -374,14 +367,14 @@ class Store:
         """Restore the store to the state just before transaction ``target``.
 
         Replays persisted journals newest first.  Each transaction from
-        ``target`` on whose changes are still in the tree needs its record;
-        ids that rolled back, or whose record is archived, are skipped on
-        that evidence, and any other id without a record raises
-        :class:`GapInHistory`.  Reverted records are archived under
-        ``.pkgdb/archive``, not deleted.  Returns the paths skipped because of
-        the preserve globs.  Without ``force``, every journaled path must
-        match what the recorded transaction left behind, otherwise
-        :class:`CorruptedJournal` is raised before anything is touched.
+        ``target`` to the last id handed out needs its record unless a
+        rollback undid it; :class:`GapInHistory` if one is missing, or if a
+        rollback to a smaller id undid the tree from before ``target``.
+        Reverted records are archived under ``.pkgdb/archive``, not deleted.
+        Returns the paths skipped because of the preserve globs.  Without
+        ``force``, every journaled path must match what the recorded
+        transaction left behind, otherwise :class:`CorruptedJournal` is
+        raised before anything is touched.
         """
         if self.lock_path.exists():
             raise AlreadyLocked("cannot roll back history while a transaction is open")
@@ -389,16 +382,20 @@ class Store:
         last = max(self._last_id(), *ids, 0)
         if target < 1 or target > last + 1:
             raise GapInHistory(f"no history record {target}")
-        rolled = set(self._rolled_back.read_text().split()
-                     if self._rolled_back.is_file() else ())
-        needed = [i for i in range(target, last + 1) if i in ids or not (
-            str(i) in rolled or (self.archive_dir / str(i)).is_dir())]
-        missing = [i for i in needed if i not in ids]
+        undone = set()
+        for lo, hi in self._rollbacks():
+            if lo < target <= hi:
+                raise GapInHistory(
+                    f"the tree from before transaction {target} is gone: "
+                    f"a rollback to {lo} undid transactions {lo} to {hi}")
+            undone.update(range(max(lo, target), hi + 1))
+        missing = [i for i in range(target, last + 1) if i not in ids and i not in undone]
         if missing:
-            raise GapInHistory(f"history record {missing[0]} is missing (pruned)")
-        if not needed:
+            raise GapInHistory(f"history record {missing[0]} is missing "
+                               "(pruned, or its transaction never finished)")
+        records = [self.read_history(i) for i in range(target, last + 1) if i in ids]
+        if not records:
             return []
-        records = [self.read_history(i) for i in needed]
 
         if not force:
             seen: set[str] = set()
@@ -417,28 +414,33 @@ class Store:
             skipped.extend(_apply_reverse(self, rec.entries))
             self.write_status_bytes(rec.status_pre)
         self._archive(records)
+        self._rolled_back_note(target, last)
         return skipped
 
+    def _rollbacks(self) -> list[tuple[int, int]]:
+        text = self._rolled_back.read_text() if self._rolled_back.is_file() else ""
+        try:
+            return [(int(lo), int(hi)) for lo, hi in map(str.split, text.splitlines())]
+        except ValueError:
+            raise CorruptedJournal(f"{DB_DIR}/rolled-back is unreadable") from None
+
+    def _rolled_back_note(self, lo: int, hi: int) -> None:
+        with open(self._rolled_back, "a", encoding="utf-8") as fh:
+            fh.write(f"{lo} {hi}\n")
+
     def _archive(self, records) -> None:
+        """Move reverted records, each with its pristine index lines, to the archive."""
         self.archive_dir.mkdir(parents=True, exist_ok=True)
-        reverted = {rec.id for rec in records}
         index = self.pristine_dir / "index"
+        lines = index.read_text().splitlines() if index.is_file() else []
+        owners = [(line, json.loads(line).get("txn")) for line in lines if line.strip()]
+        reverted = {rec.id for rec in records}
         if index.is_file():
-            kept_lines, dropped = [], {}
-            for line in index.read_text().splitlines():
-                if not line.strip():
-                    continue
-                entry = json.loads(line)
-                if entry.get("txn") in reverted:
-                    dropped.setdefault(entry["txn"], []).append(line)
-                else:
-                    kept_lines.append(line)
-            index.write_text("".join(l + "\n" for l in kept_lines))
-            for rec in records:
-                if rec.id in dropped:
-                    target = self.history_dir / str(rec.id) / "pristine"
-                    target.write_text("".join(l + "\n" for l in dropped[rec.id]))
+            index.write_text("".join(l + "\n" for l, txn in owners if txn not in reverted))
         for rec in records:
+            dropped = "".join(l + "\n" for l, txn in owners if txn == rec.id)
+            if dropped:
+                (self.history_dir / str(rec.id) / "pristine").write_text(dropped)
             shutil.move(str(self.history_dir / str(rec.id)), str(self.archive_dir / str(rec.id)))
 
     def prune_history(self, keep: int) -> list[int]:
@@ -453,10 +455,10 @@ class Store:
 
 
 def _apply_reverse(store: Store, entries) -> list[str]:
-    """``put`` each entry's ``pre_state()``, last entry first.  Lenient
-    about already-reverted state (a mutation may have failed after its entry
-    was journaled); returns the skipped paths: preserved ones, and created
-    directories that still have children (never force-deleted)."""
+    """``put`` each entry's ``pre_state()``, last entry first, leniently (a
+    mutation may have failed after its entry was journaled).  Returns the
+    skipped paths: preserved ones, and created directories that cannot be
+    removed, say because they still have children (never force-deleted)."""
     skipped: list[str] = []
     for e in reversed(list(entries)):
         if store.preserved(e.path):
@@ -466,8 +468,8 @@ def _apply_reverse(store: Store, entries) -> list[str]:
             store.put(e.path, e.pre_state())
         except IsADirectoryError:
             raise CorruptedJournal(f"{e.path!r}: directory where file expected") from None
-        except OSError as err:
-            if err.errno != errno.ENOTEMPTY:
+        except OSError:
+            if e.kind != "created" or store.state(e.path)[0] != "dir":
                 raise
             skipped.append(e.path)
     return skipped
@@ -623,8 +625,7 @@ class Transaction:
         self._forget()
         skipped = _apply_reverse(self.store, self._journal.values())
         self.store.write_status_bytes(self._status_pre)
-        with open(self.store._rolled_back, "a", encoding="utf-8") as fh:
-            fh.write(f"{self.id}\n")
+        self.store._rolled_back_note(self.id, self.id)
         self._pristine.clear()
         self.phase = "rolled-back"
         self.store._release_lock()

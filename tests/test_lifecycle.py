@@ -3,16 +3,16 @@ history rollbacks, pruning and hand edits, checked against a model.
 
 The model holds every package-visible path as ``(kind, bytes, mode)``, the
 status bytes, the tree and status before each transaction id, the tree
-after each commit, and what became of each id (live, rolled back, pruned or
-archived).  After every rule the disk and the status file must equal the
-model and ``.pkgdb/lock`` must be absent.  ``rollback_to(k)`` needs the
-record of every transaction from ``k`` on whose changes are still in the
-tree, so it must raise ``GapInHistory`` exactly when one of those records
-was pruned (a transaction that rolled back, or whose record an earlier
-history rollback archived, changed nothing that is left to undo).  It must
+after each commit, what became of each id (live, rolled back, pruned or
+archived), and the id range each rollback undid.  After every rule the disk
+and the status file must equal the model and ``.pkgdb/lock`` must be absent.
+``rollback_to(k)`` needs the record of every transaction from ``k`` on that
+no rollback undid, so it must raise ``GapInHistory`` exactly when one of
+those records was pruned, or when a rollback to ``lo`` undid ``lo`` to
+``hi`` with ``lo < k <= hi`` (the tree from before ``k`` is gone).  It must
 raise ``CorruptedJournal`` exactly when a hand edit changed the token of a
 journaled, non-preserved path, and otherwise restore the tree from before
-``k``, except preserved paths.
+``k``, except preserved paths and paths edited by hand since ``k`` began.
 """
 
 import os
@@ -129,9 +129,10 @@ class Lifecycle(RuleBasedStateMachine):
         self.fate: dict[int, str] = {}  # id -> live | rolled | pruned | archived
         self.pre: dict[int, tuple] = {}  # id -> (tree, status) before the transaction
         self.post: dict[int, dict] = {}  # committed id -> tree after it
-        # the last id used when a hand edit or a history rollback last changed
-        # the tree: ``rollback_to(k)`` gives the tree from before ``k`` if k is later
-        self.rewritten_after = 0
+        self.undone: list[tuple] = []  # (lo, hi) per rollback that undid lo..hi
+        # the last id used when a hand edit last changed the tree:
+        # ``rollback_to(k)`` gives the tree from before ``k`` if k is later
+        self.hand_edited_after = 0
 
     def teardown(self):
         if hasattr(self, "tmp"):
@@ -198,6 +199,7 @@ class Lifecycle(RuleBasedStateMachine):
         self._restore({p: pre_tree.get(p) for p in changed(pre_tree, self.tree)})
         self.status = pre_status
         self.fate[txn.id] = "rolled"
+        self.undone.append((txn.id, txn.id))
 
     # -- rules --------------------------------------------------------------
 
@@ -241,12 +243,17 @@ class Lifecycle(RuleBasedStateMachine):
         self.tree = torn
         self._rolled_back(txn)
 
-    @rule(hid=st.integers(0, 8), force=st.booleans())
-    def history_rollback(self, hid, force):
+    @rule(back=st.integers(-1, 5), force=st.booleans())
+    def history_rollback(self, back, force):
+        """``rollback_to(last + 1 - back)``: a target past the end, the no-op
+        ``last + 1``, a recent transaction, or one before the first."""
+        last = max(self.fate, default=0)
+        hid = last + 1 - back
         # the rollback needs the record of every transaction from ``hid`` on
-        # whose changes are still in the tree: the live and the pruned ones
-        needed = range(hid, max(self.fate, default=0) + 1)
+        # that no rollback undid: the live and the pruned ones
+        needed = range(hid, last + 1)
         gap = (hid < 1 or hid > needed.stop
+               or any(lo < hid <= hi for lo, hi in self.undone)
                or any(self.fate.get(i) == "pruned" for i in needed))
         records = [i for i in needed if self.fate.get(i) == "live"]
         tampered = None
@@ -278,7 +285,9 @@ class Lifecycle(RuleBasedStateMachine):
             self.status = self.pre[records[0]][1]
         for i in records:
             self.fate[i] = "archived"
-        if hid in self.pre and self.rewritten_after < hid:
+        if records:
+            self.undone.append((hid, last))
+        if hid in self.pre and self.hand_edited_after < hid:
             # the paper's promise: every file from before ``hid`` and nothing
             # else, bar preserved paths; directories that held preserved
             # files may stay
@@ -288,8 +297,6 @@ class Lifecycle(RuleBasedStateMachine):
             before = self.pre[hid][0]
             assert visible(self.tree, "file") == visible(before, "file")
             assert visible(before, "dir").items() <= visible(self.tree, "dir").items()
-        if records:
-            self.rewritten_after = max(self.fate)
 
     @rule(keep=st.integers(0, 3))
     def prune(self, keep):
@@ -327,7 +334,7 @@ class Lifecycle(RuleBasedStateMachine):
             self.tree[rel] = ("file", data, 0o644)
         else:
             return
-        self.rewritten_after = max(self.fate, default=0)
+        self.hand_edited_after = max(self.fate, default=0)
 
     # -- invariants -----------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Copy-before-write journaling: locking, rollback, commit, trim, history."""
 
+import errno
 import fnmatch
 import hashlib
 import os
@@ -180,6 +181,31 @@ def test_io_error_leaves_txn_open_for_rollback(store):
     assert store.tree_hash() == baseline
 
 
+def test_rollback_removes_a_link_in_place_of_a_created_directory(store):
+    baseline = store.tree_hash()
+    txn = store.begin()
+    txn.mkdir("opt/d")
+    (store.root / "opt/d").rmdir()
+    (store.root / "opt/d").symlink_to(store.root / "etc")
+    txn.rollback()
+    assert store.tree_hash() == baseline  # the link went, its target stayed
+    assert not store.lock_path.exists()
+
+
+def test_rollback_skips_a_created_directory_it_cannot_remove(store, monkeypatch):
+    txn = store.begin()
+    txn.mkdir("opt/d")
+    txn.write_through("etc/motd", b"changed\n")
+
+    def busy(self):
+        raise OSError(errno.EBUSY, "busy", str(self))
+
+    monkeypatch.setattr(Path, "rmdir", busy)
+    assert txn.rollback() == ["opt/d", "opt"]
+    assert store.read("etc/motd") == b"welcome\n"
+    assert not store.lock_path.exists()
+
+
 # --- commit and trim --------------------------------------------------------------
 
 
@@ -358,6 +384,41 @@ def test_rollback_to_steps_over_rolled_back_and_archived_ids(store):
         copy = support.copy_store(store, store.root.parent / f"copy{target}")
         copy.rollback_to(target)
         assert copy.tree_hash() == (expected or store.tree_hash()), target
+
+
+def test_rollback_to_inside_an_undone_range_is_gap(store):
+    _commit_write(store, "etc/a", b"1")
+    _commit_write(store, "etc/a", b"2")
+    _commit_write(store, "etc/b", b"3")
+    store.rollback_to(2)  # undoes 2 and 3: the tree from before 3 is gone
+    h = store.tree_hash()
+    with pytest.raises(GapInHistory, match="a rollback to 2 undid transactions 2 to 3"):
+        store.rollback_to(3)
+    assert store.tree_hash() == h
+    assert store.rollback_to(4) == []
+
+
+def test_rollback_to_a_rolled_back_id_after_undoing_it_is_gap(store):
+    _commit_write(store, "etc/a", b"1")
+    store.begin().rollback()
+    store.rollback_to(1)  # the tree from before 2 held etc/a
+    with pytest.raises(GapInHistory):
+        store.rollback_to(2)
+
+
+def test_gap_names_a_transaction_that_never_finished(store):
+    _commit_write(store, "etc/motd", b"v1\n")
+    txn = store.begin()
+    txn.write_through("etc/motd", b"v2\n")
+    (store.root / "etc/motd").unlink()
+    (store.root / "etc/motd").mkdir()
+    with pytest.raises(CorruptedJournal):
+        txn.rollback()
+    store.lock_path.unlink()
+    for force in (False, True):
+        with pytest.raises(GapInHistory, match=r"record 2 is missing "
+                           r"\(pruned, or its transaction never finished\)"):
+            store.rollback_to(1, force=force)
 
 
 def test_hand_edit_detected_unless_forced(store):
