@@ -7,21 +7,23 @@ A plan turns the optimizer's chosen status into an ordered action list:
 - upgrade:  retrieve(new) -> prerm(old) -> preinst(new) ->
             remove-files(old minus new) -> unpack(new) -> postinst(new)
 
-Retrieval happens before the transaction opens, so a missing payload costs
-nothing to undo.  Everything after ``begin`` runs through the journal: on any
-script or I/O failure the transaction is rolled back wholesale and the store
-is byte-identical to its initial state.  Configuration order is topological
-over the dependencies installed in the same plan (a package is set up after
-the packages it depends on), with cycles broken deterministically at the
-smallest edge.  The summary counts and the dry-run transcript both come from
-``txpkg.universe.status_diff``, the rule the preference criteria count by.
+Retrieval checks the repository payload before the transaction opens, so a
+missing payload costs nothing to undo; unpack then reads each file in place
+from the repository, without a staging copy.  Everything after ``begin`` runs
+through the journal: on any script or I/O failure, a payload that changed
+after the check included, the transaction is rolled back wholesale and the
+store is byte-identical to its initial state.  Configuration order is
+topological over the dependencies installed in the same plan (a package is
+set up after the packages it depends on), with cycles broken
+deterministically at the smallest edge.  The summary counts and the dry-run
+transcript both come from ``txpkg.universe.status_diff``, the rule the
+preference criteria count by.
 """
 
 from __future__ import annotations
 
 import shutil
 import stat
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -203,26 +205,28 @@ def plan(u: Universe, s0: Status, r: Request, spec: PreferenceSpec) -> Plan:
     return Plan(result, tuple(actions), status_diff(u, s0, s), r, s0, u)
 
 
-def retrieve(pkg: Package, repo_dir, staging_dir) -> Path:
-    """Copy one package payload into the staging area; returns the staged
-    directory.
-
-    The payload directory must hold every manifest file and every declared
-    script; anything missing raises :class:`MissingPayload` (nothing has
-    touched the store at that point).
-    """
+def _payload_files(pkg: Package, repo_dir) -> list[str]:
+    """Sorted payload paths of a package: every manifest file and every
+    declared script.  Anything missing from the repository raises
+    :class:`MissingPayload` (nothing has touched the store at that point)."""
     src = payload_dir(repo_dir, pkg)
     if not src.is_dir():
         raise MissingPayload(f"{pkg.id}: payload directory {src} missing")
-    scripts = [pkg.script_for(hook) for hook in SCRIPT_HOOKS]
-    dest = Path(staging_dir) / src.name
-    for rel in sorted(set(pkg.files) | {p for p in scripts if p}):
-        src_file = src / rel
-        if not src_file.is_file():
+    rels = sorted(set(pkg.files) | {p for p in map(pkg.script_for, SCRIPT_HOOKS) if p})
+    for rel in rels:
+        if not (src / rel).is_file():
             raise MissingPayload(f"{pkg.id}: payload file {rel!r} missing")
-        target = dest / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copy2(src_file, target)
+    return rels
+
+
+def retrieve(pkg: Package, repo_dir, staging_dir) -> Path:
+    """Copy one checked package payload into a staging area; returns the
+    staged directory.  ``execute_plan`` reads payloads in place instead."""
+    src = payload_dir(repo_dir, pkg)
+    dest = Path(staging_dir) / src.name
+    for rel in _payload_files(pkg, repo_dir):
+        (dest / rel).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(src / rel, dest / rel)
     return dest
 
 
@@ -242,31 +246,27 @@ def _script_env(action: Action) -> ScriptEnv:
                      new_version=str(action.pkg.version))
 
 
-def _preflight(plan_: Plan, repo_dir, staging: Path):
-    """Stage payloads and parse every needed script before the store is touched."""
+def _preflight(plan_: Plan, repo_dir):
+    """Check payloads and parse every needed script before the store is touched."""
     universe = plan_.universe
-    staged: dict[PackageId, Path] = {}
-    scripts: dict[tuple[str, PackageId], mscript.ScriptProgram | None] = {}
+    scripts: dict[tuple[str, PackageId], mscript.ScriptProgram] = {}
     for action in plan_.actions:
         pkg = universe.get(action.pkg)
         if action.kind == "retrieve":
-            staged[action.pkg] = retrieve(pkg, repo_dir, staging)
+            _payload_files(pkg, repo_dir)
         elif action.kind in SCRIPT_HOOKS:
-            key = (action.kind, action.pkg)
             rel = pkg.script_for(action.kind)
             if rel is None:
-                scripts[key] = None
                 continue
-            base = staged.get(action.pkg, payload_dir(repo_dir, pkg))
-            script_file = base / rel
+            script_file = payload_dir(repo_dir, pkg) / rel
             if not script_file.is_file():
                 raise MissingPayload(f"{pkg.id}: script {rel!r} missing from payload")
             try:
-                scripts[key] = mscript.parse_script(
+                scripts[(action.kind, action.pkg)] = mscript.parse_script(
                     decode_text(script_file.read_bytes(), script_file))
             except (mscript.ScriptSyntaxError, MetadataError) as e:
                 raise MissingPayload(f"{pkg.id}: script {rel!r} invalid: {e}") from None
-    return staged, scripts
+    return scripts
 
 
 def _remove_files(txn, universe: Universe, action: Action, owned: dict, purge: bool) -> None:
@@ -321,75 +321,73 @@ def execute_plan(plan_: Plan, store: Store, repo_dir, *, purge: bool = False,
     """Run a plan against the store.
 
     ``io_fault``, when given, is called as ``io_fault(event)`` before every
-    unpack file write (event ``"unpack:<id>:<path>"``); raising OSError from
-    it simulates an I/O failure at that point.  On success the status file is
-    updated and the journal committed; the outcome carries the new history id
-    and any conffile conflicts.  On script or I/O failure the transaction is
-    rolled back and the outcome names the failing step.
+    unpack file is read from the repository and written (event
+    ``"unpack:<id>:<path>"``); raising OSError from it simulates an I/O
+    failure at that point.  On success the status file is updated and the
+    journal committed; the outcome carries the new history id and any
+    conffile conflicts.  On script or I/O failure the transaction is rolled
+    back and the outcome names the failing step.
     """
     if not plan_.actions:
         return Outcome("success", notes=("nothing to do",))
     universe = plan_.universe
 
-    staging = Path(tempfile.mkdtemp(prefix="txpkg-staging-"))
     try:
-        try:
-            staged, scripts = _preflight(plan_, repo_dir, staging)
-        except MissingPayload as e:
-            return Outcome("io-failure", failing=str(e))
+        scripts = _preflight(plan_, repo_dir)
+    except MissingPayload as e:
+        return Outcome("io-failure", failing=str(e))
 
-        txn = store.begin()
-        conflicts: list[str] = []
-        current: Action | None = None
-        final_installed = plan_.solution.status.installed
-        try:
-            owned = dict(plan_.s0.owned_files)
-            for action in plan_.actions:
-                current = action
-                if action.kind == "retrieve":
-                    continue
-                if action.kind == "remove-files":
-                    _remove_files(txn, universe, action, owned, purge)
-                elif action.kind == "unpack":
-                    pkg = universe.get(action.pkg)
-                    payload = staged[action.pkg]
-                    for rel in sorted(pkg.files):
-                        if io_fault is not None:
-                            io_fault(f"unpack:{pkg.id}:{rel}")
-                        owner = owned.get(rel)
-                        # a path may change hands only when its current owner
-                        # is on the way out of the installed set
-                        if owner is not None and owner != pkg.id and owner in final_installed:
-                            raise _DeployError(
-                                f"path {rel!r} is owned by {owner}, cannot unpack {pkg.id}")
-                        data = (payload / rel).read_bytes()
-                        mode = stat.S_IMODE((payload / rel).stat().st_mode)
-                        if rel in pkg.conffiles:
-                            outcome = confmerge.upgrade_conffile(txn, pkg, rel, data)
-                            if outcome.kind == "conflict":
-                                conflicts.append(rel)
-                        else:
-                            txn.write_through(rel, data, mode=mode)
-                        owned[rel] = pkg.id
-                else:
-                    program = scripts.get((action.kind, action.pkg))
-                    if program is not None:
-                        mscript.execute(program, txn, _script_env(action))
-            new_status = Status(plan_.solution.status.installed, owned)
-            txn.set_status(serialize_status(new_status))
-            hid = txn.commit(meta={"request": str(plan_.request), "outcome": "success"})
-            return Outcome("success", conffile_conflicts=tuple(conflicts), history_id=hid)
-        except ScriptFailure as failure:
+    txn = store.begin()
+    conflicts: list[str] = []
+    current: Action | None = None
+    final_installed = plan_.solution.status.installed
+    try:
+        owned = dict(plan_.s0.owned_files)
+        for action in plan_.actions:
+            current = action
+            if action.kind == "retrieve":
+                continue
+            if action.kind == "remove-files":
+                _remove_files(txn, universe, action, owned, purge)
+            elif action.kind == "unpack":
+                pkg = universe.get(action.pkg)
+                payload = payload_dir(repo_dir, pkg)
+                for rel in sorted(pkg.files):
+                    if io_fault is not None:
+                        io_fault(f"unpack:{pkg.id}:{rel}")
+                    owner = owned.get(rel)
+                    # a path may change hands only when its current owner
+                    # is on the way out of the installed set
+                    if owner is not None and owner != pkg.id and owner in final_installed:
+                        raise _DeployError(
+                            f"path {rel!r} is owned by {owner}, cannot unpack {pkg.id}")
+                    # read in place: a payload changed since the check fails here
+                    data = (payload / rel).read_bytes()
+                    mode = stat.S_IMODE((payload / rel).stat().st_mode)
+                    if rel in pkg.conffiles:
+                        outcome = confmerge.upgrade_conffile(txn, pkg, rel, data)
+                        if outcome.kind == "conflict":
+                            conflicts.append(rel)
+                    else:
+                        txn.write_through(rel, data, mode=mode)
+                    owned[rel] = pkg.id
+            else:
+                program = scripts.get((action.kind, action.pkg))
+                if program is not None:
+                    mscript.execute(program, txn, _script_env(action))
+        new_status = Status(plan_.solution.status.installed, owned)
+        txn.set_status(serialize_status(new_status))
+        hid = txn.commit(meta={"request": str(plan_.request), "outcome": "success"})
+        return Outcome("success", conffile_conflicts=tuple(conflicts), history_id=hid)
+    except ScriptFailure as failure:
+        txn.rollback()
+        return Outcome("script-failure", failing=f"{current}: {failure}",
+                       conffile_conflicts=tuple(conflicts))
+    except (OSError, confmerge.ConfmergeError) as failure:
+        txn.rollback()
+        return Outcome("io-failure", failing=f"{current}: {failure}",
+                       conffile_conflicts=tuple(conflicts))
+    except BaseException:
+        if txn.phase == "open":
             txn.rollback()
-            return Outcome("script-failure", failing=f"{current}: {failure}",
-                           conffile_conflicts=tuple(conflicts))
-        except (OSError, confmerge.ConfmergeError) as failure:
-            txn.rollback()
-            return Outcome("io-failure", failing=f"{current}: {failure}",
-                           conffile_conflicts=tuple(conflicts))
-        except BaseException:
-            if txn.phase == "open":
-                txn.rollback()
-            raise
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
+        raise

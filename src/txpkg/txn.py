@@ -404,7 +404,11 @@ class Store:
                     if e.path in seen or self.preserved(e.path):
                         continue
                     seen.add(e.path)
-                    if self.state_token(e.path) != rec.post.get(e.path):
+                    try:
+                        changed = self.state_token(e.path) != rec.post.get(e.path)
+                    except OSError:  # unreadable, e.g. now a link to a directory
+                        changed = True
+                    if changed:
                         raise CorruptedJournal(
                             f"{e.path!r} was changed outside the engine since "
                             f"transaction {rec.id} (use force to restore anyway)")

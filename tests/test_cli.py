@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+import tempfile
 
 import pytest
 
@@ -126,6 +128,26 @@ def test_apply_missing_payload_exits_four(setup, capsys):
     assert store.tree_hash() == baseline
 
 
+def test_apply_needs_no_temporary_directory(setup, capsys, monkeypatch, tmp_path):
+    store, repo = setup
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "no-such-dir"))
+    failing = support.copy_store(store, tmp_path / "failing")
+    repo_listing = sorted(repo.rglob("*"))
+    code, out, _ = run(capsys, "--root", str(store.root), "--repo", str(repo),
+                       "apply", "install aterm")
+    assert code == 0 and "applied as transaction 1" in out
+    assert sorted(repo.rglob("*")) == repo_listing
+    u = parse_universe(support.ATERM_META)
+    payload = payload_dir(repo, u.get(PackageId("aterm", Version("1.0.1-4"))))
+    (payload / "hooks/postinst").write_bytes(b"fail boom\n")
+    baseline = failing.tree_hash()
+    code, out, _ = run(capsys, "--root", str(failing.root), "--repo", str(repo),
+                       "apply", "install aterm")
+    assert code == 3 and "store restored" in out
+    assert failing.tree_hash() == baseline
+    assert not (tmp_path / "no-such-dir").exists()
+
+
 def test_apply_keep_prunes_history(setup, capsys):
     store, repo = setup
     base = ["--root", str(store.root), "--repo", str(repo)]
@@ -189,6 +211,32 @@ def test_rollback_tampered_file_needs_force(setup, capsys):
     assert "outside the engine" in out
     code, _, _ = run(capsys, "--root", str(store.root), "rollback", "1", "--force")
     assert code == 0
+
+
+@pytest.mark.parametrize("json_flag", [False, True])
+def test_rollback_refuses_a_journaled_file_replaced_by_a_directory_link(tmp_path, capsys,
+                                                                        json_flag):
+    store = support.new_store(tmp_path)
+    (store.root / "usr").mkdir()
+    txn = store.begin()
+    txn.write_through("etc/motd", b"hi\n")
+    assert txn.commit() == 1
+    motd = store.root / "etc/motd"
+    motd.unlink()
+    motd.symlink_to("../usr")
+    flags = ["--json"] if json_flag else []
+    code, out, _ = run(capsys, "--root", str(store.root), *flags, "rollback", "1")
+    assert code == 1
+    if json_flag:
+        report = json.loads(out)
+        assert report["result"] == "corrupted-journal"
+        assert "'etc/motd' was changed outside the engine since transaction 1" in report["detail"]
+    else:
+        assert out.startswith("error: 'etc/motd' was changed outside the engine since "
+                              "transaction 1 (")
+    assert os.readlink(motd) == "../usr"  # nothing touched
+    assert store.history_ids() == [1]
+    assert not (store.root / ".pkgdb/rolled-back").exists()
 
 
 def test_rollback_steps_over_a_failed_apply(tmp_path, capsys):

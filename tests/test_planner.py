@@ -7,6 +7,7 @@ import pytest
 from txpkg.cli import main
 from txpkg.planner import (
     MissingPayload,
+    Outcome,
     ResolutionFailure,
     execute_plan,
     payload_dir,
@@ -192,6 +193,49 @@ def test_missing_payload_aborts_before_any_mutation(repo, store):
     assert "payload" in out.failing
     assert store.tree_hash() == baseline
     assert not store.lock_path.exists()
+
+
+@pytest.mark.parametrize("rel, message", [
+    ("usr/bin/aterm", "aterm 1.0.1-4: payload file 'usr/bin/aterm' missing"),
+    ("hooks/postinst", "aterm 1.0.1-4: payload file 'hooks/postinst' missing"),
+])
+def test_missing_payload_file_fails_before_the_transaction_opens(repo, store, rel, message):
+    lib_only = plan(ATERM, Status(), parse_request("install libafterimage0"), PREFS)
+    assert execute_plan(lib_only, store, repo).result == "success"
+    serial = store.root / ".pkgdb/serial"
+    serial_before = serial.read_bytes()
+    (payload_dir(repo, ATERM.get(ATERM_ID)) / rel).unlink()
+    baseline = store.tree_hash()
+    p = plan(ATERM, store.load_status(ATERM), parse_request("install aterm"), PREFS)
+    assert execute_plan(p, store, repo) == Outcome("io-failure", failing=message)
+    assert serial.read_bytes() == serial_before  # no transaction was opened
+    assert store.tree_hash() == baseline
+    assert store.history_ids() == [1]
+
+
+def test_payload_that_vanishes_during_apply_is_an_io_failure(repo, store, tmp_path):
+    p = _plan_install()
+    events = []
+    execute_plan(p, support.copy_store(store, tmp_path / "probe"), repo,
+                 io_fault=events.append)
+    assert len(events) == 3
+    payloads = {str(pid): payload_dir(repo, ATERM.get(pid)) for pid in (ATERM_ID, LIB_ID)}
+    baseline, status_before = store.tree_hash(), store.status_bytes()
+    for position, event in enumerate(events):
+        target = support.copy_store(store, tmp_path / f"case{position}")
+
+        def vanish(seen, at=event):
+            if seen == at:  # the file about to be unpacked leaves the repository
+                _, pid, rel = seen.split(":", 2)
+                (payloads[pid] / rel).unlink()
+
+        out = execute_plan(p, target, repo, io_fault=vanish)
+        assert out.result == "io-failure"
+        assert out.failing.startswith(f"unpack {event.split(':')[1]}: ")
+        assert (target.tree_hash(), target.status_bytes()) == (baseline, status_before)
+        assert not target.lock_path.exists()
+        assert target.history_ids() == []
+        support.aterm_repo(tmp_path)  # put the payload back
 
 
 def test_removal_runs_without_payload_when_no_removal_hooks(repo, store):
