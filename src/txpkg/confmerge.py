@@ -97,6 +97,11 @@ def _sync_regions(base, local, incoming):
     return regions
 
 
+def _conflict_block(local: bytes, incoming: bytes) -> bytes:
+    """Both sides of one conflict between the markers, local first."""
+    return b"<<<<<<< local\n" + local + b"=======\n" + incoming + b">>>>>>> incoming\n"
+
+
 def merge3(base: bytes, local: bytes, incoming: bytes) -> MergeOutcome:
     """Line-oriented three-way merge.
 
@@ -112,8 +117,8 @@ def merge3(base: bytes, local: bytes, incoming: bytes) -> MergeOutcome:
     if local == incoming:
         return MergeOutcome("merged", local)
     if not (_is_text(base) and _is_text(local) and _is_text(incoming)):
-        content = (b"<<<<<<< local\n" + local + b"=======\n" + incoming + b">>>>>>> incoming\n")
-        return MergeOutcome("conflict", content, ((base, local, incoming),))
+        return MergeOutcome("conflict", _conflict_block(local, incoming),
+                            ((base, local, incoming),))
 
     b, l, i = _lines(base), _lines(local), _lines(incoming)
     out: list[bytes] = []
@@ -131,12 +136,9 @@ def merge3(base: bytes, local: bytes, incoming: bytes) -> MergeOutcome:
         elif inc_chunk == base_chunk or local_chunk == inc_chunk:
             out.extend(local_chunk)
         else:
-            hunks.append((b"".join(base_chunk), b"".join(local_chunk), b"".join(inc_chunk)))
-            out.append(b"<<<<<<< local\n")
-            out.extend(local_chunk)
-            out.append(b"=======\n")
-            out.extend(inc_chunk)
-            out.append(b">>>>>>> incoming\n")
+            hunk = (b"".join(base_chunk), b"".join(local_chunk), b"".join(inc_chunk))
+            hunks.append(hunk)
+            out.append(_conflict_block(*hunk[1:]))
         out.extend(b[base_lo:base_hi])
         pb, pl, pi = base_hi, local_lo + (base_hi - base_lo), inc_lo + (base_hi - base_lo)
     content = b"".join(out)
@@ -189,8 +191,7 @@ def structured_merge(base: bytes, local: bytes, incoming: bytes,
         return MergeOutcome("kept-local", dump_kv(parsed_l))
 
     merged: dict[str, str] = {}
-    conflicts: list[tuple[bytes, bytes, bytes]] = []
-    conflict_keys: set[str] = set()
+    conflicts: dict[str, tuple[bytes, bytes, bytes]] = {}  # key -> base/local/incoming
     for key in sorted(set(parsed_b) | set(parsed_l) | set(parsed_i)):
         vb, vl, vi = parsed_b.get(key), parsed_l.get(key), parsed_i.get(key)
         if vl == vb:
@@ -198,29 +199,18 @@ def structured_merge(base: bytes, local: bytes, incoming: bytes,
         elif vi == vb or vl == vi:
             chosen = vl
         else:
-            conflict_keys.add(key)
-            conflicts.append(tuple(
-                b"" if v is None else f"{key}={v}\n".encode("utf-8") for v in (vb, vl, vi)))
+            conflicts[key] = tuple(
+                b"" if v is None else f"{key}={v}\n".encode("utf-8") for v in (vb, vl, vi))
             continue
         if chosen is not None:
             merged[key] = chosen
 
     if not conflicts:
         return MergeOutcome("merged", dump_kv(merged))
-    rendered: list[bytes] = []
-    for key in sorted(set(merged) | conflict_keys):
-        if key in conflict_keys:
-            vl, vi = parsed_l.get(key), parsed_i.get(key)
-            rendered.append(b"<<<<<<< local\n")
-            if vl is not None:
-                rendered.append(f"{key}={vl}\n".encode("utf-8"))
-            rendered.append(b"=======\n")
-            if vi is not None:
-                rendered.append(f"{key}={vi}\n".encode("utf-8"))
-            rendered.append(b">>>>>>> incoming\n")
-        else:
-            rendered.append(f"{key}={merged[key]}\n".encode("utf-8"))
-    return MergeOutcome("conflict", b"".join(rendered), tuple(conflicts))
+    rendered = [_conflict_block(*conflicts[key][1:]) if key in conflicts
+                else f"{key}={merged[key]}\n".encode("utf-8")
+                for key in sorted(set(merged) | set(conflicts))]
+    return MergeOutcome("conflict", b"".join(rendered), tuple(conflicts.values()))
 
 
 def dump_kv(mapping: dict) -> bytes:

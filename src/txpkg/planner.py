@@ -8,16 +8,17 @@ A plan turns the optimizer's chosen status into an ordered action list:
             remove-files(old minus new) -> unpack(new) -> postinst(new)
 
 Retrieval checks the repository payload before the transaction opens, so a
-missing payload costs nothing to undo; unpack then reads each file in place
-from the repository, without a staging copy.  Everything after ``begin`` runs
-through the journal: on any script or I/O failure, a payload that changed
-after the check included, the transaction is rolled back wholesale and the
-store is byte-identical to its initial state.  Configuration order is
-topological over the dependencies installed in the same plan (a package is
-set up after the packages it depends on), with cycles broken
-deterministically at the smallest edge.  The summary counts and the dry-run
-transcript both come from ``txpkg.universe.status_diff``, the rule the
-preference criteria count by.
+missing payload costs nothing to undo, and so does a final status in which
+two packages ship one path (``txpkg.universe.derive_owned``); unpack then
+reads each file in place from the repository, without a staging copy.
+Everything after ``begin`` runs through the journal: on any script or I/O
+failure, a payload that changed after the check included, the transaction is
+rolled back wholesale and the store is byte-identical to its initial state.
+Configuration order is topological over the dependencies installed in the
+same plan (a package is set up after the packages it depends on), with cycles
+broken deterministically at the smallest edge.  The summary counts and the
+dry-run transcript both come from ``txpkg.universe.status_diff``, the rule
+the preference criteria count by.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .universe import (
     StatusDiff,
     Universe,
     decode_text,
+    derive_owned,
     serialize_status,
     status_diff,
 )
@@ -95,7 +97,6 @@ class Plan:
     actions: tuple[Action, ...]
     diff: StatusDiff
     request: Request
-    s0: Status
     universe: Universe
 
 
@@ -202,7 +203,7 @@ def plan(u: Universe, s0: Status, r: Request, spec: PreferenceSpec) -> Plan:
                 Action("unpack", pid, old),
                 Action("postinst", pid, old),
             ]
-    return Plan(result, tuple(actions), status_diff(u, s0, s), r, s0, u)
+    return Plan(result, tuple(actions), status_diff(u, s0, s), r, u)
 
 
 def _payload_files(pkg: Package, repo_dir) -> list[str]:
@@ -230,10 +231,6 @@ def retrieve(pkg: Package, repo_dir, staging_dir) -> Path:
     return dest
 
 
-class _DeployError(OSError):
-    """Deployment-level inconsistency, e.g. two owners for one path."""
-
-
 def _script_env(action: Action) -> ScriptEnv:
     pure_removal = action.counterpart is None and action.kind in ("prerm", "postrm")
     if pure_removal:
@@ -247,7 +244,8 @@ def _script_env(action: Action) -> ScriptEnv:
 
 
 def _preflight(plan_: Plan, repo_dir):
-    """Check payloads and parse every needed script before the store is touched."""
+    """Check payloads, parse every needed script and check that the final
+    status ships each path once, all before the store is touched."""
     universe = plan_.universe
     scripts: dict[tuple[str, PackageId], mscript.ScriptProgram] = {}
     for action in plan_.actions:
@@ -266,19 +264,15 @@ def _preflight(plan_: Plan, repo_dir):
                     decode_text(script_file.read_bytes(), script_file))
             except (mscript.ScriptSyntaxError, MetadataError) as e:
                 raise MissingPayload(f"{pkg.id}: script {rel!r} invalid: {e}") from None
+    derive_owned(universe, plan_.solution.status.installed)
     return scripts
 
 
-def _remove_files(txn, universe: Universe, action: Action, owned: dict, purge: bool) -> None:
+def _remove_files(txn, universe: Universe, action: Action, unpacked: set, purge: bool) -> None:
     old = universe.get(action.pkg)
-    keep: set[str] = set()
-    if action.counterpart is not None:
-        keep = set(universe.get(action.counterpart).files)
-    for rel in sorted(set(old.files) - keep):
-        owner = owned.get(rel)
-        if owner is not None and owner != action.pkg:
-            continue  # unpacked earlier in this plan by the package that owns it now
-        owned.pop(rel, None)
+    keep = set(universe.get(action.counterpart).files) if action.counterpart else set()
+    # a path unpacked earlier in this plan belongs to the package that took it over
+    for rel in sorted(set(old.files) - keep - unpacked):
         if rel in old.conffiles and not purge:
             continue  # conffiles survive removal unless purging
         if txn.state(rel)[0] == "file":
@@ -326,7 +320,9 @@ def execute_plan(plan_: Plan, store: Store, repo_dir, *, purge: bool = False,
     failure at that point.  On success the status file is updated and the
     journal committed; the outcome carries the new history id and any
     conffile conflicts.  On script or I/O failure the transaction is rolled
-    back and the outcome names the failing step.
+    back and the outcome names the failing step.  A missing payload, an
+    invalid script or a path shipped twice in the final status is an
+    ``io-failure`` found before the transaction opens.
     """
     if not plan_.actions:
         return Outcome("success", notes=("nothing to do",))
@@ -334,33 +330,26 @@ def execute_plan(plan_: Plan, store: Store, repo_dir, *, purge: bool = False,
 
     try:
         scripts = _preflight(plan_, repo_dir)
-    except MissingPayload as e:
+    except (MissingPayload, MetadataError) as e:
         return Outcome("io-failure", failing=str(e))
 
     txn = store.begin()
     conflicts: list[str] = []
     current: Action | None = None
-    final_installed = plan_.solution.status.installed
+    unpacked: set[str] = set()
     try:
-        owned = dict(plan_.s0.owned_files)
         for action in plan_.actions:
             current = action
             if action.kind == "retrieve":
                 continue
             if action.kind == "remove-files":
-                _remove_files(txn, universe, action, owned, purge)
+                _remove_files(txn, universe, action, unpacked, purge)
             elif action.kind == "unpack":
                 pkg = universe.get(action.pkg)
                 payload = payload_dir(repo_dir, pkg)
                 for rel in sorted(pkg.files):
                     if io_fault is not None:
                         io_fault(f"unpack:{pkg.id}:{rel}")
-                    owner = owned.get(rel)
-                    # a path may change hands only when its current owner
-                    # is on the way out of the installed set
-                    if owner is not None and owner != pkg.id and owner in final_installed:
-                        raise _DeployError(
-                            f"path {rel!r} is owned by {owner}, cannot unpack {pkg.id}")
                     # read in place: a payload changed since the check fails here
                     data = (payload / rel).read_bytes()
                     mode = stat.S_IMODE((payload / rel).stat().st_mode)
@@ -370,13 +359,12 @@ def execute_plan(plan_: Plan, store: Store, repo_dir, *, purge: bool = False,
                             conflicts.append(rel)
                     else:
                         txn.write_through(rel, data, mode=mode)
-                    owned[rel] = pkg.id
+                    unpacked.add(rel)
             else:
                 program = scripts.get((action.kind, action.pkg))
                 if program is not None:
                     mscript.execute(program, txn, _script_env(action))
-        new_status = Status(plan_.solution.status.installed, owned)
-        txn.set_status(serialize_status(new_status))
+        txn.set_status(serialize_status(plan_.solution.status))
         hid = txn.commit(meta={"request": str(plan_.request), "outcome": "success"})
         return Outcome("success", conffile_conflicts=tuple(conflicts), history_id=hid)
     except ScriptFailure as failure:

@@ -5,11 +5,12 @@ is the triple ``(kind, content, mode)``: kind absent|dir|file, a file's
 bytes (else None), and ``st_mode`` (0 when absent).  ``Store.put(rel,
 state)`` makes a path hold such a triple: ``absent`` removes a file or an
 empty directory, ``dir`` makes the directory and ``file`` writes the bytes
-(both make missing parents and set the permission bits).  A journal entry's
-``pre_state()`` is its pre-image as the same triple.  Only ``state``,
-``put`` and ``read`` map a path to disk, through ``Store.resolve``.  Outside
-the seam on purpose: the engine state under ``.pkgdb``, and
-``Store.tree_hash``, the oracles' own reading of the disk.
+(both make missing parents and set the permission bits).  A link at the path
+itself is removed, never written through; links in parent components are
+followed.  A journal entry's ``pre_state()`` is its pre-image as the same
+triple.  Only ``state``, ``put`` and ``read`` map a path to disk, through
+``Store.resolve``.  Outside the seam on purpose: the engine state under
+``.pkgdb``, and ``Store.tree_hash``, the oracles' own reading of the disk.
 
 An open :class:`Transaction` is the engine's one window on the root.  Its
 reads are ``state``, ``walk_files`` and ``digest``.  The file list and each
@@ -227,12 +228,13 @@ class Store:
 
     def put(self, rel: str, state) -> None:
         """Make a path hold a ``state`` triple; the one write of the root.
-        Removing an absent path does nothing; a link is removed, not followed."""
+        Removing an absent path does nothing; a link at the path is removed,
+        never followed, before a file or directory takes its place."""
         kind, content, mode = state
         p = self.resolve(rel)
+        if p.is_symlink() or kind == "absent" and os.path.lexists(p):
+            (p.rmdir if stat.S_ISDIR(os.lstat(p).st_mode) else p.unlink)()
         if kind == "absent":
-            if os.path.lexists(p):
-                (p.rmdir if stat.S_ISDIR(os.lstat(p).st_mode) else p.unlink)()
             return
         if kind == "dir":
             p.mkdir(parents=True, exist_ok=True)

@@ -7,12 +7,16 @@ and both are read through one stanza reader.  This module also holds the
 grammar of a ``name (op version)`` atom, which request parsing reuses, and
 ``status_diff``, the one definition of which names an upgrade removes,
 changes and adds; the optimiser reads its bounds off the same function.
+``derive_owned`` is the one rule of path ownership: a status may not install
+two packages that ship one path.  Reading a status file and executing a plan
+both apply it, the latter to the plan's final status before the root is
+touched.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import total_ordering
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -384,14 +388,10 @@ class Universe:
 
 @dataclass(frozen=True)
 class Status:
-    """The installed subset of a universe.
-
-    ``owned_files`` maps each shipped path to its owning package; it is
-    derived bookkeeping and excluded from equality.
-    """
+    """The installed subset of a universe.  Which package owns a path is
+    computed from it (:func:`derive_owned`), never stored."""
 
     installed: frozenset = frozenset()
-    owned_files: Mapping[str, PackageId] = field(default_factory=dict, compare=False)
 
     def versions_of(self, name: str) -> tuple[Version, ...]:
         return tuple(sorted((p.version for p in self.installed if p.name == name)))
@@ -443,7 +443,8 @@ def status_diff(universe: Universe, s0: Status, s: Status,
 
 
 def derive_owned(universe: Universe, installed: Iterable[PackageId]) -> dict[str, PackageId]:
-    """Path ownership map for an installed set; two owners for one path is an error."""
+    """Path ownership map for an installed set; two owners for one path is a
+    :class:`MetadataError` naming the path and both packages."""
     owned: dict[str, PackageId] = {}
     for pid in sorted(installed, key=lambda i: i.key):
         for path in universe.get(pid).files:
@@ -683,7 +684,8 @@ def serialize_universe(universe: Universe) -> str:
 
 
 def parse_status(text: str, universe: Universe) -> Status:
-    """Parse an installed-status file; every entry must exist in the universe."""
+    """Parse an installed-status file; every entry must exist in the universe,
+    and no two entries may ship one path."""
     installed: set[PackageId] = set()
     for stanza in _split_stanzas(text):
         _fields, pid = _read_stanza(stanza, ("Package", "Version"), kind="status ")
@@ -694,7 +696,8 @@ def parse_status(text: str, universe: Universe) -> Status:
         if pid in installed:
             raise MetadataError(f"package {pid} listed twice", first)
         installed.add(pid)
-    return Status(frozenset(installed), derive_owned(universe, installed))
+    derive_owned(universe, installed)
+    return Status(frozenset(installed))
 
 
 def serialize_status(status: Status) -> str:

@@ -239,6 +239,40 @@ def test_rollback_refuses_a_journaled_file_replaced_by_a_directory_link(tmp_path
     assert not (store.root / ".pkgdb/rolled-back").exists()
 
 
+def _snapshot(path):
+    """A link target's bytes, or every file under it with its bytes."""
+    if path.is_file():
+        return path.read_bytes()
+    return sorted((str(f.relative_to(path)), f.read_bytes())
+                  for f in path.rglob("*") if f.is_file())
+
+
+@pytest.mark.parametrize("target", ["outside file", "directory"])
+def test_forced_rollback_replaces_a_link_and_leaves_its_target(tmp_path, capsys, target):
+    store = support.new_store(tmp_path)
+    support.seed_tree(store.root)
+    before = store.tree_hash()
+    txn = store.begin()
+    txn.write_through("etc/motd", b"hi\n")
+    txn.write_through("etc/other", b"new\n")
+    assert txn.commit() == 1
+    if target == "outside file":
+        dest = tmp_path / "outside"
+        dest.write_bytes(b"not the engine's\n")
+        link = str(dest)
+    else:
+        dest, link = store.root / "usr", "../usr"
+    motd = store.root / "etc/motd"
+    motd.unlink()
+    motd.symlink_to(link)
+    kept = _snapshot(dest)
+    code, out, _ = run(capsys, "--root", str(store.root), "rollback", "1", "--force")
+    assert code == 0, out
+    assert store.tree_hash() == before
+    assert not motd.is_symlink() and motd.read_bytes() == b"welcome\n"
+    assert _snapshot(dest) == kept
+
+
 def test_rollback_steps_over_a_failed_apply(tmp_path, capsys):
     meta = ("Package: a\nVersion: 1\nFiles: usr/share/a\n\n"
             "Package: b\nVersion: 1\nFiles: usr/share/b\nPostinst: hooks/postinst\n\n"
@@ -392,6 +426,34 @@ def test_preserve_flag_reaches_rollback(setup, capsys):
     assert code == 0
     assert "preserved (not restored): usr/bin/aterm" in out
     assert store.state("usr/bin/aterm")[0] == "file"  # skipped on restore per the glob
+
+
+@pytest.mark.parametrize("failing_preinst", [False, True])
+def test_apply_sharing_a_path_exits_four_before_the_transaction(tmp_path, capsys,
+                                                                failing_preinst):
+    # a preinst that would fail first does not matter: the overlap is found
+    # before any script runs
+    meta = ("Package: a\nVersion: 1\nFiles: usr/f\n\n"
+            "Package: b\nVersion: 1\nFiles: usr/f\n"
+            + ("Preinst: hooks/preinst\n" if failing_preinst else ""))
+    repo = support.write_repo(tmp_path / "repo", meta, {
+        "a_1": {"usr/f": b"a\n"},
+        "b_1": {"usr/f": b"b\n", "hooks/preinst": b"fail broken preinst\n"},
+    })
+    store = support.new_store(tmp_path)
+    base = ["--root", str(store.root), "--repo", str(repo)]
+    assert run(capsys, *base, "apply", "install a")[0] == 0
+    db = store.root / ".pkgdb"
+    before = (store.tree_hash(), store.status_bytes(), (db / "serial").read_bytes())
+    code, out, _ = run(capsys, *base, "--json", "apply", "install b")
+    assert code == 4
+    report = json.loads(out)
+    assert report["result"] == "io-failure"
+    assert report["failing"] == "path 'usr/f' owned by both a 1 and b 1"
+    assert (store.tree_hash(), store.status_bytes(), (db / "serial").read_bytes()) == before
+    assert not store.lock_path.exists()
+    assert not (db / "rolled-back").exists()
+    assert run(capsys, *base, "solve", "install a")[0] == 0  # the root still loads
 
 
 def test_corrupt_serial_apply_reports_error_without_traceback(setup, capsys):

@@ -17,7 +17,14 @@ from txpkg.planner import (
 )
 from txpkg.preferences import parse_prefs
 from txpkg.resolver import parse_request
-from txpkg.universe import PackageId, Status, Version, parse_universe, serialize_status
+from txpkg.universe import (
+    PackageId,
+    Status,
+    Version,
+    derive_owned,
+    parse_universe,
+    serialize_status,
+)
 
 import support
 
@@ -159,7 +166,7 @@ def test_apply_install_success(repo, store):
     assert store.read("var/cache/aterm/setup.log") == b"configured aterm 1.0.1-4\n"
     status = store.load_status(ATERM)
     assert status.installed == {ATERM_ID, LIB_ID}
-    assert status.owned_files["usr/bin/aterm"] == ATERM_ID
+    assert derive_owned(ATERM, status.installed)["usr/bin/aterm"] == ATERM_ID
 
 
 def test_empty_plan_executes_without_transaction(repo, store):
@@ -397,8 +404,36 @@ def test_path_ownership_conflict_fails_atomically(tmp_path, store):
     assert store.tree_hash() == baseline
 
 
-@pytest.mark.parametrize("purge", [False, True])
-def test_path_handed_over_in_one_plan_keeps_new_owners_bytes(tmp_path, store, purge):
+SHARED_META = ("Package: a\nVersion: 1\nFiles: usr/f\n\n"
+               "Package: b\nVersion: 1\nFiles: usr/f\n")
+
+
+@pytest.mark.parametrize("hand_made", [False, True])
+def test_shared_path_is_refused_before_the_transaction_opens(tmp_path, store, hand_made):
+    # a 1 is installed and b 1 ships its path: equal statuses plan alike
+    repo = support.write_repo(tmp_path / "repo", SHARED_META,
+                              {"a_1": {"usr/f": b"a\n"}, "b_1": {"usr/f": b"b\n"}})
+    u = parse_universe(SHARED_META)
+    assert execute_plan(plan(u, Status(), parse_request("install a"), PREFS),
+                        store, repo).result == "success"
+    db = store.root / ".pkgdb"
+    before = (store.tree_hash(), store.status_bytes(), (db / "serial").read_bytes())
+    s0 = store.load_status(u)
+    if hand_made:
+        s0 = Status(s0.installed)
+    out = execute_plan(plan(u, s0, parse_request("install b"), PREFS), store, repo)
+    assert out == Outcome("io-failure", failing="path 'usr/f' owned by both a 1 and b 1")
+    assert (store.tree_hash(), store.status_bytes(), (db / "serial").read_bytes()) == before
+    assert not store.lock_path.exists()
+    assert not (db / "rolled-back").exists()
+    assert store.load_status(u) == s0
+
+
+@pytest.mark.parametrize("purge,hand_made", [(False, False), (True, False), (False, True),
+                                             (True, True)],
+                         ids=["False", "True", "False-hand-made", "True-hand-made"])
+def test_path_handed_over_in_one_plan_keeps_new_owners_bytes(tmp_path, store, purge,
+                                                             hand_made):
     # q takes usr/f over from x 1 before x's block removes the files x 2 drops
     meta = ("Package: x\nVersion: 1\nFiles: usr/f, usr/x1\n\n"
             "Package: x\nVersion: 2\nConflicts: x (<< 2)\nFiles: usr/x2\n\n"
@@ -411,13 +446,17 @@ def test_path_handed_over_in_one_plan_keeps_new_owners_bytes(tmp_path, store, pu
     assert first.result == "success"
     (store.root / "usr/f.pkgnew").write_bytes(b"parked\n")
     baseline = store.tree_hash()
-    p = plan(u, store.load_status(u), parse_request("install q, upgrade x (>= 2)"), PREFS)
+    s0 = store.load_status(u)
+    if hand_made:
+        s0 = Status(s0.installed)
+    p = plan(u, s0, parse_request("install q, upgrade x (>= 2)"), PREFS)
     out = execute_plan(p, store, repo, purge=purge)
     assert out.result == "success"
     assert store.read("usr/f") == b"q f\n"
     assert store.read("usr/f.pkgnew") == b"parked\n"
     assert not (store.root / "usr/x1").exists()
-    assert store.load_status(u).owned_files["usr/f"] == PackageId("q", Version("1"))
+    owners = derive_owned(u, store.load_status(u).installed)
+    assert owners["usr/f"] == PackageId("q", Version("1"))
     store.rollback_to(out.history_id)
     assert store.tree_hash() == baseline
 

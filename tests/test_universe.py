@@ -1,5 +1,6 @@
 """Metadata model: version order, parsing, satisfaction, round-trips."""
 
+import dataclasses
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from txpkg.universe import (
     Version,
     VersionConstraint,
     compare_versions,
+    derive_owned,
     parse_dependency_atom,
     parse_status,
     parse_universe,
@@ -236,7 +238,7 @@ def test_parse_status_simple():
     u = parse_universe("Package: libc\nVersion: 2.7\nFiles: lib/libc.so\n")
     st = parse_status("Package: libc\nVersion: 2.7\n", u)
     assert st.installed == {PackageId("libc", Version("2.7"))}
-    assert st.owned_files == {"lib/libc.so": PackageId("libc", Version("2.7"))}
+    assert derive_owned(u, st.installed) == {"lib/libc.so": PackageId("libc", Version("2.7"))}
 
 
 def test_parse_status_empty():
@@ -293,6 +295,6 @@ def test_universe_is_immutable_mapping():
         u.packages[PackageId("x", Version("1"))] = None  # type: ignore[index]
 
 
-def test_status_equality_ignores_owned_files():
-    pid = PackageId("a", Version("1"))
-    assert Status(frozenset({pid})) == Status(frozenset({pid}), {"f": pid})
+def test_status_is_its_installed_set():
+    # path ownership is computed from the installed set, never stored
+    assert [f.name for f in dataclasses.fields(Status)] == ["installed"]
