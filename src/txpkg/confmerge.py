@@ -228,30 +228,26 @@ class PristineStore:
     """
 
     def __init__(self, store: Store):
-        self._dir = store.pristine_dir
+        self._store = store
 
     def entries(self, pkg_name: str, path: str) -> list[dict]:
-        index = self._dir / "index"
-        if not index.is_file():
-            return []
-        out = []
-        for line in index.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            if rec["pkg"] == pkg_name and rec["path"] == path:
-                out.append(rec)
-        return out
+        data = self._store.load("pristine/index") or b""
+        try:
+            records = [json.loads(line) for line in data.decode("utf-8").splitlines()
+                       if line.strip()]
+            return [rec for rec in records if rec["pkg"] == pkg_name and rec["path"] == path]
+        except (ValueError, KeyError, TypeError) as e:
+            raise ConfmergeError(f"pristine index unreadable: {e}") from None
 
     def latest(self, pkg_name: str, path: str) -> dict | None:
         found = self.entries(pkg_name, path)
         return found[-1] if found else None
 
     def content(self, sha: str) -> bytes:
-        obj = self._dir / "objects" / sha
-        if not obj.is_file():
+        data = self._store.load(f"pristine/objects/{sha}")
+        if data is None:
             raise ConfmergeError(f"pristine object {sha} missing")
-        return obj.read_bytes()
+        return data
 
 
 def upgrade_conffile(txn: Transaction, pkg: Package, path: str,

@@ -1,16 +1,24 @@
 """Sandboxed filesystem store with copy-before-write journaling.
 
-One seam reads and writes the package-visible tree.  ``Store.state(rel)``
-is the triple ``(kind, content, mode)``: kind absent|dir|file, a file's
-bytes (else None), and ``st_mode`` (0 when absent).  ``Store.put(rel,
-state)`` makes a path hold such a triple: ``absent`` removes a file or an
-empty directory, ``dir`` makes the directory and ``file`` writes the bytes
-(both make missing parents and set the permission bits).  A link at the path
-itself is removed, never written through; links in parent components are
-followed.  A journal entry's ``pre_state()`` is its pre-image as the same
-triple.  Only ``state``, ``put`` and ``read`` map a path to disk, through
-``Store.resolve``.  Outside the seam on purpose: the engine state under
-``.pkgdb``, and ``Store.tree_hash``, the oracles' own reading of the disk.
+Two seams touch the disk.  The first reads and writes the package-visible
+tree.  ``Store.state(rel)`` is the triple ``(kind, content, mode)``: kind
+absent|dir|file, a file's bytes (else None), and ``st_mode`` (0 when absent).
+``Store.put(rel, state)`` makes a path hold such a triple.  Whatever stands
+at the path in another kind is removed first, an empty directory by
+``rmdir`` and anything else by ``unlink``, so a link at the path is never
+written through; a non-empty directory there makes ``put`` raise OSError.
+``dir`` then makes the directory and ``file`` writes the bytes (both make
+missing parents and set the permission bits); links in parent components
+are followed.  A journal entry's ``pre_state()`` is its pre-image as the
+same triple.  Only ``state``, ``put`` and ``read`` map a path to disk,
+through ``Store.resolve``.  The second seam holds the engine state under
+``.pkgdb``: ``Store.load(name)`` returns a file's bytes, or None when it is
+absent, and ``Store.save(name, data)`` writes them, making missing parents.
+Outside both on purpose: the lock (``begin``'s ``O_EXCL`` create and
+``_release_lock``), whose create must fail rather than overwrite; the
+operations on whole record directories (``history_ids``, the move into
+``archive/`` and ``prune_history``), which list, move and delete directories,
+not files; and ``Store.tree_hash``, the oracles' own reading of the disk.
 
 An open :class:`Transaction` is the engine's one window on the root.  Its
 reads are ``state``, ``walk_files`` and ``digest``.  The file list and each
@@ -194,7 +202,6 @@ class Store:
             raise StoreError(f"store root {self.root} is not a directory")
         self.preserve = tuple(preserve)
         self._db = self.root / DB_DIR
-        self._rolled_back = self._db / "rolled-back"  # "lo hi": a rollback undid lo..hi
 
     # -- path discipline -------------------------------------------------
 
@@ -228,12 +235,15 @@ class Store:
 
     def put(self, rel: str, state) -> None:
         """Make a path hold a ``state`` triple; the one write of the root.
-        Removing an absent path does nothing; a link at the path is removed,
-        never followed, before a file or directory takes its place."""
+        Whatever stands at the path in another kind is removed first, a link
+        included (never followed): an empty directory by ``rmdir``, anything
+        else by ``unlink``.  OSError if a non-empty directory stands there."""
         kind, content, mode = state
         p = self.resolve(rel)
-        if p.is_symlink() or kind == "absent" and os.path.lexists(p):
-            (p.rmdir if stat.S_ISDIR(os.lstat(p).st_mode) else p.unlink)()
+        if os.path.lexists(p):
+            now = os.lstat(p).st_mode
+            if kind != ("dir" if stat.S_ISDIR(now) else "file" if stat.S_ISREG(now) else "other"):
+                (p.rmdir if stat.S_ISDIR(now) else p.unlink)()
         if kind == "absent":
             return
         if kind == "dir":
@@ -278,21 +288,31 @@ class Store:
 
     # -- engine state ----------------------------------------------------
 
-    def _ensure_db(self) -> None:
-        (self._db / "history").mkdir(parents=True, exist_ok=True)
+    def load(self, name: str) -> bytes | None:
+        """The bytes of ``.pkgdb/<name>``, or None when it is absent."""
+        try:
+            return (self._db / name).read_bytes()
+        except FileNotFoundError:
+            return None
+
+    def save(self, name: str, data: bytes) -> None:
+        """Write ``.pkgdb/<name>``, making missing parents."""
+        p = self._db / name
+        try:
+            p.write_bytes(data)
+        except FileNotFoundError:  # parents are made once, not checked on every write
+            p.parent.mkdir(parents=True, exist_ok=True)
+            p.write_bytes(data)
 
     @property
     def status_path(self) -> Path:
         return self._db / "status"
 
     def status_bytes(self) -> bytes:
-        if self.status_path.is_file():
-            return self.status_path.read_bytes()
-        return b""
+        return self.load("status") or b""
 
     def write_status_bytes(self, data: bytes) -> None:
-        self._ensure_db()
-        self.status_path.write_bytes(data)
+        self.save("status", data)
 
     def load_status(self, universe: Universe) -> Status:
         return parse_status(decode_text(self.status_bytes(), self.status_path), universe)
@@ -303,17 +323,16 @@ class Store:
 
     def _last_id(self) -> int:
         """The last transaction id handed out, 0 before the first."""
-        serial = self._db / "serial"
-        text = serial.read_text() if serial.is_file() else "0"
+        data = self.load("serial")
         try:
-            return int(text)
+            return 0 if data is None else int(data)
         except ValueError:
             raise CorruptedJournal(
-                f"{DB_DIR}/serial holds {text!r}, not a transaction id") from None
+                f"{DB_DIR}/serial holds {data!r}, not a transaction id") from None
 
     def begin(self) -> "Transaction":
         """Open the store's single transaction; fails if one is already open."""
-        self._ensure_db()
+        self._db.mkdir(exist_ok=True)
         try:
             fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
@@ -321,7 +340,7 @@ class Store:
         try:
             with os.fdopen(fd, "w") as lock:
                 txn = Transaction(self, self._last_id() + 1)
-                (self._db / "serial").write_text(str(txn.id))
+                self.save("serial", str(txn.id).encode())
                 lock.write(str(txn.id))
         except BaseException:
             self._release_lock()
@@ -351,19 +370,18 @@ class Store:
         return sorted(int(p.name) for p in self.history_dir.iterdir() if p.name.isdigit())
 
     def read_history(self, hid: int) -> HistoryRecord:
-        d = self.history_dir / str(hid)
-        if not d.is_dir():
+        if not (self.history_dir / str(hid)).is_dir():
             raise GapInHistory(f"no history record {hid}")
+        parts = {name: self.load(f"history/{hid}/{name}")
+                 for name in ("journal", "status-pre", "post", "meta")}
+        missing = [name for name, data in parts.items() if data is None]
+        if missing:
+            raise CorruptedJournal(f"history record {hid} incomplete: no {missing[0]}")
         try:
-            entries = journal_load((d / "journal").read_bytes())
-            status_pre = (d / "status-pre").read_bytes()
-            post = json.loads((d / "post").read_text())
-            meta = json.loads((d / "meta").read_text())
-        except FileNotFoundError as e:
-            raise CorruptedJournal(f"history record {hid} incomplete: {e}") from None
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            return HistoryRecord(hid, journal_load(parts["journal"]), parts["status-pre"],
+                                 json.loads(parts["post"]), json.loads(parts["meta"]))
+        except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
             raise CorruptedJournal(f"history record {hid} unreadable: {e}") from None
-        return HistoryRecord(hid, entries, status_pre, post, meta)
 
     def rollback_to(self, target: int, force: bool = False) -> list[str]:
         """Restore the store to the state just before transaction ``target``.
@@ -398,6 +416,7 @@ class Store:
         records = [self.read_history(i) for i in range(target, last + 1) if i in ids]
         if not records:
             return []
+        owners = self._pristine_owners()
 
         if not force:
             seen: set[str] = set()
@@ -419,34 +438,41 @@ class Store:
         for rec in reversed(records):
             skipped.extend(_apply_reverse(self, rec.entries))
             self.write_status_bytes(rec.status_pre)
-        self._archive(records)
+        self._archive(records, owners)
         self._rolled_back_note(target, last)
         return skipped
 
     def _rollbacks(self) -> list[tuple[int, int]]:
-        text = self._rolled_back.read_text() if self._rolled_back.is_file() else ""
+        """The ``lo hi`` lines of ``rolled-back``: a rollback undid lo..hi."""
+        lines = (self.load("rolled-back") or b"").splitlines()
         try:
-            return [(int(lo), int(hi)) for lo, hi in map(str.split, text.splitlines())]
+            return [(int(lo), int(hi)) for lo, hi in map(bytes.split, lines)]
         except ValueError:
             raise CorruptedJournal(f"{DB_DIR}/rolled-back is unreadable") from None
 
     def _rolled_back_note(self, lo: int, hi: int) -> None:
-        with open(self._rolled_back, "a", encoding="utf-8") as fh:
-            fh.write(f"{lo} {hi}\n")
+        self.save("rolled-back", (self.load("rolled-back") or b"") + f"{lo} {hi}\n".encode())
 
-    def _archive(self, records) -> None:
+    def _pristine_owners(self) -> list[tuple[str, int | None]]:
+        """Each line of the pristine index with the transaction that wrote it."""
+        data = self.load("pristine/index") or b""
+        try:
+            return [(line, json.loads(line).get("txn"))
+                    for line in data.decode("utf-8").splitlines() if line.strip()]
+        except (ValueError, AttributeError):
+            raise CorruptedJournal(f"{DB_DIR}/pristine/index is unreadable") from None
+
+    def _archive(self, records, owners) -> None:
         """Move reverted records, each with its pristine index lines, to the archive."""
         self.archive_dir.mkdir(parents=True, exist_ok=True)
-        index = self.pristine_dir / "index"
-        lines = index.read_text().splitlines() if index.is_file() else []
-        owners = [(line, json.loads(line).get("txn")) for line in lines if line.strip()]
         reverted = {rec.id for rec in records}
-        if index.is_file():
-            index.write_text("".join(l + "\n" for l, txn in owners if txn not in reverted))
+        kept = [line for line, txn in owners if txn not in reverted]
+        if len(kept) < len(owners):
+            self.save("pristine/index", "".join(line + "\n" for line in kept).encode())
         for rec in records:
-            dropped = "".join(l + "\n" for l, txn in owners if txn == rec.id)
+            dropped = "".join(line + "\n" for line, txn in owners if txn == rec.id)
             if dropped:
-                (self.history_dir / str(rec.id) / "pristine").write_text(dropped)
+                self.save(f"history/{rec.id}/pristine", dropped.encode())
             shutil.move(str(self.history_dir / str(rec.id)), str(self.archive_dir / str(rec.id)))
 
     def prune_history(self, keep: int) -> list[int]:
@@ -472,11 +498,11 @@ def _apply_reverse(store: Store, entries) -> list[str]:
             continue
         try:
             store.put(e.path, e.pre_state())
-        except IsADirectoryError:
-            raise CorruptedJournal(f"{e.path!r}: directory where file expected") from None
         except OSError:
-            if e.kind != "created" or store.state(e.path)[0] != "dir":
+            if store.state(e.path)[0] != "dir":
                 raise
+            if e.kind != "created":
+                raise CorruptedJournal(f"{e.path!r}: directory where file expected") from None
             skipped.append(e.path)
     return skipped
 
@@ -646,16 +672,15 @@ class Transaction:
         states = {e.path: self.store.state(e.path) for e in entries}
         if do_trim:
             entries = trim(entries, states)
-        record_dir = self.store.history_dir / str(self.id)
-        record_dir.mkdir(parents=True, exist_ok=True)
-        (record_dir / "journal").write_bytes(journal_dump(entries))
-        (record_dir / "status-pre").write_bytes(self._status_pre)
+        record = f"history/{self.id}/"
+        self.store.save(record + "journal", journal_dump(entries))
+        self.store.save(record + "status-pre", self._status_pre)
         post = {e.path: _token(states[e.path]) for e in entries}
-        (record_dir / "post").write_text(json.dumps(post, sort_keys=True, indent=0))
+        self.store.save(record + "post", json.dumps(post, sort_keys=True, indent=0).encode())
         info = {"timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
                 "request": "", "outcome": "committed"}
         info.update(meta or {})
-        (record_dir / "meta").write_text(json.dumps(info, sort_keys=True, indent=0))
+        self.store.save(record + "meta", json.dumps(info, sort_keys=True, indent=0).encode())
         self._flush_pristine()
         self.phase = "committed"
         self.store._release_lock()
@@ -664,14 +689,8 @@ class Transaction:
     def _flush_pristine(self) -> None:
         if not self._pristine:
             return
-        pristine_dir = self.store.pristine_dir
-        objects = pristine_dir / "objects"
-        objects.mkdir(parents=True, exist_ok=True)
-        index = pristine_dir / "index"
-        with open(index, "a", encoding="utf-8") as fh:
-            for record, content in self._pristine:
-                obj = objects / record["sha"]
-                if not obj.exists():
-                    obj.write_bytes(content)
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        for record, content in self._pristine:  # content-addressed: a rewrite is a no-op
+            self.store.save(f"pristine/objects/{record['sha']}", content)
+        lines = "".join(json.dumps(record, sort_keys=True) + "\n" for record, _ in self._pristine)
+        self.store.save("pristine/index", (self.store.load("pristine/index") or b"") + lines.encode())
         self._pristine.clear()

@@ -300,6 +300,25 @@ def test_rollback_steps_over_a_failed_apply(tmp_path, capsys):
         assert (copy.tree_hash(), copy.status_bytes()) == before[hid]
 
 
+def test_failed_upgrade_that_turns_a_file_into_a_directory_is_rolled_back(tmp_path, capsys):
+    meta = ("Package: a\nVersion: 1\nFiles: usr/share/a\n\n"
+            "Package: a\nVersion: 2\nConflicts: a (<< 2)\nFiles: usr/share/a/data\n"
+            "Postinst: hooks/postinst\n")
+    repo = support.write_repo(tmp_path / "repo", meta, {
+        "a_1": {"usr/share/a": b"a\n"},
+        "a_2": {"usr/share/a/data": b"d\n", "hooks/postinst": b"fail broken postinst\n"},
+    })
+    store = support.new_store(tmp_path)
+    base = ["--root", str(store.root), "--repo", str(repo)]
+    assert run(capsys, *base, "apply", "install a (= 1)")[0] == 0
+    before = (store.tree_hash(), store.status_bytes())
+    code, out, err = run(capsys, *base, "apply", "upgrade a (>= 2)")
+    assert code == 3, out + err
+    assert (store.tree_hash(), store.status_bytes()) == before
+    assert store.read("usr/share/a") == b"a\n"
+    assert not store.lock_path.exists()
+
+
 def test_update_cache_lists_a_hand_placed_file_with_a_space(tmp_path, capsys):
     meta = "Package: a\nVersion: 1\nFiles: usr/share/a\nPostinst: hooks/postinst\n"
     repo = support.write_repo(tmp_path / "repo", meta, {"a_1": {
@@ -460,12 +479,27 @@ def test_corrupt_serial_apply_reports_error_without_traceback(setup, capsys):
     store, repo = setup
     base = ["--root", str(store.root), "--repo", str(repo)]
     assert run(capsys, *base, "apply", "install aterm")[0] == 0
-    (store.lock_path.parent / "serial").write_text("garbage")
-    code, out, err = run(capsys, *base, "apply", "remove aterm")
+    for serial in (b"garbage", b"\xff\xfe"):
+        (store.lock_path.parent / "serial").write_bytes(serial)
+        code, out, err = run(capsys, *base, "apply", "remove aterm")
+        assert code == 1
+        assert err.startswith("error: ") and ".pkgdb/serial" in err
+        assert "Traceback" not in out + err
+        assert not store.lock_path.exists()
+
+
+@pytest.mark.parametrize("name", ["serial", "rolled-back"])
+def test_undecodable_counter_rollback_reports_error(setup, capsys, name):
+    store, repo = setup
+    base = ["--root", str(store.root), "--repo", str(repo)]
+    assert run(capsys, *base, "apply", "install aterm")[0] == 0
+    (store.lock_path.parent / name).write_bytes(b"\xff\xfe 1\n")
+    before = store.tree_hash()
+    code, out, err = run(capsys, "--root", str(store.root), "rollback", "1")
     assert code == 1
-    assert err.startswith("error: ") and ".pkgdb/serial" in err
+    assert out.startswith("error: ") and f".pkgdb/{name}" in out
     assert "Traceback" not in out + err
-    assert not store.lock_path.exists()
+    assert store.tree_hash() == before and store.history_ids() == [1]
 
 
 # --- input that is not UTF-8 ---------------------------------------------------------
@@ -544,7 +578,8 @@ def test_locked_store_apply_exits_four(setup, capsys):
     assert "already open" in err
 
 
-def test_apply_missing_pristine_object_is_an_io_failure(tmp_path, capsys):
+def _conffile_root(tmp_path, capsys):
+    """A root with ``a 1`` and its conffile installed, and a repository offering ``a 2``."""
     meta = ("Package: a\nVersion: 1\nFiles: etc/a.conf\nConffiles: etc/a.conf\n\n"
             "Package: a\nVersion: 2\nConflicts: a (<< 2)\nFiles: etc/a.conf\n"
             "Conffiles: etc/a.conf\n")
@@ -555,6 +590,11 @@ def test_apply_missing_pristine_object_is_an_io_failure(tmp_path, capsys):
     store = support.new_store(tmp_path)
     base = ["--root", str(store.root), "--repo", str(repo)]
     assert run(capsys, *base, "apply", "install a (= 1)")[0] == 0
+    return store, base
+
+
+def test_apply_missing_pristine_object_is_an_io_failure(tmp_path, capsys):
+    store, base = _conffile_root(tmp_path, capsys)
     (store.root / "etc/a.conf").write_bytes(b"k=1\nlocal=yes\n")
     for obj in (store.pristine_dir / "objects").iterdir():
         obj.unlink()
@@ -565,3 +605,31 @@ def test_apply_missing_pristine_object_is_an_io_failure(tmp_path, capsys):
     assert "Traceback" not in out + err
     assert store.tree_hash() == baseline and store.status_bytes() == status
     assert not store.lock_path.exists()
+
+
+def _engine_state(store):
+    db = store.root / ".pkgdb"
+    return {str(p.relative_to(db)): p.read_bytes() for p in sorted(db.rglob("*")) if p.is_file()}
+
+
+def test_apply_with_an_unparseable_pristine_index_is_an_io_failure(tmp_path, capsys):
+    store, base = _conffile_root(tmp_path, capsys)
+    (store.pristine_dir / "index").write_bytes(b"{not json\n")
+    baseline, status = store.tree_hash(), store.status_bytes()
+    code, out, err = run(capsys, *base, "apply", "upgrade a (>= 2)")
+    assert code == 4
+    assert "failed (io-failure): unpack a 2: pristine index unreadable" in out
+    assert "Traceback" not in out + err
+    assert store.tree_hash() == baseline and store.status_bytes() == status
+    assert not store.lock_path.exists()
+
+
+def test_rollback_with_an_unparseable_pristine_index_touches_nothing(tmp_path, capsys):
+    store, _base = _conffile_root(tmp_path, capsys)
+    (store.pristine_dir / "index").write_bytes(b"{not json\n")
+    baseline, state = store.tree_hash(), _engine_state(store)
+    code, out, err = run(capsys, "--root", str(store.root), "rollback", "1")
+    assert code == 1
+    assert out.startswith("error: ") and ".pkgdb/pristine/index" in out
+    assert "Traceback" not in out + err
+    assert store.tree_hash() == baseline and _engine_state(store) == state

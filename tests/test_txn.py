@@ -60,10 +60,11 @@ def test_ids_are_monotonic(store):
 
 def test_failed_begin_releases_lock(store):
     store.begin().commit()
-    (store.lock_path.parent / "serial").write_text("garbage")
-    with pytest.raises(CorruptedJournal, match="serial"):
-        store.begin()
-    assert not store.lock_path.exists()
+    for serial in (b"garbage", b"\xff\xfe"):
+        (store.lock_path.parent / "serial").write_bytes(serial)
+        with pytest.raises(CorruptedJournal, match="serial"):
+            store.begin()
+        assert not store.lock_path.exists()
 
 
 # --- write_through and the journal ----------------------------------------------
@@ -412,6 +413,7 @@ def test_gap_names_a_transaction_that_never_finished(store):
     txn.write_through("etc/motd", b"v2\n")
     (store.root / "etc/motd").unlink()
     (store.root / "etc/motd").mkdir()
+    (store.root / "etc/motd/child").write_bytes(b"")
     with pytest.raises(CorruptedJournal):
         txn.rollback()
     store.lock_path.unlink()
@@ -419,6 +421,17 @@ def test_gap_names_a_transaction_that_never_finished(store):
         with pytest.raises(GapInHistory, match=r"record 2 is missing "
                            r"\(pruned, or its transaction never finished\)"):
             store.rollback_to(1, force=force)
+
+
+def test_rollback_to_puts_a_file_back_over_the_directory_that_replaced_it(store):
+    before = store.tree_hash()
+    txn = store.begin()
+    txn.write_through("etc/motd", None)
+    txn.write_through("etc/motd/data", b"d\n")
+    txn.commit()
+    store.rollback_to(1)
+    assert store.tree_hash() == before
+    assert store.read("etc/motd") == b"welcome\n"
 
 
 def test_hand_edit_detected_unless_forced(store):

@@ -7,7 +7,11 @@ overlay with the same surface can then stand in for the transaction.  One
 reach is known: ``upgrade_conffile`` reads the pristine conffile store
 through ``PristineStore(txn.store)``.  Inside ``txn``, only the filesystem
 seam (``Store.state``, ``put`` and ``read``) maps a package-visible path to
-disk with ``resolve``, so a no-follow resolution has one place to go.
+disk with ``resolve``, so a no-follow resolution has one place to go.  Only
+the two seams, ``tree_hash`` and the lock in ``begin`` read or write a file
+at all, so every file under ``.pkgdb`` goes through ``Store.load`` and
+``save``, where an atomic write or an overlay has one place to go;
+``confmerge`` reads or writes no file itself.
 """
 
 import ast
@@ -20,6 +24,8 @@ ENGINE = ("mscript", "confmerge", "planner")
 SURFACE = {"state", "walk_files", "digest", "write_through", "mkdir", "rmdir",
            "add_pristine", "set_status", "commit", "rollback"}
 SEAM = {"state", "put", "read"}
+FILE_IO = {"read_bytes", "write_bytes", "read_text", "write_text", "open"}
+FILE_SEAM = SEAM | {"load", "save", "tree_hash", "begin"}
 KNOWN_REACH = ("confmerge", "PristineStore(txn.store)")
 
 
@@ -70,19 +76,21 @@ def test_detector_reports_calls_off_the_surface(tmp_path):
         "m:3 txn.exists", "m:4 txn.store.read", "m:6 txn.store"]
 
 
-def resolve_callers(path: Path, allowed=SEAM) -> list[str]:
-    """``line function`` for each call of ``resolve`` in a function outside ``allowed``."""
+def callers(path: Path, names, allowed=frozenset()) -> list[str]:
+    """``line function`` for each call of a function or method in ``names``
+    (``resolve`` in ``self.resolve``, ``open`` in ``os.open``) made in a
+    function outside ``allowed``."""
     out = []
     for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.name not in allowed:
             out.extend(f"{node.lineno} {fn.name}" for node in ast.walk(fn)
-                       if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                       and node.func.attr == "resolve")
+                       if isinstance(node, ast.Call)
+                       and getattr(node.func, "attr", getattr(node.func, "id", None)) in names)
     return sorted(out)
 
 
 def test_only_the_seam_resolves_paths():
-    assert resolve_callers(SRC / "txn.py") == []
+    assert callers(SRC / "txn.py", {"resolve"}, SEAM) == []
 
 
 def test_detector_reports_resolve_outside_the_seam(tmp_path):
@@ -94,4 +102,23 @@ def test_detector_reports_resolve_outside_the_seam(tmp_path):
         "        def undo():\n"
         "            return self.resolve(rel)\n"
         "        return undo\n")
-    assert resolve_callers(tmp_path / "m.py") == ["6 rollback", "6 undo"]
+    assert callers(tmp_path / "m.py", {"resolve"}, SEAM) == ["6 rollback", "6 undo"]
+
+
+def test_only_the_seams_touch_files():
+    assert callers(SRC / "txn.py", FILE_IO, FILE_SEAM) == []
+    assert callers(SRC / "confmerge.py", FILE_IO) == []
+
+
+def test_detector_reports_file_io_outside_the_seams(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "class S:\n"
+        "    def load(self, name):\n"
+        "        return (self.db / name).read_bytes()\n"
+        "    def commit(self):\n"
+        "        (self.db / 'meta').write_text('{}')\n"
+        "        with open(self.db / 'index', 'a') as fh:\n"
+        "            fh.write('x')\n"
+        "        os.open(self.db / 'lock', 0)\n")
+    assert callers(tmp_path / "m.py", FILE_IO, FILE_SEAM) == ["5 commit", "6 commit", "8 commit"]
+    assert callers(tmp_path / "m.py", FILE_IO) == ["3 load", "5 commit", "6 commit", "8 commit"]
