@@ -13,8 +13,8 @@ One executable, apt-style subcommands::
 Exit codes are a stable contract: 0 success, 1 domain failure (unsolvable
 request, unhealthy packages, missing history, merge conflict), 2 malformed
 input or configuration, 3 script failure during apply (store restored),
-4 I/O failure during apply (store restored).  ``--json`` switches reports to
-machine-readable records.
+4 I/O failure during apply or rollback (store restored).  ``--json``
+switches reports to machine-readable records.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_roll.add_argument("--force", action="store_true",
                         help="restore even if files changed outside the engine")
 
-    sub.add_parser("history", help="list committed transactions")
+    sub.add_parser("history", help="list the record of every transaction")
 
     p_merge = sub.add_parser("merge-config", help="three-way merge of arbitrary files")
     p_merge.add_argument("base")
@@ -200,12 +200,11 @@ def cmd_rollback(args) -> int:
     store = _store(args)
     try:
         skipped = store.rollback_to(args.history_id, force=args.force)
-    except GapInHistory as e:
-        _emit(args, {"result": "gap-in-history", "detail": str(e)}, f"error: {e}")
-        return EXIT_FAILURE
-    except CorruptedJournal as e:
-        _emit(args, {"result": "corrupted-journal", "detail": str(e)}, f"error: {e}")
-        return EXIT_FAILURE
+    except (GapInHistory, CorruptedJournal, OSError) as e:
+        result = ("gap-in-history" if isinstance(e, GapInHistory) else
+                  "corrupted-journal" if isinstance(e, CorruptedJournal) else "io-failure")
+        _emit(args, {"result": result, "detail": str(e)}, f"error: {e}")
+        return EXIT_IO if result == "io-failure" else EXIT_FAILURE
     lines = [f"preserved (not restored): {path}" for path in skipped]
     lines.append(f"store restored to before transaction {args.history_id}")
     _emit(args, {"result": "rolled-back", "target": args.history_id, "preserved": skipped},

@@ -1,55 +1,41 @@
 """Sandboxed filesystem store with copy-before-write journaling.
 
-Two seams touch the disk.  The first reads and writes the package-visible
-tree.  ``Store.state(rel)`` is the triple ``(kind, content, mode)``: kind
-absent|dir|file, a file's bytes (else None), and ``st_mode`` (0 when absent).
-``Store.put(rel, state)`` makes a path hold such a triple.  Whatever stands
-at the path in another kind is removed first, an empty directory by
-``rmdir`` and anything else by ``unlink``, so a link at the path is never
-written through; a non-empty directory there makes ``put`` raise OSError.
-``dir`` then makes the directory and ``file`` writes the bytes (both make
-missing parents and set the permission bits); links in parent components
-are followed.  A journal entry's ``pre_state()`` is its pre-image as the
-same triple.  Only ``state``, ``put`` and ``read`` map a path to disk,
-through ``Store.resolve``.  The second seam holds the engine state under
-``.pkgdb``: ``Store.load(name)`` returns a file's bytes, or None when it is
-absent, and ``Store.save(name, data)`` writes them, making missing parents.
-Outside both on purpose: the lock (``begin``'s ``O_EXCL`` create and
-``_release_lock``), whose create must fail rather than overwrite; the
-operations on whole record directories (``history_ids``, the move into
-``archive/`` and ``prune_history``), which list, move and delete directories,
-not files; and ``Store.tree_hash``, the oracles' own reading of the disk.
+Two seams touch the disk.  ``Store.state(rel)`` reads a package-visible
+path as ``(kind, content, mode)``: kind absent|dir|file, a file's bytes
+(else None) and ``st_mode`` (0 when absent), the triple a journal entry's
+``pre_state()`` also gives.  ``Store.put(rel, state)`` makes the path hold
+one: whatever stands there in another kind goes first, an empty directory
+by ``rmdir`` and anything else, a link included, by ``unlink`` (OSError for
+a non-empty directory); then missing parents are made and the permission
+bits set.  Links in parent components are followed.  Only ``state``,
+``put`` and ``read`` map a path to disk, through ``Store.resolve``.
+``Store.load(name)`` and ``Store.save(name, data)`` read (None when absent)
+and write the engine state under ``.pkgdb``.  Outside both on purpose: the
+lock (``begin``'s ``O_EXCL`` create, which must fail rather than overwrite,
+and ``_release_lock``); whole record directories (``history_ids``, the
+rename that puts a record in place, the move into ``archive/`` and
+``prune_history``); and ``Store.tree_hash``, the oracles' own reading.
 
-An open :class:`Transaction` is the engine's one window on the root.  Its
-reads are ``state``, ``walk_files`` and ``digest``.  The file list and each
-file's digest are read from disk once per transaction and memoized; each
-mutation drops the digest of its path and keeps the list current (a failed
-one makes the next walk list the disk again), and ``commit`` and
-``rollback`` clear both; ``walk_files`` and ``digest`` need an open
-transaction.  The memo assumes that no two package-visible paths name one
-file, and a link placed in the root by hand breaks that: with ``y -> x`` or
-a hard link, ``digest("y")`` stays stale after a write to ``x``; with
-``lib -> usr/lib``, a write to ``lib/x`` puts ``lib/x`` into the file list,
-which a walk of the disk never shows, and leaves the entry and digest of
-``usr/lib/x`` as they were.  The mutations ``write_through`` (write or
-delete a file, making missing parents), ``mkdir`` and ``rmdir`` share one
-step: journal the path's state on first touch, ``put`` the new one.
-``set_status`` and ``add_pristine`` update the engine state under
-``.pkgdb``.  Rolling back ``put``s each entry's ``pre_state()``, last
-first, puts the status file back and notes the id in ``.pkgdb/rolled-back``.
-Committing trims the journal (dropping entries whose ``pre_state()`` equals
-the final state) and persists it under ``.pkgdb/history/<id>/``;
-:meth:`Store.rollback_to` puts the same pre-images back.
+An open :class:`Transaction` is the engine's one window on the root: its
+reads ``state``, ``walk_files`` and ``digest`` (the last two memoized per
+transaction, which a link placed in the root by hand can make stale), and
+its mutations ``write_through``, ``mkdir`` and ``rmdir``, which share one
+step with every restore, ``_set``: journal the path's state on first
+touch, ``put`` the new one.  ``set_status`` and ``add_pristine`` update the
+engine state.
 
-Nothing under ``.pkgdb`` is ever package-visible: it holds the status file,
-the lock, the transaction serial, the rolled-back id ranges, persisted history,
-and the pristine conffile store.  Paths matching the store's ``preserve``
-globs (by default ``var/log/**`` and ``home/**``) are journaled like
-everything else but are skipped on restore, with a warning, so log-like
-data survives rollbacks.
-
-``_sha`` is the engine's one content digest (hex SHA-256); the conffile and
-script modules import it from here.
+Every transaction id ends in one record, ``history/<id>/``, written into
+``history/.<id>.partial/`` and renamed into place, its journal trimmed
+against the disk (entries whose ``pre_state()`` equals the final state go):
+committed by ``commit``, or aborted by ``rollback``, which ``put``s each
+entry's ``pre_state()``, last first, and the status file back, and records
+what it could not put back and any error.  :meth:`Store.rollback_to` is a
+transaction too, whose record says ``"outcome": "rolled-back"`` and which
+ids it undid, like an ARIES compensation record (Mohan et al., TODS 1992).
+Paths matching the ``preserve`` globs (by default ``var/log/**`` and
+``home/**``) are journaled but skipped on restore, with a warning, so
+log-like data survives rollbacks.  ``_sha`` is the engine's one content
+digest (hex SHA-256); the conffile and script modules import it from here.
 """
 
 from __future__ import annotations
@@ -340,6 +326,8 @@ class Store:
         try:
             with os.fdopen(fd, "w") as lock:
                 txn = Transaction(self, self._last_id() + 1)
+                if (self.history_dir / str(txn.id)).exists():  # a record appears only by rename
+                    raise CorruptedJournal(f"history record {txn.id} exists before its transaction")
                 self.save("serial", str(txn.id).encode())
                 lock.write(str(txn.id))
         except BaseException:
@@ -372,55 +360,53 @@ class Store:
     def read_history(self, hid: int) -> HistoryRecord:
         if not (self.history_dir / str(hid)).is_dir():
             raise GapInHistory(f"no history record {hid}")
-        parts = {name: self.load(f"history/{hid}/{name}")
-                 for name in ("journal", "status-pre", "post", "meta")}
-        missing = [name for name, data in parts.items() if data is None]
-        if missing:
-            raise CorruptedJournal(f"history record {hid} incomplete: no {missing[0]}")
         try:
+            parts = {name: self.load(f"history/{hid}/{name}")
+                     for name in ("journal", "status-pre", "post", "meta")}
+            missing = [name for name, data in parts.items() if data is None]
+            if missing:
+                raise CorruptedJournal(f"history record {hid} incomplete: no {missing[0]}")
             return HistoryRecord(hid, journal_load(parts["journal"]), parts["status-pre"],
                                  json.loads(parts["post"]), json.loads(parts["meta"]))
-        except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+        except (OSError, ValueError) as e:  # a directory for a part, JSON, UTF-8
             raise CorruptedJournal(f"history record {hid} unreadable: {e}") from None
 
     def rollback_to(self, target: int, force: bool = False) -> list[str]:
-        """Restore the store to the state just before transaction ``target``.
-
-        Replays persisted journals newest first.  Each transaction from
-        ``target`` to the last id handed out needs its record unless a
-        rollback undid it; :class:`GapInHistory` if one is missing, or if a
-        rollback to a smaller id undid the tree from before ``target``.
-        Reverted records are archived under ``.pkgdb/archive``, not deleted.
-        Returns the paths skipped because of the preserve globs.  Without
-        ``force``, every journaled path must match what the recorded
-        transaction left behind, otherwise :class:`CorruptedJournal` is
-        raised before anything is touched.
-        """
+        """Restore the store to the state just before transaction ``target``, in
+        a transaction of its own; returns the preserve-skipped paths.  Walks
+        the ids from the last down to ``target``, skipping each rollback record
+        with the ids it undid (``lo`` on) and restoring every other record.
+        :class:`GapInHistory` for a missing record or ``lo < target <= that
+        rollback's id``; without ``force``, :class:`CorruptedJournal` for a
+        journaled path its transaction did not leave so.  Refusals, and a walk
+        with nothing to restore, use no id.  Restored records are archived."""
         if self.lock_path.exists():
             raise AlreadyLocked("cannot roll back history while a transaction is open")
         ids = set(self.history_ids())
         last = max(self._last_id(), *ids, 0)
         if target < 1 or target > last + 1:
             raise GapInHistory(f"no history record {target}")
-        undone = set()
-        for lo, hi in self._rollbacks():
-            if lo < target <= hi:
+        records, hid = [], last  # newest first
+        while hid >= target:
+            if hid not in ids:
+                raise GapInHistory(f"history record {hid} is missing "
+                                   "(pruned, or its transaction never finished)")
+            rec = self.read_history(hid)
+            lo, hi = rec.meta.get("undid") or (hid, None)  # a rollback undid lo to hi
+            if hi is None:
+                records.append(rec)
+            elif lo < target:
                 raise GapInHistory(
                     f"the tree from before transaction {target} is gone: "
                     f"a rollback to {lo} undid transactions {lo} to {hi}")
-            undone.update(range(max(lo, target), hi + 1))
-        missing = [i for i in range(target, last + 1) if i not in ids and i not in undone]
-        if missing:
-            raise GapInHistory(f"history record {missing[0]} is missing "
-                               "(pruned, or its transaction never finished)")
-        records = [self.read_history(i) for i in range(target, last + 1) if i in ids]
+            hid = lo - 1
         if not records:
             return []
         owners = self._pristine_owners()
 
         if not force:
             seen: set[str] = set()
-            for rec in reversed(records):  # newest first
+            for rec in records:  # the newest record of each path decides
                 for e in rec.entries:
                     if e.path in seen or self.preserved(e.path):
                         continue
@@ -434,24 +420,17 @@ class Store:
                             f"{e.path!r} was changed outside the engine since "
                             f"transaction {rec.id} (use force to restore anyway)")
 
-        skipped: list[str] = []
-        for rec in reversed(records):
-            skipped.extend(_apply_reverse(self, rec.entries))
-            self.write_status_bytes(rec.status_pre)
-        self._archive(records, owners)
-        self._rolled_back_note(target, last)
-        return skipped
-
-    def _rollbacks(self) -> list[tuple[int, int]]:
-        """The ``lo hi`` lines of ``rolled-back``: a rollback undid lo..hi."""
-        lines = (self.load("rolled-back") or b"").splitlines()
+        txn = self.begin()
         try:
-            return [(int(lo), int(hi)) for lo, hi in map(bytes.split, lines)]
-        except ValueError:
-            raise CorruptedJournal(f"{DB_DIR}/rolled-back is unreadable") from None
-
-    def _rolled_back_note(self, lo: int, hi: int) -> None:
-        self.save("rolled-back", (self.load("rolled-back") or b"") + f"{lo} {hi}\n".encode())
+            skipped = [path for rec in records for path in txn._restore(rec.entries)]
+            self.write_status_bytes(records[-1].status_pre)
+            txn.commit(meta={"request": f"rollback {target}", "outcome": "rolled-back",
+                             "undid": [target, last]})
+        except BaseException:  # the commit's record included: the transaction is still open
+            txn.rollback()
+            raise
+        self._archive(records, owners)
+        return skipped
 
     def _pristine_owners(self) -> list[tuple[str, int | None]]:
         """Each line of the pristine index with the transaction that wrote it."""
@@ -484,27 +463,6 @@ class Store:
         for hid in doomed:
             shutil.rmtree(self.history_dir / str(hid))
         return doomed
-
-
-def _apply_reverse(store: Store, entries) -> list[str]:
-    """``put`` each entry's ``pre_state()``, last entry first, leniently (a
-    mutation may have failed after its entry was journaled).  Returns the
-    skipped paths: preserved ones, and created directories that cannot be
-    removed, say because they still have children (never force-deleted)."""
-    skipped: list[str] = []
-    for e in reversed(list(entries)):
-        if store.preserved(e.path):
-            skipped.append(e.path)
-            continue
-        try:
-            store.put(e.path, e.pre_state())
-        except OSError:
-            if store.state(e.path)[0] != "dir":
-                raise
-            if e.kind != "created":
-                raise CorruptedJournal(f"{e.path!r}: directory where file expected") from None
-            skipped.append(e.path)
-    return skipped
 
 
 def trim(entries, states) -> list[JournalEntry]:
@@ -575,8 +533,8 @@ class Transaction:
         return list(self._journal.values())
 
     def _set(self, rel: str, old, new) -> None:
-        """Journal ``old``, the path's state, on first touch, ``put`` ``new``
-        and keep the memo current."""
+        """Journal ``old``, the path's state, on first touch (it is not read
+        for a journaled path), ``put`` ``new`` and keep the memo current."""
         if rel not in self._journal:
             kind, content, mode = old
             action = ("created" if kind == "absent" else
@@ -638,6 +596,30 @@ class Transaction:
             raise NotADirectoryError(f"{rel!r} is not a directory")
         self._set(rel, old, _ABSENT)
 
+    def _restore(self, entries) -> list[str]:
+        """``_set`` each entry's ``pre_state()``, last entry first, leniently (a
+        mutation may have failed after its entry was journaled).  Returns the
+        skipped paths: preserved ones, and created directories that cannot be
+        removed, say because they still have children (never force-deleted)."""
+        skipped: list[str] = []
+        for e in reversed(list(entries)):
+            if self.store.preserved(e.path):
+                skipped.append(e.path)
+                continue
+            try:
+                old = None if e.path in self._journal else self.store.state(e.path)
+            except OSError:  # a link to a directory, which no journal entry can hold
+                old = _ABSENT
+            try:
+                self._set(e.path, old, e.pre_state())
+            except OSError:
+                if self.store.state(e.path)[0] != "dir":
+                    raise
+                if e.kind != "created":
+                    raise CorruptedJournal(f"{e.path!r}: directory where file expected") from None
+                skipped.append(e.path)
+        return skipped
+
     def set_status(self, text: str) -> None:
         self._require_open()
         self.store.write_status_bytes(text.encode("utf-8"))
@@ -652,45 +634,60 @@ class Transaction:
     # -- outcomes ---------------------------------------------------------
 
     def rollback(self) -> list[str]:
-        """Undo everything this transaction did; returns preserve-skipped paths."""
+        """Undo everything this transaction did and end in an aborted record; a
+        failed restore is raised after it.  Returns the preserve-skipped paths."""
         self._require_open()
-        self._forget()
-        skipped = _apply_reverse(self.store, self._journal.values())
-        self.store.write_status_bytes(self._status_pre)
-        self.store._rolled_back_note(self.id, self.id)
         self._pristine.clear()
-        self.phase = "rolled-back"
-        self.store._release_lock()
-        return skipped
+        meta = {"outcome": "aborted"}
+        try:
+            skipped = self._restore(self.journal_entries())
+            self.store.write_status_bytes(self._status_pre)
+            return skipped
+        except (OSError, StoreError) as e:
+            meta["error"] = str(e)
+            raise
+        finally:
+            self._close("aborted", meta)
 
     def commit(self, meta: dict | None = None, do_trim: bool = True) -> int:
-        """Trim and persist the journal under history/<id>; returns the id.
-        Each journaled path is read once, for both the trim and ``post``."""
+        """End in a committed record and return the id."""
         self._require_open()
-        self._forget()
-        entries = self.journal_entries()
-        states = {e.path: self.store.state(e.path) for e in entries}
-        if do_trim:
-            entries = trim(entries, states)
-        record = f"history/{self.id}/"
-        self.store.save(record + "journal", journal_dump(entries))
-        self.store.save(record + "status-pre", self._status_pre)
-        post = {e.path: _token(states[e.path]) for e in entries}
-        self.store.save(record + "post", json.dumps(post, sort_keys=True, indent=0).encode())
-        info = {"timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-                "request": "", "outcome": "committed"}
-        info.update(meta or {})
-        self.store.save(record + "meta", json.dumps(info, sort_keys=True, indent=0).encode())
-        self._flush_pristine()
-        self.phase = "committed"
-        self.store._release_lock()
+        self._close("committed", {"outcome": "committed", **(meta or {})}, do_trim)
         return self.id
 
-    def _flush_pristine(self) -> None:
-        if not self._pristine:
-            return
-        for record, content in self._pristine:  # content-addressed: a rewrite is a no-op
-            self.store.save(f"pristine/objects/{record['sha']}", content)
-        lines = "".join(json.dumps(record, sort_keys=True) + "\n" for record, _ in self._pristine)
-        self.store.save("pristine/index", (self.store.load("pristine/index") or b"") + lines.encode())
-        self._pristine.clear()
+    def _close(self, phase: str, meta: dict, do_trim: bool = True) -> None:
+        """The one record writer.  Each journaled path is read once, for both
+        the trim and ``post``; queued pristine snapshots are flushed before
+        the rename.  The lock is released in a ``finally``, unless a commit's
+        record failed: that transaction stays open for its rollback."""
+        self._forget()
+        partial = self.store.history_dir / f".{self.id}.partial"
+        ended = phase != "committed"
+        try:
+            entries = self.journal_entries()
+            states = {e.path: self.store.state(e.path) for e in entries}
+            if do_trim:
+                entries = trim(entries, states)
+            post = {e.path: _token(states[e.path]) for e in entries}
+            info = {"timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+                    "request": "", **meta}
+            for name, data in (("journal", journal_dump(entries)),
+                               ("status-pre", self._status_pre),
+                               ("post", json.dumps(post, sort_keys=True, indent=0).encode()),
+                               ("meta", json.dumps(info, sort_keys=True, indent=0).encode())):
+                self.store.save(f"history/{partial.name}/{name}", data)
+            if self._pristine:  # objects are content-addressed: a rewrite is a no-op
+                for record, content in self._pristine:
+                    self.store.save(f"pristine/objects/{record['sha']}", content)
+                lines = "".join(json.dumps(r, sort_keys=True) + "\n" for r, _ in self._pristine)
+                index = self.store.load("pristine/index") or b""
+                self.store.save("pristine/index", index + lines.encode())
+            os.rename(partial, self.store.history_dir / str(self.id))
+            ended = True
+        except BaseException:
+            shutil.rmtree(partial, ignore_errors=True)
+            raise
+        finally:
+            if ended:
+                self.phase = phase
+                self.store._release_lock()

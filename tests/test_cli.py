@@ -1,14 +1,17 @@
 """Command line contract: subcommands, exit codes, reports."""
 
+import errno
 import hashlib
 import json
 import os
+import shutil
 import tempfile
 
 import pytest
 
 from txpkg.cli import main
 from txpkg.planner import payload_dir
+from txpkg.txn import Store
 from txpkg.universe import PackageId, Version, parse_universe
 
 import support
@@ -236,7 +239,7 @@ def test_rollback_refuses_a_journaled_file_replaced_by_a_directory_link(tmp_path
                               "transaction 1 (")
     assert os.readlink(motd) == "../usr"  # nothing touched
     assert store.history_ids() == [1]
-    assert not (store.root / ".pkgdb/rolled-back").exists()
+    assert (store.root / ".pkgdb/serial").read_bytes() == b"1"  # the refusal used no id
 
 
 def _snapshot(path):
@@ -273,6 +276,86 @@ def test_forced_rollback_replaces_a_link_and_leaves_its_target(tmp_path, capsys,
     assert _snapshot(dest) == kept
 
 
+def _motd_and_other(tmp_path):
+    """A seeded root where transaction 1 rewrote etc/motd and created etc/other."""
+    store = support.new_store(tmp_path)
+    support.seed_tree(store.root)
+    txn = store.begin()
+    txn.write_through("etc/motd", b"hi\n")
+    txn.write_through("etc/other", b"new\n")
+    assert txn.commit() == 1
+    return store
+
+
+def test_forced_rollback_over_a_directory_changes_nothing(tmp_path, capsys):
+    store = _motd_and_other(tmp_path)
+    motd = store.root / "etc/motd"
+    motd.unlink()
+    motd.mkdir()
+    (motd / "child").write_bytes(b"c\n")
+    before = (store.tree_hash(), store.status_bytes())
+    code, out, err = run(capsys, "--root", str(store.root), "rollback", "1", "--force")
+    assert code == 1
+    assert out == "error: 'etc/motd': directory where file expected\n"
+    assert "Traceback" not in out + err
+    assert (store.tree_hash(), store.status_bytes()) == before
+    assert store.read("etc/other") == b"new\n"
+    assert store.history_ids() == [1, 2] and not store.lock_path.exists()
+    assert store.read_history(2).meta["outcome"] == "aborted"
+
+
+def test_forced_rollback_that_cannot_write_is_an_io_failure(tmp_path, capsys):
+    store = _motd_and_other(tmp_path)
+    shutil.rmtree(store.root / "etc")
+    (store.root / "etc").write_bytes(b"a file where etc/ was\n")
+    before = (store.tree_hash(), store.status_bytes())
+    code, out, err = run(capsys, "--root", str(store.root), "--json", "rollback", "1", "--force")
+    assert code == 4
+    report = json.loads(out)
+    assert report["result"] == "io-failure" and "File exists" in report["detail"]
+    assert "Traceback" not in out + err
+    assert (store.tree_hash(), store.status_bytes()) == before
+    assert store.history_ids() == [1, 2] and not store.lock_path.exists()
+
+
+def test_failing_commit_leaves_an_aborted_record_and_no_partial_one(setup, capsys, monkeypatch):
+    store, repo = setup
+    baseline = (store.tree_hash(), store.status_bytes())
+    real_save, failed = Store.save, []
+
+    def save(self, name, data):
+        if name.endswith("/meta") and not failed:  # the commit's record, not the abort's
+            failed.append(name)
+            raise OSError(errno.ENOSPC, "No space left on device", name)
+        real_save(self, name, data)
+
+    monkeypatch.setattr(Store, "save", save)
+    base = ["--root", str(store.root), "--repo", str(repo)]
+    code, out, _ = run(capsys, *base, "--json", "apply", "install aterm")
+    assert code == 4 and json.loads(out)["result"] == "io-failure"
+    assert (store.tree_hash(), store.status_bytes()) == baseline
+    assert sorted(p.name for p in store.history_dir.iterdir()) == ["1"]
+    assert not store.lock_path.exists()
+    code, out, _ = run(capsys, *base, "history")
+    assert code == 0 and out.split("\t")[::2] == ["1", "aborted"]
+    code, out, _ = run(capsys, *base, "rollback", "1")
+    assert code == 0 and (store.tree_hash(), store.status_bytes()) == baseline
+
+
+@pytest.mark.parametrize("command", [["history"], ["rollback", "1"]])
+def test_a_directory_in_place_of_a_record_part_is_reported(setup, capsys, command):
+    store, repo = setup
+    assert run(capsys, "--root", str(store.root), "--repo", str(repo),
+               "apply", "install aterm")[0] == 0
+    meta = store.history_dir / "1" / "meta"
+    meta.unlink()
+    meta.mkdir()
+    code, out, err = run(capsys, "--root", str(store.root), *command)
+    assert code == 1
+    assert "error: history record 1 unreadable: " in out + err
+    assert "Traceback" not in out + err
+
+
 def test_rollback_steps_over_a_failed_apply(tmp_path, capsys):
     meta = ("Package: a\nVersion: 1\nFiles: usr/share/a\n\n"
             "Package: b\nVersion: 1\nFiles: usr/share/b\nPostinst: hooks/postinst\n\n"
@@ -292,7 +375,8 @@ def test_rollback_steps_over_a_failed_apply(tmp_path, capsys):
     code, out, _ = run(capsys, *base, "apply", "install c")
     assert code == 0 and "applied as transaction 3" in out
     code, out, _ = run(capsys, *base, "history")
-    assert [line.split("\t")[0] for line in out.splitlines()] == ["1", "3"]
+    assert [line.split("\t")[::2] for line in out.splitlines()] == [
+        ["1", "success"], ["2", "aborted"], ["3", "success"]]
     for hid in (1, 2):
         copy = support.copy_store(store, tmp_path / f"copy{hid}")
         code, out, _ = run(capsys, "--root", str(copy.root), "rollback", str(hid))
@@ -471,7 +555,7 @@ def test_apply_sharing_a_path_exits_four_before_the_transaction(tmp_path, capsys
     assert report["failing"] == "path 'usr/f' owned by both a 1 and b 1"
     assert (store.tree_hash(), store.status_bytes(), (db / "serial").read_bytes()) == before
     assert not store.lock_path.exists()
-    assert not (db / "rolled-back").exists()
+    assert store.history_ids() == [1]
     assert run(capsys, *base, "solve", "install a")[0] == 0  # the root still loads
 
 
@@ -488,7 +572,7 @@ def test_corrupt_serial_apply_reports_error_without_traceback(setup, capsys):
         assert not store.lock_path.exists()
 
 
-@pytest.mark.parametrize("name", ["serial", "rolled-back"])
+@pytest.mark.parametrize("name", ["serial"])
 def test_undecodable_counter_rollback_reports_error(setup, capsys, name):
     store, repo = setup
     base = ["--root", str(store.root), "--repo", str(repo)]
@@ -566,7 +650,8 @@ def test_apply_non_utf8_user_db_is_a_script_failure(setup, capsys):
     record = json.loads(out)
     assert record["result"] == "script-failure"
     assert "etc/users.db" in record["failing"] and "not UTF-8" in record["failing"]
-    assert store.tree_hash() == baseline and store.history_ids() == []
+    assert store.tree_hash() == baseline and store.history_ids() == [1]
+    assert store.read_history(1).meta["outcome"] == "aborted"
     assert not store.lock_path.exists()
 
 def test_locked_store_apply_exits_four(setup, capsys):

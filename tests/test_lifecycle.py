@@ -1,20 +1,27 @@
 """Lifecycle oracle: random sequences of transactions, failed writes,
-history rollbacks, pruning and hand edits, checked against a model.
+history rollbacks (some with a failing ``Store.put``), pruning and hand
+edits, checked against a model.
 
 The model holds every package-visible path as ``(kind, bytes, mode)``, the
-status bytes, the tree and status before each transaction id, the tree
-after each commit, what became of each id (live, rolled back, pruned or
-archived), and the id range each rollback undid.  After every rule the disk
-and the status file must equal the model and ``.pkgdb/lock`` must be absent.
-``rollback_to(k)`` needs the record of every transaction from ``k`` on that
-no rollback undid, so it must raise ``GapInHistory`` exactly when one of
-those records was pruned, or when a rollback to ``lo`` undid ``lo`` to
-``hi`` with ``lo < k <= hi`` (the tree from before ``k`` is gone).  It must
-raise ``CorruptedJournal`` exactly when a hand edit changed the token of a
-journaled, non-preserved path, and otherwise restore the tree from before
-``k``, except preserved paths and paths edited by hand since ``k`` began.
+status bytes, and one record per transaction id: committed, aborted, or a
+rollback with the id range it undid.  For each id it keeps the tree and
+status before the transaction, the tree its record leaves (after a commit
+or an abort), and whether the record was pruned or archived.  After every
+rule the disk, the status file and ``history_ids()`` must equal the model
+and ``.pkgdb/lock`` must be absent.  ``rollback_to(k)`` walks the ids from
+the last down to ``k``: a rollback record is skipped together with the ids
+it undid, ``lo`` onwards, and every other record is restored.  So it must
+raise ``GapInHistory`` exactly when the walk meets a record that is gone,
+or a rollback with ``lo < k`` (the tree from before ``k`` is gone, and a
+rollback is never redone).  It must raise ``CorruptedJournal`` exactly when
+a hand edit changed the token of a journaled, non-preserved path, and
+otherwise restore the tree from before ``k``, except preserved paths and
+paths edited by hand since ``k`` began, under a rollback record of its own.
+An ``OSError`` from its k-th ``Store.put`` must leave the tree, the status
+and the history as they were, plus one aborted record.
 """
 
+import errno
 import os
 import shutil
 import stat
@@ -26,7 +33,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from txpkg.txn import CorruptedJournal, GapInHistory
+from txpkg.txn import CorruptedJournal, GapInHistory, Store
 
 import support
 
@@ -126,10 +133,12 @@ class Lifecycle(RuleBasedStateMachine):
         support.seed_tree(self.store.root)
         self.tree = disk_tree(self.store.root)
         self.status = b""
-        self.fate: dict[int, str] = {}  # id -> live | rolled | pruned | archived
+        self.last = 0  # the last id handed out
+        self.kind: dict[int, str] = {}  # id -> committed | aborted | rollback
+        self.undid: dict[int, tuple] = {}  # rollback id -> (lo, hi) it undid
+        self.gone: dict[int, str] = {}  # id -> pruned | archived
         self.pre: dict[int, tuple] = {}  # id -> (tree, status) before the transaction
-        self.post: dict[int, dict] = {}  # committed id -> tree after it
-        self.undone: list[tuple] = []  # (lo, hi) per rollback that undid lo..hi
+        self.post: dict[int, dict] = {}  # committed or aborted id -> tree its record leaves
         # the last id used when a hand edit last changed the tree:
         # ``rollback_to(k)`` gives the tree from before ``k`` if k is later
         self.hand_edited_after = 0
@@ -143,10 +152,10 @@ class Lifecycle(RuleBasedStateMachine):
     def _preserved(self, rel: str) -> bool:
         return self.store.preserved(rel)
 
-    def _restore(self, targets: dict) -> None:
+    def _restore(self, targets: dict, kept=None) -> None:
         """Put each non-preserved path of ``targets`` back to its state (None:
-        absent), as both rollbacks do; a directory that would go but still
-        holds something stays."""
+        absent), as both rollbacks do; a directory in ``kept`` (path to
+        state), or one that would go but still holds something, stays."""
         current, new = self.tree, dict(self.tree)
         for p, state in targets.items():
             if self._preserved(p):
@@ -155,6 +164,7 @@ class Lifecycle(RuleBasedStateMachine):
                 new.pop(p, None)
             else:
                 new[p] = state
+        new.update(kept or {})
         for p in sorted(targets, key=lambda p: -p.count("/")):
             if (targets[p] is None and not self._preserved(p) and _kind(current, p) == "dir"
                     and any(q.startswith(p + "/") for q in new)):
@@ -187,19 +197,30 @@ class Lifecycle(RuleBasedStateMachine):
             self.tree = expected
         assert disk_tree(self.store.root) == self.tree, op
 
+    def _new_id(self, kind: str) -> int:
+        self.last += 1
+        self.kind[self.last] = kind
+        self.pre[self.last] = (dict(self.tree), self.status)
+        return self.last
+
     def _begin(self):
         txn = self.store.begin()
-        assert txn.id == max(self.fate, default=0) + 1
-        self.pre[txn.id] = (dict(self.tree), self.status)
+        assert txn.id == self._new_id("committed")
         return txn
+
+    def _aborted(self, hid: int) -> None:
+        """Record ``hid`` as aborted, leaving the model's tree; its restore put
+        everything back, so its record names no error."""
+        self.kind[hid], self.post[hid] = "aborted", dict(self.tree)
+        meta = self.store.read_history(hid).meta
+        assert meta["outcome"] == "aborted" and "error" not in meta, meta
 
     def _rolled_back(self, txn) -> None:
         pre_tree, pre_status = self.pre[txn.id]
         txn.rollback()
         self._restore({p: pre_tree.get(p) for p in changed(pre_tree, self.tree)})
         self.status = pre_status
-        self.fate[txn.id] = "rolled"
-        self.undone.append((txn.id, txn.id))
+        self._aborted(txn.id)
 
     # -- rules --------------------------------------------------------------
 
@@ -211,7 +232,6 @@ class Lifecycle(RuleBasedStateMachine):
         if commit:
             txn.commit()
             self.post[txn.id] = dict(self.tree)
-            self.fate[txn.id] = "live"
         else:
             self._rolled_back(txn)
 
@@ -247,46 +267,91 @@ class Lifecycle(RuleBasedStateMachine):
     def history_rollback(self, back, force):
         """``rollback_to(last + 1 - back)``: a target past the end, the no-op
         ``last + 1``, a recent transaction, or one before the first."""
-        last = max(self.fate, default=0)
+        self._rollback_to(back, force)
+
+    @rule(ops=st.lists(_ops, min_size=1, max_size=4), back=st.integers(1, 3),
+          fault=st.integers(0, 63))
+    def failed_history_rollback(self, ops, back, fault):
+        """Commit ``ops``, then roll back, with force, to one of the last
+        three transactions; one ``Store.put`` of the rollback, chosen by
+        ``fault`` among those it makes, raises OSError."""
+        self.transaction(ops, commit=True)
+        self._rollback_to(back, True, fault)
+
+    def _rollback_to(self, back, force, fault=None):
+        last = self.last
         hid = last + 1 - back
-        # the rollback needs the record of every transaction from ``hid`` on
-        # that no rollback undid: the live and the pruned ones
-        needed = range(hid, last + 1)
-        gap = (hid < 1 or hid > needed.stop
-               or any(lo < hid <= hi for lo, hi in self.undone)
-               or any(self.fate.get(i) == "pruned" for i in needed))
-        records = [i for i in needed if self.fate.get(i) == "live"]
+        gap = hid < 1 or hid > last + 1
+        records, i = [], last  # the records the walk restores, newest first
+        while not gap and i >= hid:
+            if i in self.gone:
+                gap = True
+            elif self.kind[i] == "rollback":
+                gap, i = self.undid[i][0] < hid, self.undid[i][0] - 1
+            else:
+                records.append(i)
+                i -= 1
         tampered = None
         if not gap and not force:
             seen = set()
-            for i in reversed(records):  # the newest record of each path decides
+            for i in records:  # the newest record of each path decides
                 for p in sorted(changed(self.pre[i][0], self.post[i])):
                     if p in seen or self._preserved(p):
                         continue
                     seen.add(p)
                     if _token(self.tree.get(p)) != _token(self.post[i].get(p)):
                         tampered = tampered or p
+        if fault is not None:  # the rollback puts each non-preserved entry once
+            entries = sum(not self._preserved(p) for i in records
+                          for p in changed(self.pre[i][0], self.post[i]))
+            fault = 1 + fault % entries if entries else None
+        puts, hit = [0], []
+        real_put = Store.put
+
+        def put(store, rel, state):
+            puts[0] += 1
+            if puts[0] == fault:
+                hit.append((rel, state))
+                raise OSError(errno.EIO, "injected put failure", rel)
+            real_put(store, rel, state)
+
         try:
-            self.store.rollback_to(hid, force=force)
+            with mock.patch.object(Store, "put", put):
+                skipped = self.store.rollback_to(hid, force=force)
         except GapInHistory:
             assert gap, f"rollback_to({hid}) refused a gap the model does not see"
             return
         except CorruptedJournal:
             assert tampered, f"rollback_to({hid}) saw a hand edit the model does not"
             return
+        except OSError as e:
+            assert hit and "injected" in str(e), f"rollback_to({hid}) raised {e!r}"
+            # the rollback's transaction put back the tree it found
+            self._aborted(self._new_id("aborted"))
+            return
         assert not gap, f"rollback_to({hid}) missed a gap"
         assert not tampered, f"rollback_to({hid}) missed the hand edit of {tampered!r}"
+        # an injected fault that removing a created directory absorbed: the
+        # directory stays, like one that still holds something (its mode is
+        # read back, since which record's restore made it is not modelled)
+        disk = disk_tree(self.store.root)
+        for rel, state in hit:
+            assert state[0] == "absent" and rel in skipped and _kind(disk, rel) == "dir", rel
+        kept = {rel: disk[rel] for rel, _state in hit}
         targets = {}
-        for i in reversed(records):  # the oldest pre-image of each path wins
+        for i in records:  # the oldest pre-image of each path wins
             for p in changed(self.pre[i][0], self.post[i]):
                 targets[p] = self.pre[i][0].get(p)
-        self._restore(targets)
         if records:
-            self.status = self.pre[records[0]][1]
+            rollback = self._new_id("rollback")
+            self.undid[rollback] = (hid, last)
+            meta = self.store.read_history(rollback).meta
+            assert (meta["outcome"], meta["undid"]) == ("rolled-back", [hid, last]), meta
+        self._restore(targets, kept)
+        if records:
+            self.status = self.pre[records[-1]][1]
         for i in records:
-            self.fate[i] = "archived"
-        if records:
-            self.undone.append((hid, last))
+            self.gone[i] = "archived"
         if hid in self.pre and self.hand_edited_after < hid:
             # the paper's promise: every file from before ``hid`` and nothing
             # else, bar preserved paths; directories that held preserved
@@ -300,11 +365,11 @@ class Lifecycle(RuleBasedStateMachine):
 
     @rule(keep=st.integers(0, 3))
     def prune(self, keep):
-        live = sorted(i for i, fate in self.fate.items() if fate == "live")
-        doomed = live[:max(0, len(live) - keep)]
+        kept = self._history()
+        doomed = kept[:max(0, len(kept) - keep)]
         assert self.store.prune_history(keep) == doomed
         for i in doomed:
-            self.fate[i] = "pruned"
+            self.gone[i] = "pruned"
 
     @rule(rel=st.sampled_from(FILES), data=st.none() | _bytes, mode=st.sampled_from(MODES))
     def hand_edit(self, rel, data, mode):
@@ -334,7 +399,11 @@ class Lifecycle(RuleBasedStateMachine):
             self.tree[rel] = ("file", data, 0o644)
         else:
             return
-        self.hand_edited_after = max(self.fate, default=0)
+        self.hand_edited_after = self.last
+
+    def _history(self) -> list[int]:
+        """The ids whose records are in ``history/``: every id that is not gone."""
+        return [i for i in sorted(self.kind) if i not in self.gone]
 
     # -- invariants -----------------------------------------------------------
 
@@ -344,6 +413,7 @@ class Lifecycle(RuleBasedStateMachine):
             return
         assert disk_tree(self.store.root) == self.tree
         assert self.store.status_bytes() == self.status
+        assert self.store.history_ids() == self._history()
         assert not self.store.lock_path.exists()
 
 

@@ -188,7 +188,9 @@ def test_script_failure_rolls_back_everything(repo, store):
     assert "boom" in out.failing
     assert store.tree_hash() == baseline
     assert store.status_bytes() == status_before
-    assert store.history_ids() == []
+    assert store.history_ids() == [1]
+    assert store.read_history(1).meta["outcome"] == "aborted"
+    assert store.read_history(1).entries == []  # everything was put back
 
 
 def test_missing_payload_aborts_before_any_mutation(repo, store):
@@ -241,7 +243,8 @@ def test_payload_that_vanishes_during_apply_is_an_io_failure(repo, store, tmp_pa
         assert out.failing.startswith(f"unpack {event.split(':')[1]}: ")
         assert (target.tree_hash(), target.status_bytes()) == (baseline, status_before)
         assert not target.lock_path.exists()
-        assert target.history_ids() == []
+        assert target.history_ids() == [1]
+        assert target.read_history(1).meta["outcome"] == "aborted"
         support.aterm_repo(tmp_path)  # put the payload back
 
 
@@ -425,7 +428,7 @@ def test_shared_path_is_refused_before_the_transaction_opens(tmp_path, store, ha
     assert out == Outcome("io-failure", failing="path 'usr/f' owned by both a 1 and b 1")
     assert (store.tree_hash(), store.status_bytes(), (db / "serial").read_bytes()) == before
     assert not store.lock_path.exists()
-    assert not (db / "rolled-back").exists()
+    assert store.history_ids() == [1]
     assert store.load_status(u) == s0
 
 

@@ -333,9 +333,12 @@ def test_rollback_to_chain_newest_first(store):
     _commit_write(store, "etc/b", b"3")
     store.rollback_to(1)
     assert store.tree_hash() == h0
-    # records are archived, not deleted
+    # records are archived, not deleted, and the rollback has a record of its own
     assert sorted(p.name for p in store.archive_dir.iterdir()) == ["1", "2", "3"]
-    assert store.history_ids() == []
+    assert store.history_ids() == [4]
+    meta = store.read_history(4).meta
+    assert (meta["outcome"], meta["undid"], meta["request"]) == ("rolled-back", [1, 3],
+                                                                 "rollback 1")
 
 
 def test_rollback_to_latest_plus_one_is_noop(store):
@@ -375,16 +378,19 @@ def test_rollback_to_steps_over_rolled_back_and_archived_ids(store):
     _commit_write(store, "etc/a", b"1")
     h1 = store.tree_hash()
     _commit_write(store, "etc/a", b"2")
-    store.rollback_to(2)  # archives record 2
+    store.rollback_to(2)  # archives record 2; transaction 3 is the rollback
     txn = store.begin()
     txn.write_through("etc/b", b"3")
-    txn.rollback()  # transaction 3 leaves no record
-    _commit_write(store, "etc/a", b"4")
-    assert store.history_ids() == [1, 4]
-    for target, expected in ((5, None), (4, h1), (3, h1), (2, h1), (1, h0)):
+    txn.rollback()  # transaction 4 leaves an aborted record
+    _commit_write(store, "etc/a", b"5")
+    assert store.history_ids() == [1, 3, 4, 5]
+    assert [store.read_history(i).meta["outcome"] for i in (3, 4)] == ["rolled-back", "aborted"]
+    for target, expected in ((6, None), (5, h1), (4, h1), (2, h1), (1, h0)):
         copy = support.copy_store(store, store.root.parent / f"copy{target}")
         copy.rollback_to(target)
         assert copy.tree_hash() == (expected or store.tree_hash()), target
+    with pytest.raises(GapInHistory, match="a rollback to 2 undid transactions 2 to 2"):
+        store.rollback_to(3)  # a rollback is never redone
 
 
 def test_rollback_to_inside_an_undone_range_is_gap(store):
@@ -395,8 +401,11 @@ def test_rollback_to_inside_an_undone_range_is_gap(store):
     h = store.tree_hash()
     with pytest.raises(GapInHistory, match="a rollback to 2 undid transactions 2 to 3"):
         store.rollback_to(3)
+    with pytest.raises(GapInHistory, match="a rollback to 2 undid transactions 2 to 3"):
+        store.rollback_to(4)  # the rollback's own id: a redo
     assert store.tree_hash() == h
-    assert store.rollback_to(4) == []
+    assert store.rollback_to(5) == []
+    assert store.history_ids() == [1, 4] and store.load("serial") == b"4"  # refusals use no id
 
 
 def test_rollback_to_a_rolled_back_id_after_undoing_it_is_gap(store):
@@ -416,11 +425,23 @@ def test_gap_names_a_transaction_that_never_finished(store):
     (store.root / "etc/motd/child").write_bytes(b"")
     with pytest.raises(CorruptedJournal):
         txn.rollback()
-    store.lock_path.unlink()
-    for force in (False, True):
-        with pytest.raises(GapInHistory, match=r"record 2 is missing "
-                           r"\(pruned, or its transaction never finished\)"):
+    assert not store.lock_path.exists()
+    record = store.read_history(2)  # the aborted record names the failed restore
+    assert record.meta["outcome"] == "aborted"
+    assert record.meta["error"] == "'etc/motd': directory where file expected"
+    assert [(e.path, e.pre_state()[:2]) for e in record.entries] == [("etc/motd",
+                                                                      ("file", b"v1\n"))]
+    assert record.post == {"etc/motd": "dir"}
+    before = store.tree_hash()
+    for i, force in enumerate((False, True)):  # the restore meets the same directory
+        with pytest.raises(CorruptedJournal, match="directory where file expected"):
             store.rollback_to(1, force=force)
+        assert store.tree_hash() == before and not store.lock_path.exists()
+        assert store.history_ids() == list(range(1, 4 + i))  # one more aborted record
+    (store.root / "etc/motd/child").unlink()
+    (store.root / "etc/motd").rmdir()
+    store.rollback_to(1, force=True)  # finishes the undo of 2, then undoes 1
+    assert store.read("etc/motd") == b"welcome\n"
 
 
 def test_rollback_to_puts_a_file_back_over_the_directory_that_replaced_it(store):
@@ -453,8 +474,8 @@ def test_rollback_to_requires_no_open_txn(store):
 
 def test_ids_continue_after_history_rollback(store):
     _commit_write(store, "etc/a", b"1")
-    store.rollback_to(1)
-    assert store.begin().id == 2
+    store.rollback_to(1)  # transaction 2
+    assert store.begin().id == 3
 
 
 # --- preserve globs ------------------------------------------------------------------

@@ -8,10 +8,12 @@ reach is known: ``upgrade_conffile`` reads the pristine conffile store
 through ``PristineStore(txn.store)``.  Inside ``txn``, only the filesystem
 seam (``Store.state``, ``put`` and ``read``) maps a package-visible path to
 disk with ``resolve``, so a no-follow resolution has one place to go.  Only
-the two seams, ``tree_hash`` and the lock in ``begin`` read or write a file
-at all, so every file under ``.pkgdb`` goes through ``Store.load`` and
-``save``, where an atomic write or an overlay has one place to go;
-``confmerge`` reads or writes no file itself.
+``Transaction._set`` calls ``Store.put``, so every write of the root, the
+restores of both rollbacks included, is journaled first, and an overlay has
+one write to take over.  Only the two seams, ``tree_hash`` and the lock in
+``begin`` read or write a file at all, so every file under ``.pkgdb`` goes
+through ``Store.load`` and ``save``, where an atomic write or an overlay has
+one place to go; ``confmerge`` reads or writes no file itself.
 """
 
 import ast
@@ -91,6 +93,13 @@ def callers(path: Path, names, allowed=frozenset()) -> list[str]:
 
 def test_only_the_seam_resolves_paths():
     assert callers(SRC / "txn.py", {"resolve"}, SEAM) == []
+
+
+def test_only_the_transaction_writes_the_root():
+    assert [call.split()[1] for call in callers(SRC / "txn.py", {"put"})] == ["_set"]
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "txn.py":
+            assert callers(path, {"put"}) == [], path.name
 
 
 def test_detector_reports_resolve_outside_the_seam(tmp_path):
