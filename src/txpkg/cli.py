@@ -13,7 +13,8 @@ One executable, apt-style subcommands::
 Exit codes are a stable contract: 0 success, 1 domain failure (unsolvable
 request, unhealthy packages, missing history, merge conflict), 2 malformed
 input or configuration, 3 script failure during apply (store restored),
-4 I/O failure during apply or rollback (store restored).  ``--json``
+4 I/O failure during apply or rollback (store restored, unless the rollback
+itself failed, which the report says).  ``--json``
 switches reports to machine-readable records.
 """
 
@@ -191,7 +192,8 @@ def cmd_apply(args) -> int:
         _emit(args, report, "\n".join(lines))
         return EXIT_OK
     lines.append(f"failed ({outcome.result}): {outcome.failing}")
-    lines.append("store restored to its previous state")
+    lines.append("store restored to its previous state" if outcome.restored else
+                 "the store may differ from its previous state")
     _emit(args, report, "\n".join(lines))
     return EXIT_SCRIPT if outcome.result == "script-failure" else EXIT_IO
 

@@ -30,15 +30,17 @@ content differs.  ``undo`` has one rule for every primitive: walking the log
 in reverse, it puts each target back as it was and removes the directories
 the step created, so execute-then-undo restores the pre-execution store byte
 for byte.  Every step reads the store only through the open transaction's
-``state`` (plus ``walk_files``/``digest`` for ``update-cache``, so the tree is
-walked and each file hashed once per transaction) and mutates it only through
-``write_through``, ``mkdir`` and ``rmdir``, so a journal rollback is always an
-equivalent alternative to compensation.
+``state`` (plus ``walk_files``/``digest`` for ``update-cache``, which lists
+only the directory its glob's literal prefix names, once per transaction, and
+reads a file only when its stat moved since a transaction last hashed it) and
+mutates it only through ``write_through``, ``mkdir`` and ``rmdir``, so a
+journal rollback is always an equivalent alternative to compensation.
 """
 
 from __future__ import annotations
 
 import fnmatch
+import re
 from dataclasses import dataclass
 
 from .confmerge import dump_kv, parse_kv
@@ -62,6 +64,7 @@ __all__ = [
 ]
 
 USER_DB = "etc/users.db"
+_GLOB_SPECIAL = re.compile(r"[*?[]")
 
 # op -> (argument count, does the last argument swallow the rest of the line,
 #        positions of path arguments); a writing step's target is its last path
@@ -199,13 +202,17 @@ def _subst(token: str, env: ScriptEnv, index: int) -> str:
 
 def compute_cache(txn: Transaction, cache_path: str, pattern: str) -> bytes:
     """Deterministic cache content: one ``path sha256`` line per matching file,
-    sorted by path.  The cache file itself never matches its own glob."""
+    sorted by path, each name in its own bytes.  The cache file itself never
+    matches its own glob.  Only the directory named by the glob's literal
+    prefix (up to its last "/" before the first ``*``, ``?`` or ``[``) is
+    listed: no file outside it can match."""
+    literal = _GLOB_SPECIAL.split(pattern, 1)[0]
     lines = []
-    for rel in txn.walk_files():
+    for rel in txn.walk_files(literal[:literal.rfind("/") + 1]):
         if rel == cache_path or not fnmatch.fnmatchcase(rel, pattern):
             continue
         lines.append(f"{rel} {txn.digest(rel)}\n")
-    return "".join(lines).encode("utf-8")
+    return "".join(lines).encode("utf-8", "surrogateescape")
 
 
 def _parse_users(pre: bytes | None) -> set[str]:

@@ -32,7 +32,7 @@ from . import confmerge, mscript
 from .mscript import ScriptEnv, ScriptFailure
 from .preferences import PreferenceSpec, optimize
 from .resolver import Request, Solution, Unsat
-from .txn import Store
+from .txn import Store, StoreError
 from .universe import (
     SCRIPT_HOOKS,
     MetadataError,
@@ -103,13 +103,16 @@ class Plan:
 @dataclass(frozen=True)
 class Outcome:
     """What an execution did.  On any non-success result after the transaction
-    opened, the store is back in its initial state."""
+    opened, the store is back in its initial state, unless the rollback itself
+    failed: then ``restored`` is False and the result is an io-failure that
+    names both errors."""
 
     result: str  # success | resolution-failure | script-failure | io-failure
     failing: str | None = None
     conffile_conflicts: tuple[str, ...] = ()
     history_id: int | None = None
     notes: tuple[str, ...] = ()
+    restored: bool = True
 
 
 def payload_dir(repo_dir, pkg: Package) -> Path:
@@ -367,14 +370,16 @@ def execute_plan(plan_: Plan, store: Store, repo_dir, *, purge: bool = False,
         txn.set_status(serialize_status(plan_.solution.status))
         hid = txn.commit(meta={"request": str(plan_.request), "outcome": "success"})
         return Outcome("success", conffile_conflicts=tuple(conflicts), history_id=hid)
-    except ScriptFailure as failure:
-        txn.rollback()
-        return Outcome("script-failure", failing=f"{current}: {failure}",
-                       conffile_conflicts=tuple(conflicts))
-    except (OSError, confmerge.ConfmergeError) as failure:
-        txn.rollback()
-        return Outcome("io-failure", failing=f"{current}: {failure}",
-                       conffile_conflicts=tuple(conflicts))
+    except (ScriptFailure, OSError, confmerge.ConfmergeError) as failure:
+        result = "script-failure" if isinstance(failure, ScriptFailure) else "io-failure"
+        failing, restored = f"{current}: {failure}", True
+        try:
+            txn.rollback()
+        except (OSError, StoreError) as e:  # a restore, or the aborted record, failed
+            result, failing = "io-failure", f"{failing}; then the rollback failed: {e}"
+            restored = False
+        return Outcome(result, failing=failing, conffile_conflicts=tuple(conflicts),
+                       restored=restored)
     except BaseException:
         if txn.phase == "open":
             txn.rollback()

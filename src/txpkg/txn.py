@@ -7,8 +7,10 @@ path as ``(kind, content, mode)``: kind absent|dir|file, a file's bytes
 one: whatever stands there in another kind goes first, an empty directory
 by ``rmdir`` and anything else, a link included, by ``unlink`` (OSError for
 a non-empty directory); then missing parents are made and the permission
-bits set.  Links in parent components are followed.  Only ``state``,
-``put`` and ``read`` map a path to disk, through ``Store.resolve``.
+bits set.  Links in parent components are followed.  ``Store.scan(prefix)``
+lists the directory a prefix names in one ``os.scandir`` pass.  Only
+``state``, ``put``, ``read`` and ``scan`` map a path to disk, through
+``Store.resolve``.
 ``Store.load(name)`` and ``Store.save(name, data)`` read (None when absent)
 and write the engine state under ``.pkgdb``.  Outside both on purpose: the
 lock (``begin``'s ``O_EXCL`` create, which must fail rather than overwrite,
@@ -17,12 +19,25 @@ rename that puts a record in place, the move into ``archive/`` and
 ``prune_history``); and ``Store.tree_hash``, the oracles' own reading.
 
 An open :class:`Transaction` is the engine's one window on the root: its
-reads ``state``, ``walk_files`` and ``digest`` (the last two memoized per
-transaction, which a link placed in the root by hand can make stale), and
-its mutations ``write_through``, ``mkdir`` and ``rmdir``, which share one
-step with every restore, ``_set``: journal the path's state on first
-touch, ``put`` the new one.  ``set_status`` and ``add_pristine`` update the
-engine state.
+reads ``state``, ``walk_files(prefix)`` and ``digest`` (the last two
+memoized per transaction, a listing per prefix, which a link placed in the
+root by hand can make stale), and its mutations ``write_through``,
+``mkdir`` and ``rmdir``, which share one step with every restore, ``_set``:
+journal the path's state on first touch, ``put`` the new one, keep every
+memo current.  ``set_status`` and ``add_pristine`` update the engine state.
+
+``digest`` also keeps shas across transactions, in ``.pkgdb/digests``: a
+JSON object from path to ``[st_dev, st_ino, size, mtime_ns, ctime_ns,
+sha]``, the key from a stat that follows links (the listing's
+``os.DirEntry``), taken before the read.  It is loaded on the first
+``digest`` and rewritten by ``_close`` with only the entries the
+transaction confirmed or hashed, so a deleted file leaves it.  Git's
+racy-entry rule guards it: an entry is stored and trusted only when the
+file is on the lock file's device and both its times are strictly older
+than the lock's ctime, the filesystem's time when ``begin`` made the lock.
+Any write of a file, through a hard link or a link to it included, moves
+its ctime, so it is read again.  The index is only a cache: a damaged one
+means hashing again, never an error.
 
 Every transaction id ends in one record, ``history/<id>/``, written into
 ``history/.<id>.partial/`` and renamed into place, its journal trimmed
@@ -173,6 +188,12 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _stat_key(st: os.stat_result) -> tuple[int, int, int, int, int]:
+    """The digest index's key of a file: (st_dev, st_ino, size, mtime_ns,
+    ctime_ns).  Every write of the file, by any path to it, moves its ctime."""
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+
+
 def _token(state):
     """Compact fingerprint of a ``Store.state`` triple: None, 'dir', or a sha."""
     kind, content, _mode = state
@@ -243,24 +264,52 @@ class Store:
         """Compact fingerprint of a path's current state: None, 'dir', or a sha."""
         return _token(self.state(rel))
 
+    def scan(self, prefix: str = ""):
+        """Yield ``(relpath, is_dir, entry)`` for every package-visible path
+        under the directory ``prefix`` names ("" for the root, else a path
+        ending in "/"), in no order, with the ``os.DirEntry`` of the one
+        ``os.scandir`` pass that listed it.  A directory is yielded and
+        descended, a link to one neither; anything else is a file.  A prefix
+        that ``resolve`` refuses, or with a link or a non-directory in it,
+        yields nothing."""
+        start = self.root
+        if prefix:
+            try:
+                self.resolve(prefix[:-1])
+            except PathEscape:
+                return
+            for part in prefix[:-1].split("/"):
+                start = start / part
+                try:
+                    if not stat.S_ISDIR(os.lstat(start).st_mode):
+                        return
+                except OSError:
+                    return
+        todo = [(os.fspath(start), prefix)]
+        while todo:
+            path, rel_prefix = todo.pop()
+            try:
+                with os.scandir(path) as entries:
+                    for entry in entries:
+                        rel = rel_prefix + entry.name
+                        try:
+                            is_dir = entry.is_dir()
+                        except OSError:
+                            is_dir = False
+                        if not is_dir:
+                            yield rel, False, entry
+                        elif not entry.is_symlink() and rel != DB_DIR:
+                            yield rel, True, entry
+                            todo.append((entry.path, rel + "/"))
+            except OSError:  # an unreadable directory lists nothing, as in os.walk
+                continue
+
     def walk(self):
         """Sorted (relpath, kind) pairs for everything outside .pkgdb."""
-        out = []
-        prefixes = {str(self.root): ""}  # each directory's relpath prefix, set by its parent
-        for dirpath, dirnames, filenames in os.walk(self.root):
-            rel_prefix = prefixes.pop(dirpath)
-            if rel_prefix:
-                out.append((rel_prefix[:-1], "dir"))
-            else:
-                dirnames[:] = [d for d in dirnames if d != DB_DIR]
-            for name in dirnames:
-                prefixes[os.path.join(dirpath, name)] = rel_prefix + name + "/"
-            out.extend((rel_prefix + name, "file") for name in filenames)
-        out.sort()
-        return out
+        return sorted((rel, "dir" if is_dir else "file") for rel, is_dir, _entry in self.scan())
 
-    def walk_files(self):
-        return [rel for rel, kind in self.walk() if kind == "file"]
+    def walk_files(self) -> list[str]:
+        return sorted(rel for rel, is_dir, _entry in self.scan() if not is_dir)
 
     def tree_hash(self) -> str:
         """Digest of the whole package-visible tree: paths, kinds, modes, contents."""
@@ -325,7 +374,7 @@ class Store:
             raise AlreadyLocked(f"transaction already open on {self.root}") from None
         try:
             with os.fdopen(fd, "w") as lock:
-                txn = Transaction(self, self._last_id() + 1)
+                txn = Transaction(self, self._last_id() + 1, _stat_key(os.fstat(fd)))
                 if (self.history_dir / str(txn.id)).exists():  # a record appears only by rename
                     raise CorruptedJournal(f"history record {txn.id} exists before its transaction")
                 self.save("serial", str(txn.id).encode())
@@ -366,10 +415,17 @@ class Store:
             missing = [name for name, data in parts.items() if data is None]
             if missing:
                 raise CorruptedJournal(f"history record {hid} incomplete: no {missing[0]}")
-            return HistoryRecord(hid, journal_load(parts["journal"]), parts["status-pre"],
-                                 json.loads(parts["post"]), json.loads(parts["meta"]))
+            post, meta = json.loads(parts["post"]), json.loads(parts["meta"])
         except (OSError, ValueError) as e:  # a directory for a part, JSON, UTF-8
             raise CorruptedJournal(f"history record {hid} unreadable: {e}") from None
+        undid = meta.get("undid") if type(meta) is dict else None
+        pair = type(undid) is list and len(undid) == 2 and all(type(i) is int for i in undid)
+        # rollback_to's walk goes on below undid[0], so the pair must name earlier ids
+        if type(post) is not dict or type(meta) is not dict or undid is not None and not (
+                pair and 0 < undid[0] <= undid[1] < hid):
+            raise CorruptedJournal(f"history record {hid} malformed: post and meta must be "
+                                   "JSON objects, and undid a pair of earlier ids")
+        return HistoryRecord(hid, journal_load(parts["journal"]), parts["status-pre"], post, meta)
 
     def rollback_to(self, target: int, force: bool = False) -> list[str]:
         """Restore the store to the state just before transaction ``target``, in
@@ -488,40 +544,83 @@ class Transaction:
     no matter how often a path is rewritten).
     """
 
-    def __init__(self, store: Store, txn_id: int):
+    def __init__(self, store: Store, txn_id: int, opened: tuple[int, ...]):
         self.store = store
         self.id = txn_id
         self.phase = "open"
         self._journal: dict[str, JournalEntry] = {}
         self._status_pre = store.status_bytes()
         self._pristine: list[tuple[dict, bytes]] = []
-        self._files: set[str] | None = None  # package-visible files, listed on first walk
+        self._opened = opened  # the lock file's key, for _settled
+        self._listings: dict[str, set[str]] = {}  # prefix -> the files under it
+        self._entries: dict[str, os.DirEntry] = {}  # path -> its listing's entry
         self._digests: dict[str, str] = {}  # path -> hex SHA-256 of its current content
+        self._index: dict | None = None  # .pkgdb/digests as read, on first use
+        self._indexed: dict[str, list] = {}  # path -> [*key, sha] to write back
 
     # -- reads -------------------------------------------------------------
 
     def state(self, rel: str):
         return self.store.state(rel)
 
-    def walk_files(self) -> list[str]:
-        """Sorted package-visible files; the disk is listed once per open
-        transaction and each mutation keeps the listing current."""
+    def walk_files(self, prefix: str = "") -> list[str]:
+        """Sorted package-visible files under the directory ``prefix`` names
+        ("" for the root, else ending in "/"); each prefix is listed once per
+        open transaction, and each mutation keeps every listing current."""
         self._require_open()
-        if self._files is None:
-            self._files = set(self.store.walk_files())
-        return sorted(self._files)
+        files = self._listings.get(prefix)
+        if files is None:
+            entries = {rel: entry for rel, is_dir, entry in self.store.scan(prefix) if not is_dir}
+            self._entries.update(entries)
+            files = self._listings[prefix] = set(entries)
+        return sorted(files)
 
     def digest(self, rel: str) -> str:
-        """``_sha`` of a file's content, hashed once per open transaction
-        until a mutation sets the path."""
+        """``_sha`` of a file's content, found once per open transaction
+        until a mutation sets the path.  A listed file whose key is settled
+        is looked up in the digest index, read only when its key changed,
+        and kept in the index the transaction writes back."""
         self._require_open()
         sha = self._digests.get(rel)
         if sha is None:
-            sha = self._digests[rel] = _sha(self.store.read(rel))
+            sha = self._digests[rel] = self._hash(rel)
         return sha
 
+    def _hash(self, rel: str) -> str:
+        index = self._load_index()
+        entry = self._entries.get(rel)
+        try:  # before the read, and through a link: the bytes read are the target's
+            key = None if entry is None else _stat_key(entry.stat())
+        except OSError:  # say a dangling link, whose read raises
+            key = None
+        if key is None or not self._settled(key):
+            return _sha(self.store.read(rel))
+        known = index.get(rel)
+        if (type(known) is list and len(known) == 6 and known[:5] == list(key)
+                and type(known[5]) is str):
+            sha = known[5]
+        else:
+            sha = _sha(self.store.read(rel))
+        self._indexed[rel] = [*key, sha]
+        return sha
+
+    def _settled(self, key) -> bool:
+        """Git's racy-entry rule: a file changed in the tick the lock was
+        made could change again unseen, with the same key."""
+        dev, ctime = self._opened[0], self._opened[4]
+        return key[0] == dev and key[3] < ctime and key[4] < ctime
+
+    def _load_index(self) -> dict:
+        if self._index is None:
+            try:
+                index = json.loads(self.store.load("digests") or b"{}")
+            except (OSError, ValueError, RecursionError):  # the index is only a cache
+                index = {}
+            self._index = index if type(index) is dict else {}
+        return self._index
+
     def _forget(self) -> None:
-        self._files, self._digests = None, {}
+        self._listings, self._entries, self._digests = {}, {}, {}
 
     # -- journaled mutations ------------------------------------------------
 
@@ -541,12 +640,15 @@ class Transaction:
                       "removed" if new[0] == "absent" else "modified")
             self._journal[rel] = JournalEntry(rel, action, mode, b"" if kind == "dir" else content)
         self._digests.pop(rel, None)
+        self._entries.pop(rel, None)
+        self._indexed.pop(rel, None)
         # a put that raises part-way may have changed the disk: list it again
-        files, self._files = self._files, None
+        listings, self._listings = self._listings, {}
         self.store.put(rel, new)
-        if files is not None:
-            (files.add if new[0] == "file" else files.discard)(rel)
-        self._files = files
+        for prefix, files in listings.items():
+            if rel.startswith(prefix):
+                (files.add if new[0] == "file" else files.discard)(rel)
+        self._listings = listings
 
     def write_through(self, rel: str, data: bytes | None, mode: int | None = None) -> list[str]:
         """Write ``data`` to a file, creating it and its missing parent
@@ -676,6 +778,11 @@ class Transaction:
                                ("post", json.dumps(post, sort_keys=True, indent=0).encode()),
                                ("meta", json.dumps(info, sort_keys=True, indent=0).encode())):
                 self.store.save(f"history/{partial.name}/{name}", data)
+            if self._index is not None:
+                try:
+                    self.store.save("digests", json.dumps(self._indexed).encode())
+                except OSError:  # the index is only a cache
+                    pass
             if self._pristine:  # objects are content-addressed: a rewrite is a no-op
                 for record, content in self._pristine:
                     self.store.save(f"pristine/objects/{record['sha']}", content)

@@ -11,7 +11,7 @@ import pytest
 
 from txpkg.cli import main
 from txpkg.planner import payload_dir
-from txpkg.txn import Store
+from txpkg.txn import Store, Transaction
 from txpkg.universe import PackageId, Version, parse_universe
 
 import support
@@ -356,6 +356,70 @@ def test_a_directory_in_place_of_a_record_part_is_reported(setup, capsys, comman
     assert "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("command", [["history"], ["rollback", "1"]])
+@pytest.mark.parametrize("part, data", [("meta", b"[]"), ("post", b'"x"'),
+                                        ("meta", b'{"undid": [1]}')])
+def test_a_record_part_of_the_wrong_shape_is_reported(setup, capsys, command, part, data):
+    store, repo = setup
+    assert run(capsys, "--root", str(store.root), "--repo", str(repo),
+               "apply", "install aterm")[0] == 0
+    (store.history_dir / "1" / part).write_bytes(data)
+    code, out, err = run(capsys, "--root", str(store.root), *command)
+    assert code == 1
+    assert "error: history record 1 malformed: " in out + err
+    assert "Traceback" not in out + err
+
+
+def test_apply_whose_aborted_record_cannot_be_written_is_an_io_failure(setup, capsys,
+                                                                      monkeypatch):
+    store, repo = setup
+    u = parse_universe(support.ATERM_META)
+    payload = payload_dir(repo, u.get(PackageId("aterm", Version("1.0.1-4"))))
+    (payload / "hooks/postinst").write_bytes(b"fail boom\n")
+    baseline = (store.tree_hash(), store.status_bytes())
+    real_save = Store.save
+
+    def save(self, name, data):
+        if name.startswith("history/"):
+            raise OSError(errno.ENOSPC, "No space left on device", name)
+        real_save(self, name, data)
+
+    monkeypatch.setattr(Store, "save", save)
+    code, out, err = run(capsys, "--root", str(store.root), "--repo", str(repo),
+                         "--json", "apply", "install aterm")
+    assert code == 4, out + err
+    report = json.loads(out)
+    assert report["result"] == "io-failure"
+    assert "boom" in report["failing"] and "No space left on device" in report["failing"]
+    assert "Traceback" not in out + err
+    assert (store.tree_hash(), store.status_bytes()) == baseline
+    assert store.history_ids() == [] and not store.lock_path.exists()
+
+
+def test_apply_whose_restore_fails_does_not_claim_the_store_restored(setup, capsys,
+                                                                    monkeypatch):
+    store, repo = setup
+    u = parse_universe(support.ATERM_META)
+    payload = payload_dir(repo, u.get(PackageId("aterm", Version("1.0.1-4"))))
+    (payload / "hooks/postinst").write_bytes(b"fail boom\n")
+    real_put, real_restore, restoring = Store.put, Transaction._restore, []
+
+    def put(self, rel, state):
+        if restoring:
+            raise OSError(errno.EIO, "Input/output error", rel)
+        real_put(self, rel, state)
+
+    monkeypatch.setattr(Store, "put", put)
+    monkeypatch.setattr(Transaction, "_restore",
+                        lambda self, entries: restoring.append(1) or real_restore(self, entries))
+    code, out, err = run(capsys, "--root", str(store.root), "--repo", str(repo),
+                         "apply", "install aterm")
+    assert code == 4, out + err
+    assert "boom; then the rollback failed: [Errno 5]" in out
+    assert "the store may differ from its previous state" in out
+    assert "store restored" not in out and not store.lock_path.exists()
+
+
 def test_rollback_steps_over_a_failed_apply(tmp_path, capsys):
     meta = ("Package: a\nVersion: 1\nFiles: usr/share/a\n\n"
             "Package: b\nVersion: 1\nFiles: usr/share/b\nPostinst: hooks/postinst\n\n"
@@ -416,6 +480,23 @@ def test_update_cache_lists_a_hand_placed_file_with_a_space(tmp_path, capsys):
     assert code == 0, out + err
     sha = hashlib.sha256(b"notes\n").hexdigest()
     assert f"usr/share/doc/my notes {sha}\n" in store.read("var/cache/index").decode()
+
+
+def test_update_cache_lists_a_hand_placed_file_whose_name_is_not_utf8(tmp_path, capsys):
+    meta = "Package: a\nVersion: 1\nFiles: usr/share/a.txt\nPostinst: hooks/postinst\n"
+    repo = support.write_repo(tmp_path / "repo", meta, {"a_1": {
+        "usr/share/a.txt": b"a\n",
+        "hooks/postinst": b"update-cache var/cache/idx usr/share/*\n"}})
+    store = support.new_store(tmp_path)
+    (store.root / "usr/share").mkdir(parents=True)
+    with open(os.path.join(os.fsencode(store.root), b"usr/share/\xff"), "wb") as fh:
+        fh.write(b"raw\n")
+    code, out, err = run(capsys, "--root", str(store.root), "--repo", str(repo),
+                         "apply", "install a")
+    assert code == 0, out + err
+    sha_a, sha_raw = (hashlib.sha256(data).hexdigest().encode() for data in (b"a\n", b"raw\n"))
+    assert store.read("var/cache/idx") == (b"usr/share/a.txt " + sha_a + b"\n"
+                                           + b"usr/share/\xff " + sha_raw + b"\n")
 
 
 def test_history_empty_then_lists_records(setup, capsys):

@@ -3,12 +3,15 @@
 import errno
 import fnmatch
 import hashlib
+import json
 import os
 import random
+import time
 from pathlib import Path
 
 import pytest
 
+import txpkg.txn
 from txpkg.mscript import compute_cache
 from txpkg.txn import (
     AlreadyLocked,
@@ -551,7 +554,8 @@ def _disk_files(root: Path) -> dict:
 def _listing(root: Path, cache: str, pattern: str) -> bytes:
     files = _disk_files(root)
     return "".join(f"{rel} {files[rel]}\n" for rel in sorted(files)
-                   if rel != cache and fnmatch.fnmatchcase(rel, pattern)).encode()
+                   if rel != cache and fnmatch.fnmatchcase(rel, pattern)).encode(
+                       "utf-8", "surrogateescape")
 
 
 def _half_write(path, data):
@@ -607,8 +611,126 @@ def test_memo_matches_the_disk_after_every_mutation(store, monkeypatch):
             txn.commit()
         else:
             txn.rollback()
-        assert txn._files is None and txn._digests == {}
+        assert txn._listings == {} and txn._entries == {} and txn._digests == {}
         with pytest.raises(StoreError):
             txn.walk_files()
         with pytest.raises(StoreError):
             txn.digest(MEMO_CACHE)
+
+
+# --- the digest index across transactions --------------------------------------------
+
+#: The last three name no directory a package can see, and list nothing.
+INDEX_GLOBS = MEMO_GLOBS + ["../*", "/etc/*", ".pkgdb/*"]
+HARD, LINK = "usr/share/app/hard.txt", "usr/share/app/link.txt"  # no step touches them
+GRAIN = 20_000_000  # ns: a filesystem whose timestamps tick this coarsely
+
+
+def _coarse_key(grain):
+    """``_stat_key`` on a filesystem whose timestamps are cut to ``grain``."""
+    real = txpkg.txn._stat_key
+
+    def key(st):
+        dev, ino, size, mtime, ctime = real(st)
+        return dev, ino, size, mtime // grain * grain, ctime // grain * grain
+    return key
+
+
+def _rewrite_same_size(path: Path) -> None:
+    """Rewrite a file in place with other bytes of its size, and put its mtime back."""
+    st = os.stat(path)
+    data = path.read_bytes()
+    with open(path, "r+b") as fh:  # in place: through any hard link, keeping the inode
+        fh.write(bytes((b + 1) % 256 for b in data))
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+
+
+def _hand_edit(rng, root: Path, outside: Path) -> None:
+    """One edit made outside the engine, between two transactions."""
+    files = [rel for rel in MEMO_FILES if (root / rel).is_file() and (root / rel).stat().st_size]
+    kind = rng.choice(("same-size", "hard-link", "link-target", "recreate", "delete",
+                       "damage-index"))
+    if kind == "same-size" and files:
+        _rewrite_same_size(root / rng.choice(files))
+    elif kind == "hard-link":
+        _rewrite_same_size(outside / "hard")
+    elif kind == "link-target":
+        _rewrite_same_size(outside / "target")
+    elif kind in ("recreate", "delete") and files:
+        path = root / rng.choice(files)
+        st, data = os.stat(path), path.read_bytes()
+        path.unlink()
+        if kind == "recreate":
+            path.write_bytes(bytes((b + 1) % 256 for b in data))
+            os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+    elif kind == "damage-index":
+        index = root / ".pkgdb/digests"
+        data = index.read_bytes() if index.is_file() else b"{}"
+        index.write_bytes(rng.choice([data[:len(data) // 2], b"\xff{", b"[1, 2]",
+                                      b'{"etc/motd": [1], "etc/app.conf": "x"}']))
+
+
+@pytest.mark.parametrize("grain", [1, GRAIN])
+def test_index_matches_the_disk_across_transactions_and_hand_edits(store, tmp_path,
+                                                                   monkeypatch, grain):
+    """Each ``update-cache`` equals a listing read from disk after every hand
+    edit the index must notice, on this filesystem and on one with coarse
+    timestamps, where files changed in the tick a transaction opens are racy."""
+    monkeypatch.setattr(txpkg.txn, "_stat_key", _coarse_key(grain))
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (store.root / HARD).write_bytes(b"hard link\n")
+    os.link(store.root / HARD, outside / "hard")
+    (outside / "target").write_bytes(b"link target\n")
+    (store.root / LINK).symlink_to(outside / "target")
+    rng = random.Random(17)
+    for _ in range(40):
+        _hand_edit(rng, store.root, outside)
+        txn = store.begin()
+        for step in range(rng.randint(0, 4) + 1):
+            if step:
+                _memo_step(rng, txn, monkeypatch)
+            for pattern in INDEX_GLOBS:
+                assert compute_cache(txn, MEMO_CACHE, pattern) == _listing(
+                    store.root, MEMO_CACHE, pattern), pattern
+        (txn.commit if rng.random() < 0.5 else txn.rollback)()
+        index = json.loads(store.load("digests"))
+        assert set(index) <= set(_disk_files(store.root))  # deleted files leave it
+        if rng.random() < 0.5:
+            time.sleep(1.5 * GRAIN / 1e9)  # let this transaction's writes settle
+
+
+def test_index_serves_settled_files_by_their_names_without_reading_them(store, monkeypatch):
+    (store.root / "srv").mkdir()
+    for rel in ("srv/a b", "srv/new\nline", os.fsdecode(b"srv/\xff")):
+        (store.root / rel).write_bytes(rel.encode("utf-8", "surrogateescape"))
+    time.sleep(0.05)  # older than the next lock: settled
+    txn = store.begin()
+    first = compute_cache(txn, MEMO_CACHE, "*")
+    txn.commit()
+    assert first == _listing(store.root, MEMO_CACHE, "*")
+    reads = []
+    real_read = txpkg.txn.Store.read
+    monkeypatch.setattr(txpkg.txn.Store, "read",
+                        lambda self, rel: reads.append(rel) or real_read(self, rel))
+    txn = store.begin()
+    assert compute_cache(txn, MEMO_CACHE, "*") == first
+    assert reads == []
+    txn.write_through("srv/a b", b"changed")  # a file the transaction writes is read
+    assert compute_cache(txn, MEMO_CACHE, "srv/*") == _listing(store.root, MEMO_CACHE, "srv/*")
+    assert reads == ["srv/a b"]
+    txn.rollback()
+    assert "srv/a b" not in json.loads(store.load("digests"))
+
+
+@pytest.mark.parametrize("damage", [b"", b"{", b"\xff", b"[]", b'{"etc/motd": [1, 2]}', None])
+def test_damaged_index_means_hashing_again(store, damage):
+    index = store.root / ".pkgdb/digests"
+    index.parent.mkdir()
+    if damage is None:
+        index.mkdir()  # not even a file
+    else:
+        index.write_bytes(damage)
+    txn = store.begin()
+    assert compute_cache(txn, MEMO_CACHE, "*") == _listing(store.root, MEMO_CACHE, "*")
+    txn.commit()

@@ -6,8 +6,9 @@ read and mutation surface on ``txn``, and reach nothing through
 overlay with the same surface can then stand in for the transaction.  One
 reach is known: ``upgrade_conffile`` reads the pristine conffile store
 through ``PristineStore(txn.store)``.  Inside ``txn``, only the filesystem
-seam (``Store.state``, ``put`` and ``read``) maps a package-visible path to
-disk with ``resolve``, so a no-follow resolution has one place to go.  Only
+seam (``Store.state``, ``put``, ``read`` and ``scan``, which checks the
+directory a listing starts from) maps a package-visible path to disk with
+``resolve``, so a no-follow resolution has one place to go.  Only
 ``Transaction._set`` calls ``Store.put``, so every write of the root, the
 restores of both rollbacks included, is journaled first, and an overlay has
 one write to take over.  Only the two seams, ``tree_hash`` and the lock in
@@ -25,7 +26,7 @@ SRC = Path(txpkg.__file__).resolve().parent
 ENGINE = ("mscript", "confmerge", "planner")
 SURFACE = {"state", "walk_files", "digest", "write_through", "mkdir", "rmdir",
            "add_pristine", "set_status", "commit", "rollback"}
-SEAM = {"state", "put", "read"}
+SEAM = {"state", "put", "read", "scan"}
 FILE_IO = {"read_bytes", "write_bytes", "read_text", "write_text", "open"}
 FILE_SEAM = SEAM | {"load", "save", "tree_hash", "begin"}
 KNOWN_REACH = ("confmerge", "PristineStore(txn.store)")
