@@ -1,15 +1,15 @@
 """Configuration file tracking and three-way merge.
 
-Every conffile version a package ships is archived verbatim in a
-content-addressed pristine store under ``.pkgdb/pristine/``.  On upgrade, the
-pristine copy of the installed version serves as the merge base: unmodified
-files simply take the incoming version, locally modified ones get a
-line-oriented three-way merge (or a per-key merge for ``key=value`` files),
-and overlapping edits surface as a conflict with the incoming version parked
-next to the file as ``<path>.pkgnew``.  A conflict never aborts the upgrade.
-:func:`upgrade_conffile` reads the conffile with the transaction's ``state``
-and writes it with ``write_through``, which creates missing parents; the
-pristine archive is read from the transaction's store.
+Every conffile version a package ships is archived verbatim in the pristine
+store (``txn.PristineStore``, re-exported here with the ``ConfmergeError``
+it raises).  On upgrade, the pristine copy of the installed version serves
+as the merge base: unmodified files simply take the incoming version,
+locally modified ones get a line-oriented three-way merge (or a per-key
+merge for ``key=value`` files), and overlapping edits surface as a conflict
+with the incoming version parked next to the file as ``<path>.pkgnew``.  A
+conflict never aborts the upgrade.  :func:`upgrade_conffile` reads with the
+transaction's ``state`` and ``pristine`` and writes with ``write_through``
+(which creates missing parents) and ``add_pristine``.
 
 ``parse_kv``/``dump_kv`` are the engine's one ``key=value`` codec; the
 script DSL's ``setkey``/``delkey`` use it too.
@@ -17,11 +17,10 @@ script DSL's ``setkey``/``delkey`` use it too.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from difflib import SequenceMatcher
 
-from .txn import Store, Transaction, _sha
+from .txn import ConfmergeError, PristineStore, Transaction, _sha
 from .universe import Package
 
 __all__ = [
@@ -37,10 +36,6 @@ __all__ = [
 ]
 
 PKGNEW_SUFFIX = ".pkgnew"
-
-
-class ConfmergeError(Exception):
-    """Conffile bookkeeping errors (unregistered files, missing pristine data)."""
 
 
 @dataclass(frozen=True)
@@ -218,38 +213,6 @@ def dump_kv(mapping: dict) -> bytes:
     return "".join(f"{k}={mapping[k]}\n" for k in sorted(mapping)).encode("utf-8")
 
 
-class PristineStore:
-    """Read access to the per-package archive of unmodified conffile versions.
-
-    The index is an append-only JSON-lines file; contents live in a
-    content-addressed object directory.  Writes go through the transaction
-    (:meth:`txpkg.txn.Transaction.add_pristine`) so they commit and roll back
-    with the upgrade that made them.
-    """
-
-    def __init__(self, store: Store):
-        self._store = store
-
-    def entries(self, pkg_name: str, path: str) -> list[dict]:
-        data = self._store.load("pristine/index") or b""
-        try:
-            records = [json.loads(line) for line in data.decode("utf-8").splitlines()
-                       if line.strip()]
-            return [rec for rec in records if rec["pkg"] == pkg_name and rec["path"] == path]
-        except (ValueError, KeyError, TypeError) as e:
-            raise ConfmergeError(f"pristine index unreadable: {e}") from None
-
-    def latest(self, pkg_name: str, path: str) -> dict | None:
-        found = self.entries(pkg_name, path)
-        return found[-1] if found else None
-
-    def content(self, sha: str) -> bytes:
-        data = self._store.load(f"pristine/objects/{sha}")
-        if data is None:
-            raise ConfmergeError(f"pristine object {sha} missing")
-        return data
-
-
 def upgrade_conffile(txn: Transaction, pkg: Package, path: str,
                      incoming: bytes) -> MergeOutcome:
     """Bring one conffile to the incoming version inside an open transaction.
@@ -265,42 +228,22 @@ def upgrade_conffile(txn: Transaction, pkg: Package, path: str,
     """
     if path not in pkg.conffiles:
         raise ConfmergeError(f"{path!r} is not a conffile of {pkg.id}")
-    pristine = PristineStore(txn.store)
-    latest = pristine.latest(pkg.name, path)
+    found = txn.pristine.entries(pkg.name, path)
+    latest = found[-1] if found else None
     _kind, current, _mode = txn.state(path)
-
-    def register() -> None:
-        txn.add_pristine(pkg.name, path, str(pkg.version), incoming)
-
-    if current is None and latest is None:
-        txn.write_through(path, incoming)
-        register()
-        return MergeOutcome("took-new", incoming)
-
-    if latest is None:
-        # an unowned file already sits where a fresh conffile should go
-        if current == incoming:
-            txn.write_through(path, incoming)
-            register()
-            return MergeOutcome("took-new", incoming)
-        txn.write_through(path + PKGNEW_SUFFIX, incoming)
-        register()
-        return MergeOutcome("conflict", current, ((b"", current, incoming),))
-
-    if current is None:
-        # locally deleted conffiles stay deleted
-        register()
-        return MergeOutcome("kept-local", b"")
-    if _sha(current) == latest["sha"]:
-        txn.write_through(path, incoming)
-        register()
-        return MergeOutcome("took-new", incoming)
-
-    base = pristine.content(latest["sha"])
-    outcome = structured_merge(base, current, incoming, pkg.syntax_for(path))
+    if latest is None:  # an unowned file may already sit where a fresh conffile goes
+        outcome = (MergeOutcome("took-new", incoming) if current in (None, incoming) else
+                   MergeOutcome("conflict", current, ((b"", current, incoming),)))
+    elif current is None:  # locally deleted conffiles stay deleted
+        outcome = MergeOutcome("kept-local", b"")
+    elif _sha(current) == latest["sha"]:
+        outcome = MergeOutcome("took-new", incoming)
+    else:
+        base = txn.pristine.content(latest["sha"])
+        outcome = structured_merge(base, current, incoming, pkg.syntax_for(path))
     if outcome.kind == "conflict":
         txn.write_through(path + PKGNEW_SUFFIX, incoming)
-    else:
+    elif current is not None or latest is None:
         txn.write_through(path, outcome.content)
-    register()
+    txn.add_pristine(pkg.name, path, str(pkg.version), incoming)
     return outcome

@@ -202,7 +202,9 @@ def _subst(token: str, env: ScriptEnv, index: int) -> str:
 
 def compute_cache(txn: Transaction, cache_path: str, pattern: str) -> bytes:
     """Deterministic cache content: one ``path sha256`` line per matching file,
-    sorted by path, each name in its own bytes.  The cache file itself never
+    sorted by path, each name in its own bytes, escaped as GNU ``sha256sum``
+    does: a name holding ``\\`` or a newline starts its line with ``\\`` and
+    has those written as ``\\\\`` and ``\\n``.  The cache file itself never
     matches its own glob.  Only the directory named by the glob's literal
     prefix (up to its last "/" before the first ``*``, ``?`` or ``[``) is
     listed: no file outside it can match."""
@@ -211,7 +213,8 @@ def compute_cache(txn: Transaction, cache_path: str, pattern: str) -> bytes:
     for rel in txn.walk_files(literal[:literal.rfind("/") + 1]):
         if rel == cache_path or not fnmatch.fnmatchcase(rel, pattern):
             continue
-        lines.append(f"{rel} {txn.digest(rel)}\n")
+        name = rel.replace("\\", "\\\\").replace("\n", "\\n")
+        lines.append(("" if name == rel else "\\") + f"{name} {txn.digest(rel)}\n")
     return "".join(lines).encode("utf-8", "surrogateescape")
 
 

@@ -24,7 +24,10 @@ memoized per transaction, a listing per prefix, which a link placed in the
 root by hand can make stale), and its mutations ``write_through``,
 ``mkdir`` and ``rmdir``, which share one step with every restore, ``_set``:
 journal the path's state on first touch, ``put`` the new one, keep every
-memo current.  ``set_status`` and ``add_pristine`` update the engine state.
+memo current.  ``set_status`` and ``add_pristine`` update the engine state;
+``pristine`` (a :class:`PristineStore`) parses the conffile archive's index
+on first use and ``_close`` appends to it.  Only this module reads or
+writes that index, with one parser and one serializer.
 
 ``digest`` also keeps shas across transactions, in ``.pkgdb/digests``: a
 JSON object from path to ``[st_dev, st_ino, size, mtime_ns, ctime_ns,
@@ -76,9 +79,11 @@ __all__ = [
     "PathEscape",
     "CorruptedJournal",
     "GapInHistory",
+    "ConfmergeError",
     "JournalEntry",
     "HistoryRecord",
     "Store",
+    "PristineStore",
     "Transaction",
     "trim",
 ]
@@ -93,6 +98,7 @@ _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 _FILE_MODE = 0o644
 _DIR_MODE = 0o755
 _ABSENT = ("absent", None, 0)
+_PRISTINE_FIELDS = (("pkg", str), ("path", str), ("sha", str), ("txn", int))
 
 
 class StoreError(Exception):
@@ -113,6 +119,10 @@ class CorruptedJournal(StoreError):
 
 class GapInHistory(StoreError):
     """A history record needed for rollback is missing."""
+
+
+class ConfmergeError(Exception):
+    """Conffile bookkeeping errors (unregistered files, missing pristine data)."""
 
 
 @dataclass
@@ -192,6 +202,23 @@ def _stat_key(st: os.stat_result) -> tuple[int, int, int, int, int]:
     """The digest index's key of a file: (st_dev, st_ino, size, mtime_ns,
     ctime_ns).  Every write of the file, by any path to it, moves its ctime."""
     return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+
+
+def _pristine_load(data: bytes) -> list[dict]:
+    """The pristine index's records: each line a JSON object with ``pkg``,
+    ``path`` and ``sha`` strings and a ``txn`` int."""
+    try:
+        records = [json.loads(line) for line in data.decode("utf-8").splitlines() if line.strip()]
+        if not all(type(r) is dict and all(type(r.get(k)) is t for k, t in _PRISTINE_FIELDS)
+                   for r in records):
+            raise ValueError("a record needs pkg, path and sha strings and a txn int")
+    except (ValueError, RecursionError) as e:
+        raise ConfmergeError(f"pristine index unreadable: {e}") from None
+    return records
+
+
+def _pristine_dump(records) -> bytes:
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records).encode()
 
 
 def _token(state):
@@ -318,7 +345,8 @@ class Store:
             p = self.root / rel
             mode = os.lstat(p).st_mode & 0o7777
             digest = _sha(p.read_bytes()) if kind == "file" else "-"
-            h.update(f"{rel}\0{kind}\0{mode:o}\0{digest}\n".encode())
+            line = f"{rel}\0{kind}\0{mode:o}\0{digest}\n"
+            h.update(line.encode("utf-8", "surrogateescape"))
         return h.hexdigest()
 
     # -- engine state ----------------------------------------------------
@@ -458,7 +486,11 @@ class Store:
             hid = lo - 1
         if not records:
             return []
-        owners = self._pristine_owners()
+        pristine = PristineStore(self)
+        try:
+            pristine.records()
+        except ConfmergeError:
+            raise CorruptedJournal(f"{DB_DIR}/pristine/index is unreadable") from None
 
         if not force:
             seen: set[str] = set()
@@ -485,29 +517,21 @@ class Store:
         except BaseException:  # the commit's record included: the transaction is still open
             txn.rollback()
             raise
-        self._archive(records, owners)
+        self._archive(records, pristine)
         return skipped
 
-    def _pristine_owners(self) -> list[tuple[str, int | None]]:
-        """Each line of the pristine index with the transaction that wrote it."""
-        data = self.load("pristine/index") or b""
-        try:
-            return [(line, json.loads(line).get("txn"))
-                    for line in data.decode("utf-8").splitlines() if line.strip()]
-        except (ValueError, AttributeError):
-            raise CorruptedJournal(f"{DB_DIR}/pristine/index is unreadable") from None
-
-    def _archive(self, records, owners) -> None:
-        """Move reverted records, each with its pristine index lines, to the archive."""
+    def _archive(self, records, pristine: PristineStore) -> None:
+        """Move reverted records, each with its pristine index records, to the archive."""
         self.archive_dir.mkdir(parents=True, exist_ok=True)
+        held = pristine.records()
         reverted = {rec.id for rec in records}
-        kept = [line for line, txn in owners if txn not in reverted]
-        if len(kept) < len(owners):
-            self.save("pristine/index", "".join(line + "\n" for line in kept).encode())
+        kept = [r for r in held if r["txn"] not in reverted]
+        if len(kept) < len(held):
+            self.save("pristine/index", _pristine_dump(kept))
         for rec in records:
-            dropped = "".join(line + "\n" for line, txn in owners if txn == rec.id)
+            dropped = [r for r in held if r["txn"] == rec.id]
             if dropped:
-                self.save(f"history/{rec.id}/pristine", dropped.encode())
+                self.save(f"history/{rec.id}/pristine", _pristine_dump(dropped))
             shutil.move(str(self.history_dir / str(rec.id)), str(self.archive_dir / str(rec.id)))
 
     def prune_history(self, keep: int) -> list[int]:
@@ -519,6 +543,38 @@ class Store:
         for hid in doomed:
             shutil.rmtree(self.history_dir / str(hid))
         return doomed
+
+
+class PristineStore:
+    """The archive of unmodified conffile versions, whose index is read once."""
+
+    def __init__(self, store: Store):
+        self._store = store
+        self._records: list[dict] | None = None
+
+    def records(self) -> list[dict]:
+        """Every index record, oldest first; ConfmergeError when unreadable."""
+        if self._records is None:
+            self._records = _pristine_load(self._store.load("pristine/index") or b"")
+        return self._records
+
+    def entries(self, pkg_name: str, path: str) -> list[dict]:
+        return [r for r in self.records() if r["pkg"] == pkg_name and r["path"] == path]
+
+    def content(self, sha: str) -> bytes:
+        data = self._store.load(f"pristine/objects/{sha}")
+        if data is None:
+            raise ConfmergeError(f"pristine object {sha} missing")
+        return data
+
+    def append(self, snapshots) -> None:
+        """Store ``(record, content)`` snapshots; objects are content-addressed,
+        so a rewrite is a no-op."""
+        for record, content in snapshots:
+            self._store.save(f"pristine/objects/{record['sha']}", content)
+        records = self.records() + [record for record, _ in snapshots]
+        self._store.save("pristine/index", _pristine_dump(records))
+        self._records = records
 
 
 def trim(entries, states) -> list[JournalEntry]:
@@ -550,13 +606,13 @@ class Transaction:
         self.phase = "open"
         self._journal: dict[str, JournalEntry] = {}
         self._status_pre = store.status_bytes()
-        self._pristine: list[tuple[dict, bytes]] = []
+        self.pristine = PristineStore(store)
+        self._snapshots: list[tuple[dict, bytes]] = []  # queued by add_pristine
         self._opened = opened  # the lock file's key, for _settled
         self._listings: dict[str, set[str]] = {}  # prefix -> the files under it
         self._entries: dict[str, os.DirEntry] = {}  # path -> its listing's entry
-        self._digests: dict[str, str] = {}  # path -> hex SHA-256 of its current content
+        self._digests: dict[str, tuple] = {}  # path -> (settled key or None, sha)
         self._index: dict | None = None  # .pkgdb/digests as read, on first use
-        self._indexed: dict[str, list] = {}  # path -> [*key, sha] to write back
 
     # -- reads -------------------------------------------------------------
 
@@ -581,12 +637,12 @@ class Transaction:
         is looked up in the digest index, read only when its key changed,
         and kept in the index the transaction writes back."""
         self._require_open()
-        sha = self._digests.get(rel)
-        if sha is None:
-            sha = self._digests[rel] = self._hash(rel)
-        return sha
+        known = self._digests.get(rel)
+        if known is None:
+            known = self._digests[rel] = self._hash(rel)
+        return known[1]
 
-    def _hash(self, rel: str) -> str:
+    def _hash(self, rel: str) -> tuple:
         index = self._load_index()
         entry = self._entries.get(rel)
         try:  # before the read, and through a link: the bytes read are the target's
@@ -594,15 +650,12 @@ class Transaction:
         except OSError:  # say a dangling link, whose read raises
             key = None
         if key is None or not self._settled(key):
-            return _sha(self.store.read(rel))
+            return None, _sha(self.store.read(rel))
         known = index.get(rel)
         if (type(known) is list and len(known) == 6 and known[:5] == list(key)
                 and type(known[5]) is str):
-            sha = known[5]
-        else:
-            sha = _sha(self.store.read(rel))
-        self._indexed[rel] = [*key, sha]
-        return sha
+            return key, known[5]
+        return key, _sha(self.store.read(rel))
 
     def _settled(self, key) -> bool:
         """Git's racy-entry rule: a file changed in the tick the lock was
@@ -641,7 +694,6 @@ class Transaction:
             self._journal[rel] = JournalEntry(rel, action, mode, b"" if kind == "dir" else content)
         self._digests.pop(rel, None)
         self._entries.pop(rel, None)
-        self._indexed.pop(rel, None)
         # a put that raises part-way may have changed the disk: list it again
         listings, self._listings = self._listings, {}
         self.store.put(rel, new)
@@ -731,7 +783,7 @@ class Transaction:
         self._require_open()
         record = {"pkg": pkg_name, "path": path, "version": version_raw,
                   "sha": _sha(content), "txn": self.id}
-        self._pristine.append((record, content))
+        self._snapshots.append((record, content))
 
     # -- outcomes ---------------------------------------------------------
 
@@ -739,7 +791,7 @@ class Transaction:
         """Undo everything this transaction did and end in an aborted record; a
         failed restore is raised after it.  Returns the preserve-skipped paths."""
         self._require_open()
-        self._pristine.clear()
+        self._snapshots.clear()
         meta = {"outcome": "aborted"}
         try:
             skipped = self._restore(self.journal_entries())
@@ -759,9 +811,12 @@ class Transaction:
 
     def _close(self, phase: str, meta: dict, do_trim: bool = True) -> None:
         """The one record writer.  Each journaled path is read once, for both
-        the trim and ``post``; queued pristine snapshots are flushed before
-        the rename.  The lock is released in a ``finally``, unless a commit's
-        record failed: that transaction stays open for its rollback."""
+        the trim and ``post``; the digest index and queued pristine snapshots
+        are written before the rename.  The lock is released in a ``finally``,
+        unless a commit's record failed: that transaction stays open for its
+        rollback."""
+        indexed = {rel: [*key, sha] for rel, (key, sha) in self._digests.items()
+                   if key is not None}
         self._forget()
         partial = self.store.history_dir / f".{self.id}.partial"
         ended = phase != "committed"
@@ -780,15 +835,11 @@ class Transaction:
                 self.store.save(f"history/{partial.name}/{name}", data)
             if self._index is not None:
                 try:
-                    self.store.save("digests", json.dumps(self._indexed).encode())
+                    self.store.save("digests", json.dumps(indexed).encode())
                 except OSError:  # the index is only a cache
                     pass
-            if self._pristine:  # objects are content-addressed: a rewrite is a no-op
-                for record, content in self._pristine:
-                    self.store.save(f"pristine/objects/{record['sha']}", content)
-                lines = "".join(json.dumps(r, sort_keys=True) + "\n" for r, _ in self._pristine)
-                index = self.store.load("pristine/index") or b""
-                self.store.save("pristine/index", index + lines.encode())
+            if self._snapshots:
+                self.pristine.append(self._snapshots)
             os.rename(partial, self.store.history_dir / str(self.id))
             ended = True
         except BaseException:

@@ -790,6 +790,45 @@ def test_apply_with_an_unparseable_pristine_index_is_an_io_failure(tmp_path, cap
     assert not store.lock_path.exists()
 
 
+def _counting_conffile_root(tmp_path, capsys, monkeypatch):
+    """A root, the arguments naming it and a repository offering ``a``, ``b`` and
+    ``c`` at versions 1 and 2, each with two conffiles, and a function that runs
+    a command and returns how often it loaded the pristine index."""
+    names = ("a", "b", "c")
+    meta = "\n".join(
+        f"Package: {n}\nVersion: {v}\n" + (f"Conflicts: {n} (<< 2)\n" if v == 2 else "")
+        + f"Files: etc/{n}/x.conf, etc/{n}/y.conf\nConffiles: etc/{n}/x.conf, etc/{n}/y.conf\n"
+        for n in names for v in (1, 2))
+    repo = support.write_repo(tmp_path / "repo", meta, {
+        f"{n}_{v}": {f"etc/{n}/{f}.conf": f"{f}={v}\n".encode() for f in "xy"}
+        for n in names for v in (1, 2)})
+    store = support.new_store(tmp_path)
+    loads = []
+    real_load = Store.load
+    monkeypatch.setattr(Store, "load",
+                        lambda self, name: loads.append(name) or real_load(self, name))
+
+    def index_loads(*argv):
+        loads.clear()
+        assert run(capsys, *argv)[0] == 0
+        return loads.count("pristine/index")
+    return store, ["--root", str(store.root), "--repo", str(repo)], index_loads
+
+
+def test_a_fresh_install_reads_the_pristine_index_once(tmp_path, capsys, monkeypatch):
+    _store, base, index_loads = _counting_conffile_root(tmp_path, capsys, monkeypatch)
+    assert index_loads(*base, "apply", "install a (= 1), install b (= 1), install c (= 1)") == 1
+
+
+def test_an_upgrade_and_its_rollback_read_the_pristine_index_once(tmp_path, capsys, monkeypatch):
+    store, base, index_loads = _counting_conffile_root(tmp_path, capsys, monkeypatch)
+    index_loads(*base, "apply", "install a (= 1), install b (= 1), install c (= 1)")
+    (store.root / "etc/a/x.conf").write_bytes(b"x=1\nlocal=yes\n")  # merged with its base
+    assert index_loads(*base, "apply", "upgrade a (>= 2), upgrade b (>= 2)") == 1
+    assert store.read("etc/a/x.conf.pkgnew") == b"x=2\n" and store.read("etc/b/y.conf") == b"y=2\n"
+    assert index_loads("--root", str(store.root), "rollback", "2") == 1
+
+
 def test_rollback_with_an_unparseable_pristine_index_touches_nothing(tmp_path, capsys):
     store, _base = _conffile_root(tmp_path, capsys)
     (store.pristine_dir / "index").write_bytes(b"{not json\n")

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import time
 from pathlib import Path
 
@@ -551,11 +552,29 @@ def _disk_files(root: Path) -> dict:
     return out
 
 
+def _escaped(rel: str) -> str:
+    """A name as a ``sha256sum`` listing writes it."""
+    if "\\" not in rel and "\n" not in rel:
+        return rel
+    return "\\" + rel.replace("\\", "\\\\").replace("\n", "\\n")
+
+
 def _listing(root: Path, cache: str, pattern: str) -> bytes:
     files = _disk_files(root)
-    return "".join(f"{rel} {files[rel]}\n" for rel in sorted(files)
+    return "".join(f"{_escaped(rel)} {files[rel]}\n" for rel in sorted(files)
                    if rel != cache and fnmatch.fnmatchcase(rel, pattern)).encode(
                        "utf-8", "surrogateescape")
+
+
+def _read_listing(data: bytes) -> dict[str, str]:
+    """name -> sha of an ``update-cache`` listing, its escapes undone."""
+    out = {}
+    for line in data.decode("utf-8", "surrogateescape").split("\n")[:-1]:
+        name, _, sha = line.rpartition(" ")
+        if name.startswith("\\"):
+            name = re.sub(r"\\(.)", lambda m: "\n" if m[1] == "n" else m[1], name[1:])
+        out[name] = sha
+    return out
 
 
 def _half_write(path, data):
@@ -721,6 +740,27 @@ def test_index_serves_settled_files_by_their_names_without_reading_them(store, m
     assert reads == ["srv/a b"]
     txn.rollback()
     assert "srv/a b" not in json.loads(store.load("digests"))
+
+
+def test_listing_escapes_names_as_sha256sum_does(store):
+    (store.root / "srv").mkdir()
+    names = ("srv/a\\b", "srv/new\nline", "srv/plain")
+    for rel in names:
+        (store.root / rel).write_bytes(rel.encode())
+    txn = store.begin()
+    data = compute_cache(txn, MEMO_CACHE, "srv/*")
+    txn.rollback()
+    shas = {rel: hashlib.sha256(rel.encode()).hexdigest() for rel in names}
+    assert _read_listing(data) == shas  # each name reads back as one name
+    assert data.split(b"\n") == [b"\\srv/a\\\\b " + shas["srv/a\\b"].encode(),
+                                 b"\\srv/new\\nline " + shas["srv/new\nline"].encode(),
+                                 b"srv/plain " + shas["srv/plain"].encode(), b""]
+
+
+def test_tree_hash_takes_a_name_that_is_not_utf8(store):
+    before = store.tree_hash()
+    (store.root / os.fsdecode(b"usr/\xff")).write_bytes(b"x")
+    assert store.tree_hash() != before
 
 
 @pytest.mark.parametrize("damage", [b"", b"{", b"\xff", b"[]", b'{"etc/motd": [1, 2]}', None])
