@@ -26,7 +26,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .confmerge import structured_merge
+from .confmerge import PKGNEW_SUFFIX, structured_merge
 from .mscript import ScriptSyntaxError, classify, parse_script
 from .planner import ResolutionFailure, execute_plan, plan, simulate
 from .preferences import DEFAULT_PREFS, PreferenceError, parse_prefs
@@ -183,7 +183,7 @@ def cmd_apply(args) -> int:
     }
     lines = [simulate(plan_).rstrip("\n")]
     for path in outcome.conffile_conflicts:
-        lines.append(f"conffile conflict: {path} (incoming kept as {path}.pkgnew)")
+        lines.append(f"conffile conflict: {path} (incoming kept as {path}{PKGNEW_SUFFIX})")
     if outcome.result == "success":
         if outcome.history_id is not None:
             lines.append(f"applied as transaction {outcome.history_id}")

@@ -24,10 +24,10 @@ memoized per transaction, a listing per prefix, which a link placed in the
 root by hand can make stale), and its mutations ``write_through``,
 ``mkdir`` and ``rmdir``, which share one step with every restore, ``_set``:
 journal the path's state on first touch, ``put`` the new one, keep every
-memo current.  ``set_status`` and ``add_pristine`` update the engine state;
+memo current.  ``set_status`` and ``add_pristine`` queue engine state;
 ``pristine`` (a :class:`PristineStore`) parses the conffile archive's index
-on first use and ``_close`` appends to it.  Only this module reads or
-writes that index, with one parser and one serializer.
+on first use.  Only this module reads or writes that index, with one parser
+and one serializer.
 
 ``digest`` also keeps shas across transactions, in ``.pkgdb/digests``: a
 JSON object from path to ``[st_dev, st_ino, size, mtime_ns, ctime_ns,
@@ -46,10 +46,14 @@ Every transaction id ends in one record, ``history/<id>/``, written into
 ``history/.<id>.partial/`` and renamed into place, its journal trimmed
 against the disk (entries whose ``pre_state()`` equals the final state go):
 committed by ``commit``, or aborted by ``rollback``, which ``put``s each
-entry's ``pre_state()``, last first, and the status file back, and records
-what it could not put back and any error.  :meth:`Store.rollback_to` is a
-transaction too, whose record says ``"outcome": "rolled-back"`` and which
-ids it undid, like an ARIES compensation record (Mohan et al., TODS 1992).
+entry's ``pre_state()``, last first, and records what it could not put back
+and any error.  ``_close`` writes all of a transaction's engine state before
+that rename: a commit's queued status and pristine files, or for an abort
+the status and index as ``begin`` found them, if a failed commit wrote
+them.  :meth:`Store.rollback_to` is a transaction too, whose record says
+``"outcome": "rolled-back"``, which ids it undid and, as its ``pristine``
+part, the index lines it dropped, like an ARIES compensation record (Mohan
+et al., TODS 1992).
 Paths matching the ``preserve`` globs (by default ``var/log/**`` and
 ``home/**``) are journaled but skipped on restore, with a warning, so
 log-like data survives rollbacks.  ``_sha`` is the engine's one content
@@ -374,9 +378,6 @@ class Store:
     def status_bytes(self) -> bytes:
         return self.load("status") or b""
 
-    def write_status_bytes(self, data: bytes) -> None:
-        self.save("status", data)
-
     def load_status(self, universe: Universe) -> Status:
         return parse_status(decode_text(self.status_bytes(), self.status_path), universe)
 
@@ -463,7 +464,9 @@ class Store:
         :class:`GapInHistory` for a missing record or ``lo < target <= that
         rollback's id``; without ``force``, :class:`CorruptedJournal` for a
         journaled path its transaction did not leave so.  Refusals, and a walk
-        with nothing to restore, use no id.  Restored records are archived."""
+        with nothing to restore, use no id.  Its transaction queues the status
+        from before ``target`` and the dropping of the restored ids' index
+        lines; restored records are archived after its commit."""
         if self.lock_path.exists():
             raise AlreadyLocked("cannot roll back history while a transaction is open")
         ids = set(self.history_ids())
@@ -509,30 +512,19 @@ class Store:
                             f"transaction {rec.id} (use force to restore anyway)")
 
         txn = self.begin()
+        txn.pristine, txn._status = pristine, records[-1].status_pre
+        txn._undone = {rec.id for rec in records}
         try:
             skipped = [path for rec in records for path in txn._restore(rec.entries)]
-            self.write_status_bytes(records[-1].status_pre)
             txn.commit(meta={"request": f"rollback {target}", "outcome": "rolled-back",
                              "undid": [target, last]})
         except BaseException:  # the commit's record included: the transaction is still open
             txn.rollback()
             raise
-        self._archive(records, pristine)
-        return skipped
-
-    def _archive(self, records, pristine: PristineStore) -> None:
-        """Move reverted records, each with its pristine index records, to the archive."""
         self.archive_dir.mkdir(parents=True, exist_ok=True)
-        held = pristine.records()
-        reverted = {rec.id for rec in records}
-        kept = [r for r in held if r["txn"] not in reverted]
-        if len(kept) < len(held):
-            self.save("pristine/index", _pristine_dump(kept))
         for rec in records:
-            dropped = [r for r in held if r["txn"] == rec.id]
-            if dropped:
-                self.save(f"history/{rec.id}/pristine", _pristine_dump(dropped))
             shutil.move(str(self.history_dir / str(rec.id)), str(self.archive_dir / str(rec.id)))
+        return skipped
 
     def prune_history(self, keep: int) -> list[int]:
         """Delete the oldest history records beyond the newest ``keep``."""
@@ -567,15 +559,6 @@ class PristineStore:
             raise ConfmergeError(f"pristine object {sha} missing")
         return data
 
-    def append(self, snapshots) -> None:
-        """Store ``(record, content)`` snapshots; objects are content-addressed,
-        so a rewrite is a no-op."""
-        for record, content in snapshots:
-            self._store.save(f"pristine/objects/{record['sha']}", content)
-        records = self.records() + [record for record, _ in snapshots]
-        self._store.save("pristine/index", _pristine_dump(records))
-        self._records = records
-
 
 def trim(entries, states) -> list[JournalEntry]:
     """Drop journal entries whose ``pre_state()`` equals the path's current
@@ -607,7 +590,10 @@ class Transaction:
         self._journal: dict[str, JournalEntry] = {}
         self._status_pre = store.status_bytes()
         self.pristine = PristineStore(store)
+        self._status: bytes | None = None  # queued by set_status
         self._snapshots: list[tuple[dict, bytes]] = []  # queued by add_pristine
+        self._undone: set[int] = set()  # ids whose index lines rollback_to drops
+        self._written: set[str] = set()  # what a failed commit wrote, for its abort
         self._opened = opened  # the lock file's key, for _settled
         self._listings: dict[str, set[str]] = {}  # prefix -> the files under it
         self._entries: dict[str, os.DirEntry] = {}  # path -> its listing's entry
@@ -775,8 +761,9 @@ class Transaction:
         return skipped
 
     def set_status(self, text: str) -> None:
+        """Queue the status file's new text; written at commit."""
         self._require_open()
-        self.store.write_status_bytes(text.encode("utf-8"))
+        self._status = text.encode("utf-8")
 
     def add_pristine(self, pkg_name: str, path: str, version_raw: str, content: bytes) -> None:
         """Queue a pristine conffile snapshot; flushed to disk at commit."""
@@ -791,12 +778,9 @@ class Transaction:
         """Undo everything this transaction did and end in an aborted record; a
         failed restore is raised after it.  Returns the preserve-skipped paths."""
         self._require_open()
-        self._snapshots.clear()
         meta = {"outcome": "aborted"}
         try:
-            skipped = self._restore(self.journal_entries())
-            self.store.write_status_bytes(self._status_pre)
-            return skipped
+            return self._restore(self.journal_entries())
         except (OSError, StoreError) as e:
             meta["error"] = str(e)
             raise
@@ -810,11 +794,10 @@ class Transaction:
         return self.id
 
     def _close(self, phase: str, meta: dict, do_trim: bool = True) -> None:
-        """The one record writer.  Each journaled path is read once, for both
-        the trim and ``post``; the digest index and queued pristine snapshots
-        are written before the rename.  The lock is released in a ``finally``,
-        unless a commit's record failed: that transaction stays open for its
-        rollback."""
+        """The one writer of records and engine state.  Each journaled path
+        is read once, for both the trim and ``post``.  The lock is released in
+        a ``finally``, unless a commit's record failed: that transaction stays
+        open for its rollback."""
         indexed = {rel: [*key, sha] for rel, (key, sha) in self._digests.items()
                    if key is not None}
         self._forget()
@@ -828,18 +811,34 @@ class Transaction:
             post = {e.path: _token(states[e.path]) for e in entries}
             info = {"timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
                     "request": "", **meta}
-            for name, data in (("journal", journal_dump(entries)),
-                               ("status-pre", self._status_pre),
-                               ("post", json.dumps(post, sort_keys=True, indent=0).encode()),
-                               ("meta", json.dumps(info, sort_keys=True, indent=0).encode())):
-                self.store.save(f"history/{partial.name}/{name}", data)
             if self._index is not None:
                 try:
                     self.store.save("digests", json.dumps(indexed).encode())
                 except OSError:  # the index is only a cache
                     pass
-            if self._snapshots:
-                self.pristine.append(self._snapshots)
+            part = f"history/{partial.name}/"
+            saves = {part + "journal": journal_dump(entries), part + "status-pre": self._status_pre,
+                     part + "post": json.dumps(post, sort_keys=True, indent=0).encode(),
+                     part + "meta": json.dumps(info, sort_keys=True, indent=0).encode()}
+            if phase == "committed":
+                held = self.pristine.records() if self._snapshots or self._undone else []
+                dropped = [r for r in held if r["txn"] in self._undone]
+                if dropped:
+                    saves[part + "pristine"] = _pristine_dump(dropped)
+                saves.update((f"pristine/objects/{r['sha']}", c) for r, c in self._snapshots)
+                if self._status is not None:
+                    saves["status"] = self._status
+                if dropped or self._snapshots:
+                    saves["pristine/index"] = _pristine_dump(
+                        [r for r in held if r["txn"] not in self._undone]
+                        + [r for r, _ in self._snapshots])
+            else:  # an abort writes back what a failed commit wrote
+                saves.update((name, self._status_pre if name == "status" else
+                              _pristine_dump(self.pristine.records()))
+                             for name in ("status", "pristine/index") if name in self._written)
+            for name, data in saves.items():
+                self._written.add(name)
+                self.store.save(name, data)
             os.rename(partial, self.store.history_dir / str(self.id))
             ended = True
         except BaseException:

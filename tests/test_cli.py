@@ -838,3 +838,25 @@ def test_rollback_with_an_unparseable_pristine_index_touches_nothing(tmp_path, c
     assert out.startswith("error: ") and ".pkgdb/pristine/index" in out
     assert "Traceback" not in out + err
     assert store.tree_hash() == baseline and _engine_state(store) == state
+
+
+def test_rollback_whose_pristine_index_cannot_be_written_is_an_io_failure(tmp_path, capsys,
+                                                                          monkeypatch):
+    store, base = _conffile_root(tmp_path, capsys)
+    assert run(capsys, *base, "apply", "upgrade a (>= 2)")[0] == 0
+    before = (store.tree_hash(), store.status_bytes(), store.load("pristine/index"))
+    real_save, failed = Store.save, []
+
+    def save(self, name, data):
+        if name == "pristine/index" and not failed:
+            failed.append(name)
+            raise OSError(errno.ENOSPC, "No space left on device", name)
+        real_save(self, name, data)
+
+    monkeypatch.setattr(Store, "save", save)
+    code, out, err = run(capsys, "--root", str(store.root), "rollback", "2")
+    assert code == 4 and failed, out + err
+    assert out.startswith("error: ") and "Traceback" not in out + err
+    assert (store.tree_hash(), store.status_bytes(), store.load("pristine/index")) == before
+    assert store.history_ids() == [1, 2, 3] and not store.lock_path.exists()
+    assert store.read_history(3).meta["outcome"] == "aborted"

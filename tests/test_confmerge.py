@@ -1,5 +1,7 @@
 """Three-way merge, structured key=value merge, and pristine conffile tracking."""
 
+import errno
+import os
 import random
 
 import pytest
@@ -372,3 +374,33 @@ def test_history_rollback_prunes_pristine_entries(store):
     store.rollback_to(2)
     entries = PristineStore(store).entries("app", "etc/app/main.conf")
     assert [e["version"] for e in entries] == ["1"]
+
+
+def test_commit_whose_record_cannot_be_renamed_leaves_no_pristine_lines(store, monkeypatch):
+    u = parse_universe(CONF_META_V2 + "\nPackage: app\nVersion: 3\n"
+                       "Files: etc/app/main.conf\nConffiles: etc/app/main.conf\n")
+    _install_v1(store, b"v1\n")
+    pkg2, pkg3 = u.by_name("app")[1:]
+    real_rename, failed = os.rename, []
+
+    def rename(src, dst):
+        if str(src).endswith(".2.partial") and not failed:
+            failed.append(src)
+            raise OSError(errno.ENOSPC, "No space left on device", str(src))
+        real_rename(src, dst)
+
+    monkeypatch.setattr(os, "rename", rename)
+    txn = store.begin()
+    upgrade_conffile(txn, pkg2, "etc/app/main.conf", b"v2\n")
+    with pytest.raises(OSError):
+        txn.commit()
+    txn.rollback()
+    assert failed and store.read_history(2).meta["outcome"] == "aborted"
+    assert store.read("etc/app/main.conf") == b"v1\n"
+    assert [e["txn"] for e in PristineStore(store).entries("app", "etc/app/main.conf")] == [1]
+    # the untouched file is still unmodified against its pristine base
+    txn = store.begin()
+    assert upgrade_conffile(txn, pkg3, "etc/app/main.conf", b"v3\n").kind == "took-new"
+    txn.commit()
+    assert store.read("etc/app/main.conf") == b"v3\n"
+    assert store.state("etc/app/main.conf.pkgnew")[0] == "absent"

@@ -1,13 +1,15 @@
 """Lifecycle oracle: random sequences of transactions, failed writes,
-history rollbacks (some with a failing ``Store.put``), pruning and hand
+history rollbacks (some with a failing ``Store.put``), commits and history
+rollbacks whose ``_close`` fails at one ``Store.save``, pruning and hand
 edits, checked against a model.
 
 The model holds every package-visible path as ``(kind, bytes, mode)``, the
-status bytes, and one record per transaction id: committed, aborted, or a
-rollback with the id range it undid.  For each id it keeps the tree and
-status before the transaction, the tree its record leaves (after a commit
-or an abort), and whether the record was pruned or archived.  After every
-rule the disk, the status file and ``history_ids()`` must equal the model
+status bytes, the pristine index as ``(pkg, path, sha, txn)`` lines, and one
+record per transaction id: committed, aborted, or a rollback with the id
+range it undid.  For each id it keeps the tree and status before the
+transaction, the tree its record leaves (after a commit or an abort), and
+whether the record was pruned or archived.  After every rule the disk, the
+status file, the pristine index and ``history_ids()`` must equal the model
 and ``.pkgdb/lock`` must be absent.  ``rollback_to(k)`` walks the ids from
 the last down to ``k``: a rollback record is skipped together with the ids
 it undid, ``lo`` onwards, and every other record is restored.  So it must
@@ -17,11 +19,18 @@ rollback is never redone).  It must raise ``CorruptedJournal`` exactly when
 a hand edit changed the token of a journaled, non-preserved path, and
 otherwise restore the tree from before ``k``, except preserved paths and
 paths edited by hand since ``k`` began, under a rollback record of its own.
-An ``OSError`` from its k-th ``Store.put`` must leave the tree, the status
-and the history as they were, plus one aborted record.
+It drops the index lines of the ids it restores, and its record's
+``pristine`` part holds them.  An ``OSError`` from its k-th ``Store.put``
+must leave the tree, the status, the index and the history as they were,
+plus one aborted record; so must one from the k-th ``Store.save`` in the
+``_close`` of a commit or of a history rollback (``begin``'s ``serial`` and
+the ``digests`` cache aside), which writes half its bytes first.
 """
 
+import contextlib
 import errno
+import hashlib
+import json
 import os
 import shutil
 import stat
@@ -29,6 +38,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
@@ -51,7 +61,9 @@ _ops = st.one_of(
     st.tuples(st.just("mkdir"), st.sampled_from(DIRS)),
     st.tuples(st.just("rmdir"), st.sampled_from(RMDIRS)),
     st.tuples(st.just("status"), st.sampled_from(["", "a 1\n", "b 2\n", "a 1\nb 2\n"])),
+    st.tuples(st.just("pristine"), st.sampled_from(["a", "b"]), _bytes),
 )
+CONFFILE = "etc/app.conf"
 
 
 def disk_tree(root: Path) -> dict:
@@ -69,6 +81,32 @@ def disk_tree(root: Path) -> dict:
             else:
                 out[rel] = ("file", Path(full).read_bytes(), mode)
     return out
+
+
+def index_lines(data) -> list[tuple]:
+    """``(pkg, path, sha, txn)`` for each line of a pristine index or part."""
+    return [(r["pkg"], r["path"], r["sha"], r["txn"])
+            for r in map(json.loads, (data or b"").splitlines())]
+
+
+@contextlib.contextmanager
+def failing_save(fault):
+    """Make the ``fault``-th ``Store.save``, ``serial`` and ``digests`` aside,
+    write half its bytes and raise OSError, as a disk that fills up does;
+    yields the list of names it failed."""
+    saves, hit, real_save = [0], [], Store.save
+
+    def save(store, name, data):
+        if name not in ("serial", "digests"):
+            saves[0] += 1
+            if saves[0] == fault:
+                hit.append(name)
+                real_save(store, name, data[:len(data) // 2])
+                raise OSError(errno.ENOSPC, "injected save failure", name)
+        real_save(store, name, data)
+
+    with mock.patch.object(Store, "save", save):
+        yield hit
 
 
 def _chain(rel: str) -> list[str]:
@@ -133,6 +171,8 @@ class Lifecycle(RuleBasedStateMachine):
         support.seed_tree(self.store.root)
         self.tree = disk_tree(self.store.root)
         self.status = b""
+        self.index: list[tuple] = []  # the pristine index's lines
+        self.queued: list[tuple] = []  # the open transaction's snapshots
         self.last = 0  # the last id handed out
         self.kind: dict[int, str] = {}  # id -> committed | aborted | rollback
         self.undid: dict[int, tuple] = {}  # rollback id -> (lo, hi) it undid
@@ -174,7 +214,7 @@ class Lifecycle(RuleBasedStateMachine):
     def _run(self, txn, op) -> None:
         expected, error = dict(self.tree), None
         try:
-            if op[0] != "status":
+            if op[0] not in ("status", "pristine"):
                 model_op(expected, op)
         except OSError as e:
             error = type(e)
@@ -187,9 +227,12 @@ class Lifecycle(RuleBasedStateMachine):
                 txn.mkdir(op[1])
             elif op[0] == "rmdir":
                 txn.rmdir(op[1])
-            else:
+            elif op[0] == "status":
                 txn.set_status(op[1])
                 self.status = op[1].encode()
+            else:
+                txn.add_pristine(op[1], CONFFILE, "1", op[2])
+                self.queued.append((op[1], CONFFILE, hashlib.sha256(op[2]).hexdigest(), txn.id))
         except OSError as e:
             assert type(e) is error, f"{op}: raised {e!r}, the model expects {error}"
         else:
@@ -206,6 +249,7 @@ class Lifecycle(RuleBasedStateMachine):
     def _begin(self):
         txn = self.store.begin()
         assert txn.id == self._new_id("committed")
+        self.queued = []
         return txn
 
     def _aborted(self, hid: int) -> None:
@@ -224,14 +268,26 @@ class Lifecycle(RuleBasedStateMachine):
 
     # -- rules --------------------------------------------------------------
 
-    @rule(ops=st.lists(_ops, min_size=1, max_size=4), commit=st.booleans())
-    def transaction(self, ops, commit):
+    @rule(ops=st.lists(_ops, min_size=1, max_size=4), commit=st.booleans(),
+          fault=st.none() | st.integers(0, 63))
+    def transaction(self, ops, commit, fault):
+        """Run ``ops``, then commit, or roll back.  With ``fault``, one save
+        of the commit's ``_close`` raises, chosen among those it makes: the
+        record's four parts, the status when one is queued, and each pristine
+        object and the index when snapshots are queued."""
         txn = self._begin()
         for op in ops:
             self._run(txn, op)
-        if commit:
+        if commit and fault is not None:
+            shas = {line[2] for line in self.queued}
+            saves = 4 + any(op[0] == "status" for op in ops) + len(shas) + bool(shas)
+            with pytest.raises(OSError, match="injected"), failing_save(saves - fault % saves):
+                txn.commit()
+            assert txn.phase == "open", "a commit whose save failed ended"
+        if commit and fault is None:
             txn.commit()
             self.post[txn.id] = dict(self.tree)
+            self.index += self.queued
         else:
             self._rolled_back(txn)
 
@@ -270,15 +326,16 @@ class Lifecycle(RuleBasedStateMachine):
         self._rollback_to(back, force)
 
     @rule(ops=st.lists(_ops, min_size=1, max_size=4), back=st.integers(1, 3),
-          fault=st.integers(0, 63))
-    def failed_history_rollback(self, ops, back, fault):
+          fault=st.integers(0, 63), seam=st.sampled_from(["put", "save"]))
+    def failed_history_rollback(self, ops, back, fault, seam):
         """Commit ``ops``, then roll back, with force, to one of the last
-        three transactions; one ``Store.put`` of the rollback, chosen by
-        ``fault`` among those it makes, raises OSError."""
-        self.transaction(ops, commit=True)
-        self._rollback_to(back, True, fault)
+        three transactions; one ``Store.put`` of the rollback, or one
+        ``Store.save`` of its ``_close``, chosen by ``fault`` among those it
+        makes, raises OSError."""
+        self.transaction(ops, commit=True, fault=None)
+        self._rollback_to(back, True, fault, seam)
 
-    def _rollback_to(self, back, force, fault=None):
+    def _rollback_to(self, back, force, fault=None, seam="put"):
         last = self.last
         hid = last + 1 - back
         gap = hid < 1 or hid > last + 1
@@ -301,7 +358,14 @@ class Lifecycle(RuleBasedStateMachine):
                     seen.add(p)
                     if _token(self.tree.get(p)) != _token(self.post[i].get(p)):
                         tampered = tampered or p
-        if fault is not None:  # the rollback puts each non-preserved entry once
+        dropped = [line for line in self.index if line[3] in records]
+        save_fault = None
+        if fault is not None and seam == "save":
+            # its commit saves the record's four parts and the status, and the
+            # record's pristine part and the index when it drops index lines
+            saves = 5 + 2 * bool(dropped)
+            fault, save_fault = None, saves - fault % saves
+        elif fault is not None:  # the rollback puts each non-preserved entry once
             entries = sum(not self._preserved(p) for i in records
                           for p in changed(self.pre[i][0], self.post[i]))
             fault = 1 + fault % entries if entries else None
@@ -316,7 +380,7 @@ class Lifecycle(RuleBasedStateMachine):
             real_put(store, rel, state)
 
         try:
-            with mock.patch.object(Store, "put", put):
+            with mock.patch.object(Store, "put", put), failing_save(save_fault) as saved:
                 skipped = self.store.rollback_to(hid, force=force)
         except GapInHistory:
             assert gap, f"rollback_to({hid}) refused a gap the model does not see"
@@ -325,10 +389,11 @@ class Lifecycle(RuleBasedStateMachine):
             assert tampered, f"rollback_to({hid}) saw a hand edit the model does not"
             return
         except OSError as e:
-            assert hit and "injected" in str(e), f"rollback_to({hid}) raised {e!r}"
+            assert (hit or saved) and "injected" in str(e), f"rollback_to({hid}) raised {e!r}"
             # the rollback's transaction put back the tree it found
             self._aborted(self._new_id("aborted"))
             return
+        assert save_fault is None or not records, f"rollback_to({hid}) ended though a save failed"
         assert not gap, f"rollback_to({hid}) missed a gap"
         assert not tampered, f"rollback_to({hid}) missed the hand edit of {tampered!r}"
         # an injected fault that removing a created directory absorbed: the
@@ -347,6 +412,8 @@ class Lifecycle(RuleBasedStateMachine):
             self.undid[rollback] = (hid, last)
             meta = self.store.read_history(rollback).meta
             assert (meta["outcome"], meta["undid"]) == ("rolled-back", [hid, last]), meta
+            assert index_lines(self.store.load(f"history/{rollback}/pristine")) == dropped
+            self.index = [line for line in self.index if line[3] not in records]
         self._restore(targets, kept)
         if records:
             self.status = self.pre[records[-1]][1]
@@ -413,6 +480,7 @@ class Lifecycle(RuleBasedStateMachine):
             return
         assert disk_tree(self.store.root) == self.tree
         assert self.store.status_bytes() == self.status
+        assert index_lines(self.store.load("pristine/index")) == self.index
         assert self.store.history_ids() == self._history()
         assert not self.store.lock_path.exists()
 

@@ -539,7 +539,7 @@ def test_simulate_and_solve_json_pin_every_section(tmp_path, capsys):
 
     repo = support.write_repo(tmp_path / "repo", MIXED_META, {})
     store = support.new_store(tmp_path)
-    store.write_status_bytes(serialize_status(s0).encode())
+    store.save("status", serialize_status(s0).encode())
     code = main(["--root", str(store.root), "--repo", str(repo), "--json", "solve", request])
     assert code == 0
     assert json.loads(capsys.readouterr().out) == {

@@ -14,7 +14,10 @@ one write to take over.  Only the two seams, ``tree_hash`` and the lock in
 ``begin`` read or write a file at all, so every file under ``.pkgdb`` goes
 through ``Store.load`` and ``save``, where an atomic write or an overlay has
 one place to go; ``confmerge`` reads or writes no file itself.  Only ``txn``
-names the pristine index and objects, so their format has one home.
+names the pristine index and objects, so their format has one home.  Only
+``Transaction._close`` saves a transaction's engine state (the status, the
+pristine files and the record's parts), so all of it is written with the
+record, before the rename that puts the record in place.
 """
 
 import ast
@@ -29,6 +32,7 @@ SURFACE = {"state", "walk_files", "digest", "write_through", "mkdir", "rmdir",
 SEAM = {"state", "put", "read", "scan"}
 FILE_IO = {"read_bytes", "write_bytes", "read_text", "write_text", "open"}
 FILE_SEAM = SEAM | {"load", "save", "tree_hash", "begin"}
+ENGINE_STATE = ("status", "pristine/", "history/")
 
 
 def _is_txn(node) -> bool:
@@ -133,3 +137,42 @@ def test_detector_reports_file_io_outside_the_seams(tmp_path):
         "        os.open(self.db / 'lock', 0)\n")
     assert callers(tmp_path / "m.py", FILE_IO, FILE_SEAM) == ["5 commit", "6 commit", "8 commit"]
     assert callers(tmp_path / "m.py", FILE_IO) == ["3 load", "5 commit", "6 commit", "8 commit"]
+
+
+def state_writers(path: Path) -> list[str]:
+    """``line function`` for each ``save`` call outside ``_close`` that may
+    write a transaction's engine state: its name is not a literal, or starts
+    with one of ``ENGINE_STATE``."""
+    out = []
+    for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.name != "_close":
+            for node in ast.walk(fn):
+                if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "save"):
+                    continue
+                name = node.args[0] if node.args else None
+                if isinstance(name, ast.JoinedStr) and name.values:  # an f-string's head
+                    name = name.values[0]
+                if not (isinstance(name, ast.Constant) and isinstance(name.value, str)
+                        and not name.value.startswith(ENGINE_STATE)):
+                    out.append(f"{node.lineno} {fn.name}")
+    return sorted(out)
+
+
+def test_only_close_writes_the_engine_state_of_a_transaction():
+    for path in sorted(SRC.glob("*.py")):
+        assert state_writers(path) == [], path.name
+
+
+def test_detector_reports_engine_state_writes_outside_close(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "class T:\n"
+        "    def _close(self, name):\n"
+        "        self.store.save(name, b'')\n"
+        "    def begin(self):\n"
+        "        self.save('serial', b'1')\n"
+        "    def set_status(self, text):\n"
+        "        self.store.save('status', text)\n"
+        "    def append(self, sha, name):\n"
+        "        self.store.save(f'pristine/objects/{sha}', b'')\n"
+        "        self.store.save(name, b'')\n")
+    assert state_writers(tmp_path / "m.py") == ["10 append", "7 set_status", "9 append"]
