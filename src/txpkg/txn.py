@@ -825,7 +825,11 @@ class Transaction:
                 dropped = [r for r in held if r["txn"] in self._undone]
                 if dropped:
                     saves[part + "pristine"] = _pristine_dump(dropped)
-                saves.update((f"pristine/objects/{r['sha']}", c) for r, c in self._snapshots)
+                # an object that a line of the index names is never rewritten:
+                # a save that failed half-way would tear that line's merge base
+                named = {r["sha"] for r in held}
+                saves.update((f"pristine/objects/{r['sha']}", c) for r, c in self._snapshots
+                             if r["sha"] not in named)
                 if self._status is not None:
                     saves["status"] = self._status
                 if dropped or self._snapshots:

@@ -3,7 +3,10 @@
 The on-disk formats are UTF-8 text made of blank-line-separated stanzas of
 ``Key: value`` lines.  ``parse_universe`` documents the accepted keys; status
 files use the same stanza syntax restricted to ``Package`` and ``Version``,
-and both are read through one stanza reader.  This module also holds the
+and both are read through one stanza reader.  One ``parse_universe`` call
+builds each distinct version string, constraint and dependency atom once:
+the ``Version``, ``VersionConstraint`` and ``Atom`` objects are immutable,
+so every package that names one shares it.  This module also holds the
 grammar of a ``name (op version)`` atom, which request parsing reuses, and
 ``status_diff``, the one definition of which names an upgrade removes,
 changes and adds; the optimiser reads its bounds off the same function.
@@ -57,8 +60,9 @@ OPERATORS = ("<<", "<=", "=", ">=", ">>")
 _NAME_RE = re.compile(r"[a-z0-9][a-z0-9.+-]*$")
 _SEGMENT_RE = re.compile(r"[A-Za-z0-9+]+$")
 _DIGITS_RE = re.compile(r"[0-9]+$")
+_VERSION_SEP_RE = re.compile(r"[.-]")
 _SPACE_RE = re.compile(r"\s")  # matches exactly the characters where str.isspace() holds
-_KEY_LINE_RE = re.compile(r"([A-Za-z][A-Za-z0-9-]*):\s*(.*)$")
+_KEY_RE = re.compile(r"[A-Za-z][A-Za-z0-9-]*")
 # a version never starts with an operator character; excluding them keeps a
 # missing version ("b (>= )") from taking the operator's second character
 _ATOM_RE = re.compile(
@@ -82,16 +86,16 @@ def decode_text(data: bytes, source) -> str:
 
 
 def _version_key(raw: str) -> tuple:
-    if not raw or any(c.isspace() for c in raw):
+    if not raw or _SPACE_RE.search(raw):
         raise MetadataError(f"invalid version {raw!r}: must be non-empty with no whitespace")
     key = []
-    for seg in re.split(r"[.-]", raw):
-        if not _SEGMENT_RE.match(seg):
-            raise MetadataError(f"invalid version {raw!r}: bad segment {seg!r}")
+    for seg in _VERSION_SEP_RE.split(raw):
         if _DIGITS_RE.match(seg):
             key.append((0, int(seg), ""))
-        else:
+        elif _SEGMENT_RE.match(seg):
             key.append((1, 0, seg))
+        else:
+            raise MetadataError(f"invalid version {raw!r}: bad segment {seg!r}")
     return tuple(key)
 
 
@@ -238,8 +242,19 @@ class Relationship:
 RESERVED_DIR = ".pkgdb"
 
 
+# check_rel_path's rule as one pattern: "/"-separated segments of characters
+# other than "\\" and whitespace, none of them "." or "..", the first not
+# RESERVED_DIR; a leading "/" is an empty first segment
+_REL_PATH_RE = re.compile(
+    rf"(?!{re.escape(RESERVED_DIR)}(?:/|\Z))(?!\.\.?(?:/|\Z))[^/\\\s]+"
+    r"(?:/(?!\.\.?(?:/|\Z))[^/\\\s]+)*")
+
+
 def check_rel_path(path: str, line: int | None = None) -> str:
     """Validate a sandbox-relative path: normalized, no traversal, no funny business."""
+    if _REL_PATH_RE.fullmatch(path):
+        return path
+    # the path is rejected; these checks word the error
     if not path or path.startswith("/") or "\\" in path or _SPACE_RE.search(path):
         raise MetadataError(f"invalid relative path {path!r}", line)
     for part in path.split("/"):
@@ -457,85 +472,120 @@ def derive_owned(universe: Universe, installed: Iterable[PackageId]) -> dict[str
 
 # --- parsing -----------------------------------------------------------------
 
-def _split_stanzas(text: str) -> list[list[tuple[int, str, str]]]:
-    stanzas: list[list[tuple[int, str, str]]] = []
-    current: list[tuple[int, str, str]] = []
-    for no, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            if current:
-                stanzas.append(current)
-                current = []
-            continue
-        m = _KEY_LINE_RE.match(line)
-        if not m:
-            raise MetadataError(f"expected 'Key: value', got {line!r}", no)
-        current.append((no, m.group(1), m.group(2).strip()))
-    if current:
-        stanzas.append(current)
-    return stanzas
+class _Memo:
+    """The versions, constraints and atoms that one parse has built, by their
+    text.  All are immutable, so the packages that name one text share one
+    object."""
+
+    __slots__ = ("versions", "constraints", "atoms")
+
+    def __init__(self):
+        self.versions: dict[str, Version] = {}
+        self.constraints: dict[tuple[str, str], VersionConstraint] = {}
+        self.atoms: dict[str, Atom] = {}
+
+    def version(self, text: str, line: int | None) -> Version:
+        version = self.versions.get(text)
+        if version is None:
+            try:
+                version = self.versions[text] = Version(text)
+            except MetadataError as e:
+                raise MetadataError(str(e), line) from None
+        return version
+
+    def atom(self, text: str, line: int | None) -> Atom:
+        """``text`` as a dependency atom (see :func:`parse_dependency_atom`)."""
+        key = text.strip()
+        atom = self.atoms.get(key)
+        if atom is None:
+            m = _ATOM_RE.match(key)
+            if not m:
+                raise MetadataError(f"bad atom {text!r}", line)
+            name, op, ver = m.groups()
+            if op is None:
+                atom = Atom(name)
+            elif op not in OPERATORS:
+                hint = " (use << or >> for strict comparison)" if op in ("<", ">") else ""
+                raise MetadataError(f"bad operator {op!r} in {text!r}{hint}", line)
+            else:
+                constraint = self.constraints.get((op, ver))
+                if constraint is None:
+                    constraint = self.constraints[op, ver] = VersionConstraint(
+                        op, self.version(ver, line))
+                atom = Atom(name, constraint)
+            self.atoms[key] = atom
+        return atom
 
 
-def _parse_version(text: str, line: int | None) -> Version:
-    try:
-        return Version(text)
-    except MetadataError as e:
-        raise MetadataError(str(e), line) from None
+def _read_stanzas(text: str, keys, memo: _Memo, kind: str = ""):
+    """Each stanza's fields and package id: ``(fields, pid)``.
 
-
-def _read_stanza(stanza: list[tuple[int, str, str]], keys, kind: str = ""):
-    """Check a stanza's keys and build its package id: ``(fields, pid)``.
-
-    ``fields`` maps each key to its ``(line, value)``.  Every key must be one
-    of ``keys`` and appear once, and ``Package`` and ``Version`` are required;
-    ``kind`` ("" or "status ") prefixes the texts of those two errors.
+    A stanza is a run of ``Key: value`` lines, the key being the text before
+    the first ``:``.  ``fields`` maps each key to its ``(line, value)``.
+    Every key must be one of ``keys`` (all of which fit the key grammar) and
+    appear once, and ``Package`` and ``Version`` are required; ``kind`` (""
+    or "status ") prefixes the texts of those errors.  A line that breaks the
+    grammar is raised before the first stanza is yielded; the other errors
+    are raised when their stanza's turn comes.  Only a line that adds no
+    field is matched against the grammar.
     """
+    stanzas: list[tuple[dict[str, tuple[int, str]], MetadataError | None]] = []
     fields: dict[str, tuple[int, str]] = {}
-    for no, key, value in stanza:
-        if key not in keys:
-            raise MetadataError(f"unknown {kind}key {key!r}", no)
-        if key in fields:
-            raise MetadataError(f"duplicate key {key!r} in stanza", no)
-        fields[key] = (no, value)
-    if "Package" not in fields or "Version" not in fields:
-        raise MetadataError(f"{kind}stanza needs Package and Version", stanza[0][0])
-    name_line, name = fields["Package"]
-    if not _NAME_RE.match(name):
-        raise MetadataError(f"invalid package name {name!r}", name_line)
-    ver_line, raw_version = fields["Version"]
-    return fields, PackageId(name, _parse_version(raw_version, ver_line))
+    fault = None  # the stanza's first unknown or repeated key
+    for no, line in enumerate(text.splitlines(), 1):
+        key, sep, value = line.partition(":")
+        if sep and key in keys and key not in fields:
+            fields[key] = (no, value.strip())
+        elif not line.strip():
+            if fields or fault is not None:
+                stanzas.append((fields, fault))
+                fields, fault = {}, None
+        elif not sep or not _KEY_RE.fullmatch(key):
+            raise MetadataError(f"expected 'Key: value', got {line!r}", no)
+        elif fault is None:
+            fault = MetadataError(f"unknown {kind}key {key!r}" if key not in keys
+                                  else f"duplicate key {key!r} in stanza", no)
+    if fields or fault is not None:
+        stanzas.append((fields, fault))
+    for fields, fault in stanzas:
+        if fault is not None:
+            raise fault
+        if "Package" not in fields or "Version" not in fields:
+            raise MetadataError(f"{kind}stanza needs Package and Version",
+                                next(iter(fields.values()))[0])
+        name_line, name = fields["Package"]
+        if not _NAME_RE.match(name):
+            raise MetadataError(f"invalid package name {name!r}", name_line)
+        ver_line, raw_version = fields["Version"]
+        yield fields, PackageId(name, memo.version(raw_version, ver_line))
 
 
 def parse_dependency_atom(text: str, line: int | None = None) -> Atom:
-    m = _ATOM_RE.match(text.strip())
-    if not m:
-        raise MetadataError(f"bad atom {text!r}", line)
-    name, op, ver = m.groups()
-    if op is None:
-        return Atom(name)
-    if op not in OPERATORS:
-        hint = " (use << or >> for strict comparison)" if op in ("<", ">") else ""
-        raise MetadataError(f"bad operator {op!r} in {text!r}{hint}", line)
-    return Atom(name, VersionConstraint(op, _parse_version(ver, line)))
+    return _Memo().atom(text, line)
 
 
-def _parse_depends(value: str, line: int) -> tuple[tuple[Atom, ...], ...]:
+def _parse_depends(value: str, line: int, memo: _Memo) -> tuple[tuple[Atom, ...], ...]:
     clauses = []
     for clause_text in value.split(","):
         clause_text = clause_text.strip()
         if not clause_text:
             raise MetadataError("empty dependency clause", line)
-        clauses.append(tuple(parse_dependency_atom(a, line) for a in clause_text.split("|")))
+        clauses.append(tuple(memo.atom(a, line) for a in clause_text.split("|")))
     return tuple(clauses)
 
 
-def _parse_atom_list(value: str, line: int) -> tuple[Atom, ...]:
-    return tuple(parse_dependency_atom(a, line) for a in value.split(",") if a.strip())
+def _parse_atom_list(value: str, line: int, memo: _Memo) -> tuple[Atom, ...]:
+    atoms = []
+    for text in value.split(","):
+        if text.strip():
+            atoms.append(memo.atom(text, line))
+    return tuple(atoms)
 
 
-def _parse_provides(value: str, line: int) -> tuple[Provide, ...]:
+def _parse_provides(value: str, line: int, memo: _Memo) -> tuple[Provide, ...]:
     out = []
     for item in value.split(","):
-        atom = parse_dependency_atom(item, line)
+        atom = memo.atom(item, line)
         if atom.constraint is None:
             out.append(Provide(atom.name))
         elif atom.constraint.op == "=":
@@ -545,10 +595,19 @@ def _parse_provides(value: str, line: int) -> tuple[Provide, ...]:
     return tuple(out)
 
 
-def _parse_paths(value: str, line: int) -> tuple[str, ...]:
-    return tuple(check_rel_path(p.strip(), line) for p in value.split(",") if p.strip())
+def _parse_paths(value: str, line: int, key: str) -> tuple[str, ...]:
+    """The comma-separated paths of field ``key``, in order; none may repeat."""
+    paths: dict[str, None] = {}
+    for item in value.split(","):
+        path = item.strip()
+        if path:
+            if check_rel_path(path, line) in paths:
+                raise MetadataError(f"{key} repeats path {path!r}", line)
+            paths[path] = None
+    return tuple(paths)
 
 
+_STATUS_KEYS = frozenset({"Package", "Version"})
 _UNIVERSE_KEYS = {
     "Package", "Version", "Depends", "Conflicts", "Provides", "Size", "Maintainer",
     "Files", "Conffiles", "Conffile-Syntax", *(hook.capitalize() for hook in SCRIPT_HOOKS),
@@ -573,48 +632,47 @@ def parse_universe(text: str) -> Universe:
     """Parse repository metadata into a Universe.
 
     Accepted stanza keys: ``Package`` and ``Version`` (required), ``Depends``,
-    ``Conflicts``, ``Provides``, ``Size`` (integer kB, default 0),
+    ``Conflicts``, ``Provides``, ``Size`` (kB in ASCII digits, default 0),
     ``Maintainer``, ``Files`` (comma-separated relative paths), ``Conffiles``
     (subset of Files), ``Preinst``/``Postinst``/``Prerm``/``Postrm``
     (payload-relative script paths), and ``Conffile-Syntax``
-    (``path=lines|keyvalue`` entries, comma separated).
+    (``path=lines|keyvalue`` entries, comma separated).  No path may repeat
+    within ``Files``, ``Conffiles`` or ``Conffile-Syntax``.
 
     Dependency grammar: clauses separated by ``,``; alternatives inside a
     clause by ``|``; an atom is ``name`` optionally followed by
     ``(op version)`` with op one of ``<< <= = >= >>``.
     """
     packages = []
-    for stanza in _split_stanzas(text):
-        fields, pid = _read_stanza(stanza, _UNIVERSE_KEYS)
-
+    memo = _Memo()
+    for fields, pid in _read_stanzas(text, _UNIVERSE_KEYS, memo):
         depends: tuple[tuple[Atom, ...], ...] = ()
         if "Depends" in fields:
-            depends = _parse_depends(fields["Depends"][1], fields["Depends"][0])
+            depends = _parse_depends(fields["Depends"][1], fields["Depends"][0], memo)
         conflicts: tuple[Atom, ...] = ()
         if "Conflicts" in fields:
             conflicts = _drop_self_conflicts(
-                _parse_atom_list(fields["Conflicts"][1], fields["Conflicts"][0]), pid)
+                _parse_atom_list(fields["Conflicts"][1], fields["Conflicts"][0], memo), pid)
         provides: tuple[Provide, ...] = ()
         if "Provides" in fields:
-            provides = _parse_provides(fields["Provides"][1], fields["Provides"][0])
+            provides = _parse_provides(fields["Provides"][1], fields["Provides"][0], memo)
 
         size = 0
         if "Size" in fields:
             line, value = fields["Size"]
-            try:
-                size = int(value)
-            except ValueError:
-                raise MetadataError(f"bad Size {value!r}", line) from None
+            if not _DIGITS_RE.fullmatch(value.removeprefix("-")):
+                raise MetadataError(f"bad Size {value!r}", line)
+            size = int(value)
             if size < 0:
                 raise MetadataError(f"bad Size {value!r}: negative", line)
 
         files: tuple[str, ...] = ()
         if "Files" in fields:
-            files = _parse_paths(fields["Files"][1], fields["Files"][0])
+            files = _parse_paths(fields["Files"][1], fields["Files"][0], "Files")
         conffiles: frozenset = frozenset()
         if "Conffiles" in fields:
             line, value = fields["Conffiles"]
-            conffiles = frozenset(_parse_paths(value, line))
+            conffiles = frozenset(_parse_paths(value, line, "Conffiles"))
             if not conffiles <= set(files):
                 raise MetadataError("Conffiles must be a subset of Files", line)
 
@@ -627,7 +685,7 @@ def parse_universe(text: str) -> Universe:
         syntax: tuple[tuple[str, str], ...] = ()
         if "Conffile-Syntax" in fields:
             line, value = fields["Conffile-Syntax"]
-            entries = []
+            modes: dict[str, str] = {}
             for item in value.split(","):
                 item = item.strip()
                 if not item:
@@ -638,8 +696,10 @@ def parse_universe(text: str) -> Universe:
                 path = check_rel_path(path, line)
                 if path not in conffiles:
                     raise MetadataError(f"Conffile-Syntax for non-conffile {path!r}", line)
-                entries.append((path, mode))
-            syntax = tuple(entries)
+                if path in modes:
+                    raise MetadataError(f"Conffile-Syntax repeats path {path!r}", line)
+                modes[path] = mode
+            syntax = tuple(modes.items())
 
         maintainer = fields["Maintainer"][1] if "Maintainer" in fields else ""
         packages.append(Package(
@@ -687,9 +747,8 @@ def parse_status(text: str, universe: Universe) -> Status:
     """Parse an installed-status file; every entry must exist in the universe,
     and no two entries may ship one path."""
     installed: set[PackageId] = set()
-    for stanza in _split_stanzas(text):
-        _fields, pid = _read_stanza(stanza, ("Package", "Version"), kind="status ")
-        first = stanza[0][0]
+    for fields, pid in _read_stanzas(text, _STATUS_KEYS, _Memo(), kind="status "):
+        first = next(iter(fields.values()))[0]
         if pid not in universe:
             raise MetadataError(
                 f"installed package {pid} unknown: status must be a subset of the universe", first)

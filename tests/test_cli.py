@@ -57,6 +57,17 @@ def test_check_malformed_metadata_exits_two(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", [["check"], ["solve", "install a"]])
+def test_a_path_repeated_in_files_exits_two(tmp_path, capsys, command):
+    # apply would find the path owned twice only after solve had promised it
+    repo = support.write_repo(tmp_path / "repo", "Package: a\nVersion: 1\nFiles: usr/f, usr/f\n",
+                              {"a_1": {"usr/f": b"f\n"}})
+    store = support.new_store(tmp_path)
+    code, _, err = run(capsys, "--root", str(store.root), "--repo", str(repo), *command)
+    assert code == 2
+    assert "line 3: Files repeats path 'usr/f'" in err
+
+
 # --- solve -------------------------------------------------------------------
 
 

@@ -15,6 +15,7 @@ from txpkg.confmerge import (
     structured_merge,
     upgrade_conffile,
 )
+from txpkg.txn import Store
 from txpkg.universe import PackageId, parse_universe
 
 import support
@@ -404,3 +405,29 @@ def test_commit_whose_record_cannot_be_renamed_leaves_no_pristine_lines(store, m
     txn.commit()
     assert store.read("etc/app/main.conf") == b"v3\n"
     assert store.state("etc/app/main.conf.pkgnew")[0] == "absent"
+
+
+def test_a_full_disk_does_not_tear_an_archived_pristine_object(store, monkeypatch):
+    # transaction 2 snapshots the bytes that transaction 1 archived, and the
+    # disk fills during its commit: the first pristine write is cut in half
+    content = b"k=1\nj=2\n"
+    u = _install_v1(store, content)
+    sha = PristineStore(store).entries("app", "etc/app/main.conf")[0]["sha"]
+    real_save, torn = Store.save, []
+
+    def save(self, name, data):
+        if name.startswith("pristine/") and not torn:
+            torn.append(name)
+            real_save(self, name, data[:len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device", name)
+        real_save(self, name, data)
+
+    monkeypatch.setattr(Store, "save", save)
+    txn = store.begin()
+    upgrade_conffile(txn, u.by_name("app")[1], "etc/app/main.conf", content)
+    with pytest.raises(OSError):
+        txn.commit()
+    txn.rollback()
+    assert torn and store.read_history(2).meta["outcome"] == "aborted"
+    assert [e["txn"] for e in PristineStore(store).entries("app", "etc/app/main.conf")] == [1]
+    assert PristineStore(store).content(sha) == content

@@ -203,6 +203,25 @@ def test_conffiles_must_be_subset_of_files():
         parse_universe(text)
 
 
+@pytest.mark.parametrize("field, error", [
+    ("Files: usr/f, usr/g, usr/f\n", "line 3: Files repeats path 'usr/f'"),
+    ("Files: etc/a\nConffiles: etc/a, etc/a\n", "line 4: Conffiles repeats path 'etc/a'"),
+    ("Files: etc/a\nConffiles: etc/a\nConffile-Syntax: etc/a=lines, etc/a=keyvalue\n",
+     "line 5: Conffile-Syntax repeats path 'etc/a'"),
+])
+def test_a_path_repeated_in_one_field_is_rejected(field, error):
+    with pytest.raises(MetadataError) as info:
+        parse_universe("Package: a\nVersion: 1\n" + field)
+    assert str(info.value) == error
+
+
+@pytest.mark.parametrize("size", ["+5", "1_000", "\u0661\u0662"])
+def test_size_is_ascii_digits(size):
+    with pytest.raises(MetadataError) as info:
+        parse_universe(f"Package: a\nVersion: 1\nSize: {size}\n")
+    assert str(info.value) == f"line 3: bad Size {size!r}"
+
+
 def test_paths_with_traversal_rejected():
     with pytest.raises(MetadataError):
         parse_universe("Package: a\nVersion: 1\nFiles: ../etc/passwd\n")
