@@ -318,21 +318,67 @@ def _certify(u: Universe, s0: Status, r: Request, cnf: Cnf, model: set[int] | No
 
 
 def _installability(u: Universe):
-    """A predicate deciding whether a package of ``u`` is installable.
+    """A predicate deciding whether a package of ``u`` is installable, and the
+    encoding it decides over.
 
     Encodes the universe once, with the empty request, and keeps one solver.
-    Each question is one goal-directed solve under the assumption that the
+    A question is one goal-directed solve under the assumption that the
     package is installed: it decides only satisfiers of dependency clauses
-    that the packages already installed leave unmet.
+    that the packages already installed leave unmet.  A model of the
+    empty-request encoding is an acceptable status, so each of its members
+    is installable: the predicate keeps the members of every model it finds
+    and answers a package among them without a solve.
     """
     cnf = encode(u, Status(), Request(()))
     solver = DpllSolver(len(cnf.ids), cnf.clauses)
-    return lambda pid: solver.solve(assumptions=(cnf.var_of[pid],)) is not None
+    proven: set[int] = set()
+
+    def installable(pid: PackageId) -> bool:
+        var = cnf.var_of[pid]
+        if var in proven:
+            return True
+        model = solver.solve(assumptions=(var,))
+        if model is None:
+            return False
+        proven.update(model)
+        return True
+
+    return installable, cnf
+
+
+def _roots_first(cnf: Cnf) -> list[PackageId]:
+    """The ids of an empty-request encoding in reverse DFS postorder of the
+    edges from each package to the packages its dependency clauses name.
+    Outside a cycle, a package comes before every package it needs, so the
+    packages that nothing needs come first."""
+    n = len(cnf.ids)
+    needs: list[list[int]] = [[] for _ in range(n + 1)]
+    for clause in cnf.clauses:
+        if clause[0] < 0 < clause[-1]:  # a dependency clause: (not p) or q1 or ...
+            needs[-clause[0]].extend(clause[1:])
+    visited = [False] * (n + 1)
+    postorder: list[int] = []
+    for root in range(1, n + 1):
+        if visited[root]:
+            continue
+        visited[root] = True
+        stack = [(root, iter(needs[root]))]
+        while stack:
+            var, pending = stack[-1]
+            for dep in pending:
+                if not visited[dep]:
+                    visited[dep] = True
+                    stack.append((dep, iter(needs[dep])))
+                    break
+            else:
+                stack.pop()
+                postorder.append(var)
+    return [cnf.ids[var - 1] for var in reversed(postorder)]
 
 
 def explain_unsat(u: Universe, s0: Status, r: Request) -> Unsat:
     """Build the Unsat stub: flag request atoms that are doomed on their own."""
-    installable = _installability(u)
+    installable, _cnf = _installability(u)
     doomed, witnesses = [], []
     for atom in r.atoms:
         if atom.action == "remove":
@@ -348,18 +394,21 @@ def explain_unsat(u: Universe, s0: Status, r: Request) -> Unsat:
 
 
 def health_check(u: Universe) -> list[tuple[PackageId, Verdict]]:
-    """Installability report for every package in the universe.
+    """Installability report for every package in the universe, in sorted-id
+    order.
 
     A package is healthy when some subset of the universe contains it while
     satisfying every dependency clause and avoiding all conflicts.  The
-    universe is encoded once and handed to one complete solver; each package
-    is then one goal-directed solve under the assumption that it is
-    installed (see ``_installability``).
+    universe is encoded once and handed to one complete solver (see
+    ``_installability``).  The questions are asked roots first (see
+    ``_roots_first``): a package that nothing needs is solved before the
+    packages it needs, and its model answers for every member.
     """
-    installable = _installability(u)
+    installable, cnf = _installability(u)
+    ok = {pid: installable(pid) for pid in _roots_first(cnf)}
     out: list[tuple[PackageId, Verdict]] = []
     for pid in u.ids:
-        if installable(pid):
+        if ok[pid]:
             out.append((pid, Verdict(True)))
             continue
         witness = None

@@ -374,25 +374,25 @@ def test_health_encodes_once_and_builds_one_solver(monkeypatch):
     assert calls == {"encode": 1, "solver": 1}
 
 
-def _health_universe(rng, n):
-    """Names h000.. at versions 1 and 2 over ``2 * n + 4`` ids.  Dependencies
-    point at earlier names: plain, versioned, ``|`` alternatives and features,
-    each of which an earlier version-2 package provides.  Version 2 conflicts
-    with version 1 of its own name.  A missing dependency and a conflicting
-    pair are planted."""
+def _health_universe(rng, n, name=lambda i: f"h{i:03d}"):
+    """Names ``name(0)``.. at versions 1 and 2 over ``2 * n + 4`` ids.
+    Dependencies point at earlier names: plain, versioned, ``|`` alternatives
+    and features, each of which an earlier version-2 package provides.
+    Version 2 conflicts with version 1 of its own name.  A missing dependency
+    and a conflicting pair are planted."""
     stanzas = []
     for i in range(n):
         for v in (1, 2):
-            lines = [f"Package: h{i:03d}", f"Version: {v}"]
+            lines = [f"Package: {name(i)}", f"Version: {v}"]
             deps = []
             for _ in range(rng.randint(0, 2) if i else 0):
                 a, b = rng.randrange(i), rng.randrange(i)
-                deps.append(rng.choice([f"h{a:03d}", f"h{a:03d} (>= 2)",
-                                        f"h{a:03d} | h{b:03d}", f"feat{a // 10 % 4}"]))
+                deps.append(rng.choice([name(a), f"{name(a)} (>= 2)",
+                                        f"{name(a)} | {name(b)}", f"feat{a // 10 % 4}"]))
             if deps:
                 lines.append("Depends: " + ", ".join(dict.fromkeys(deps)))
             if v == 2:
-                lines.append(f"Conflicts: h{i:03d} (<< 2)")
+                lines.append(f"Conflicts: {name(i)} (<< 2)")
                 if i % 10 == 0:
                     lines.append(f"Provides: feat{i // 10 % 4}")
             stanzas.append("\n".join(lines) + "\n")
@@ -406,7 +406,7 @@ def _health_universe(rng, n):
 def test_health_check_work_is_bounded_by_the_goal(monkeypatch):
     # each solve decides only satisfiers of unmet dependency clauses, so it
     # assigns a few dozen variables, not its whole dependency cone (and, by
-    # propagation, much of the universe).  This takes 14,710 enqueues;
+    # propagation, much of the universe).  This takes 9,225 enqueues;
     # deciding every cone variable false first takes 396,997.
     u = _health_universe(random.Random(47), 498)
     assert len(u) == 1000
@@ -421,7 +421,78 @@ def test_health_check_work_is_bounded_by_the_goal(monkeypatch):
     results = dict(health_check(u))
     broken = {str(pid) for pid, verdict in results.items() if not verdict.ok}
     assert broken == {"ghost 1", "pair 1"}
-    assert enqueues[0] <= 30 * len(u)
+    assert enqueues[0] <= 12 * len(u)
+
+
+@pytest.mark.parametrize("name", [lambda i: f"h{i:03d}", lambda i: f"h{997 - i:03d}"],
+                         ids=["deps-sort-first", "deps-sort-last"])
+def test_health_check_solves_once_per_closure(monkeypatch, name):
+    # every member of a model is installable, and the roots are asked first,
+    # so their models answer most of the packages they need; one solve per id
+    # is 1,000.  The order comes from the dependency edges, not from names:
+    # the second universe is the first with names sorting against them.
+    u = _health_universe(random.Random(47), 498, name)
+    assert len(u) == 1000
+    solves = [0]
+    real_solve = DpllSolver.solve
+
+    def counting_solve(self, *args, **kwargs):
+        solves[0] += 1
+        return real_solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(DpllSolver, "solve", counting_solve)
+    results = health_check(u)
+    assert {str(pid) for pid, verdict in results if not verdict.ok} == {"ghost 1", "pair 1"}
+    assert solves[0] <= 650
+
+
+# Shapes that random universes rarely hold, each against the model memo.
+MEMO_UNIVERSES = {
+    # a cycle, one reached from outside it, and one with a broken member
+    "cycle": ("Package: a\nVersion: 1\nDepends: b\n\n"
+              "Package: b\nVersion: 1\nDepends: a\n\n"
+              "Package: c\nVersion: 1\nDepends: a\n\n"
+              "Package: d\nVersion: 1\nDepends: e\n\n"
+              "Package: e\nVersion: 1\nDepends: d, missing\n"),
+    # app's model takes lib-x; lib-y is installable only without lib-x, and
+    # the alternative lib-z not at all
+    "untaken-alternative": ("Package: app\nVersion: 1\nDepends: lib-x | lib-y | lib-z\n\n"
+                            "Package: lib-x\nVersion: 1\n\n"
+                            "Package: lib-y\nVersion: 1\nDepends: helper\n\n"
+                            "Package: helper\nVersion: 1\nConflicts: lib-x\n\n"
+                            "Package: lib-z\nVersion: 1\nDepends: missing\n"),
+    # broken packages, solved first, that need a healthy one
+    "broken-on-healthy": ("Package: base\nVersion: 1\n\n"
+                          "Package: ghost\nVersion: 1\nDepends: base, missing\n\n"
+                          "Package: rival\nVersion: 1\nDepends: base\nConflicts: base\n"),
+}
+
+
+@pytest.mark.parametrize("text", MEMO_UNIVERSES.values(), ids=MEMO_UNIVERSES.keys())
+def test_health_memo_agrees_with_fresh_solver_reference(text):
+    u = parse_universe(text)
+    results = health_check(u)
+    assert results == reference_health_check(u)
+    assert any(verdict.ok for _pid, verdict in results)
+    assert not all(verdict.ok for _pid, verdict in results)
+
+
+def test_explain_unsat_with_doomed_atoms_sharing_a_closure():
+    # top's model answers for lib2; x's and y's candidates all need the broken base
+    u = parse_universe("Package: top\nVersion: 1\nDepends: lib, lib2\n\n"
+                       "Package: lib\nVersion: 1\n\n"
+                       "Package: lib2\nVersion: 1\n\n"
+                       "Package: base\nVersion: 1\nDepends: missing\n\n"
+                       "Package: x\nVersion: 1\nDepends: base\n\n"
+                       "Package: x\nVersion: 2\nDepends: base, lib\n\n"
+                       "Package: y\nVersion: 1\nDepends: x | base\n")
+    r = parse_request("install top, install x, install lib2, install y, install nothing, remove lib")
+    assert explain_unsat(u, Status(), r) == Unsat(
+        r, (r.atoms[1], r.atoms[3], r.atoms[4]),
+        ("'install x': no candidate is installable",
+         "'install y': no candidate is installable",
+         "'install nothing': no candidate in the universe"))
+    assert isinstance(solve(u, Status(), r), Unsat)
 
 
 def test_solve_returns_the_least_acceptable_status_in_sorted_id_order():
