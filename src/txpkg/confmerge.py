@@ -219,8 +219,9 @@ def upgrade_conffile(txn: Transaction, pkg: Package, path: str,
 
     An unmodified (or never-seen) file takes the incoming content; a modified
     one is three-way merged against the pristine copy of the installed
-    version, and a locally deleted one stays deleted.  The file counts as
-    unmodified when its content hash equals the latest pristine record's.
+    version, and a locally deleted one stays deleted; a directory at the
+    path is an IsADirectoryError.  The file counts as unmodified when its
+    content hash equals the latest pristine record's.
     On conflict the file keeps its local content and the incoming version is
     written alongside as ``<path>.pkgnew``; the transaction carries on.
     Whatever happens, the incoming content is registered as the new pristine
@@ -230,7 +231,9 @@ def upgrade_conffile(txn: Transaction, pkg: Package, path: str,
         raise ConfmergeError(f"{path!r} is not a conffile of {pkg.id}")
     found = txn.pristine.entries(pkg.name, path)
     latest = found[-1] if found else None
-    _kind, current, _mode = txn.state(path)
+    kind, current, _mode = txn.state(path)
+    if kind == "dir":  # its None content is no local deletion: refuse as write_through does
+        raise IsADirectoryError(f"{path!r} is a directory")
     if latest is None:  # an unowned file may already sit where a fresh conffile goes
         outcome = (MergeOutcome("took-new", incoming) if current in (None, incoming) else
                    MergeOutcome("conflict", current, ((b"", current, incoming),)))

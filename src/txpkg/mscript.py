@@ -21,7 +21,7 @@ Primitives::
     fail MESSAGE               always fails (for testing failure handling)
 
 Executing a program yields an effect log with one record per executed step:
-the target's pre-image and mode (None when it was absent), a fingerprint of
+the target's ``Store.state`` triple as the step read it, a fingerprint of
 what the step left there, and the directories it created.  Every writing
 step (``copy``, ``append``, ``setkey``, ``delkey``, ``update-cache``,
 ``adduser``, ``deluser``) follows one rule: it reads its target once, computes
@@ -131,18 +131,17 @@ class ScriptEnv:
 class StepEffect:
     """Everything needed to compensate one executed step.
 
-    ``pre_image`` and ``pre_mode`` hold the target as it was, both None when
-    it was absent, so putting ``pre_image`` back (None deletes) undoes the
-    step.  ``post_sha`` fingerprints the target after the step (None when the
-    step deleted it) so undo can detect external tampering; ``created_dirs``
-    lists directories the step created (outermost first).
+    ``pre`` is the target's ``Store.state`` triple as the step read it, so
+    putting it back undoes the step.  ``post_sha`` fingerprints the target
+    after the step (None when the step deleted it) so undo can detect
+    external tampering; ``created_dirs`` lists directories the step created
+    (outermost first).
     """
 
     index: int
     op: str
     path: str
-    pre_image: bytes | None = None
-    pre_mode: int | None = None
+    pre: tuple
     post_sha: str | None = None
     created_dirs: tuple[str, ...] = ()
 
@@ -274,17 +273,19 @@ def _run_step(index: int, step: Step, txn: Transaction, env: ScriptEnv) -> StepE
 
     if op == "mkdir":
         target = args[0]
-        if txn.state(target)[0] == "file":
+        pre = txn.state(target)
+        if pre[0] == "file":
             raise ScriptFailure(index, f"{target!r} exists and is not a directory")
-        return StepEffect(index=index, op=op, path=target, created_dirs=tuple(txn.mkdir(target)))
+        return StepEffect(index=index, op=op, path=target, pre=pre,
+                          created_dirs=tuple(txn.mkdir(target)))
 
     if op == "remove":
         target = args[0]
-        kind, pre, pre_mode = txn.state(target)
-        if kind != "file":
+        pre = txn.state(target)
+        if pre[0] != "file":
             raise ScriptFailure(index, f"{target!r} is not a file")
         txn.write_through(target, None)
-        return StepEffect(index=index, op=op, path=target, pre_image=pre, pre_mode=pre_mode)
+        return StepEffect(index=index, op=op, path=target, pre=pre)
 
     # a writing step: checks that do not read the target, one read, a rewrite
     if op == "copy":
@@ -294,13 +295,13 @@ def _run_step(index: int, step: Step, txn: Transaction, env: ScriptEnv) -> StepE
     elif op in ("setkey", "delkey") and "=" in args[1]:
         raise ScriptFailure(index, f"key {args[1]!r} may not contain '='")
     target = args[paths[-1]] if paths else USER_DB
-    kind, pre, pre_mode = txn.state(target)
+    pre = txn.state(target)
+    kind, content, _mode = pre
     if kind == "dir":
         raise ScriptFailure(index, f"{target!r} is a directory")
-    data = source if op == "copy" else _rewrite(op, args, pre, txn)
-    created_dirs = () if data == pre else tuple(txn.write_through(target, data))
-    return StepEffect(index=index, op=op, path=target, pre_image=pre,
-                      pre_mode=pre_mode if kind == "file" else None, post_sha=_sha(data),
+    data = source if op == "copy" else _rewrite(op, args, content, txn)
+    created_dirs = () if data == content else tuple(txn.write_through(target, data))
+    return StepEffect(index=index, op=op, path=target, pre=pre, post_sha=_sha(data),
                       created_dirs=created_dirs)
 
 
@@ -344,18 +345,19 @@ def undo(log, txn: Transaction) -> None:
     the identity on the store.
 
     Every step gets the same rule: check that its target still holds what
-    the step left there, write back the target's pre-image and mode (a None
-    pre-image deletes the target; a ``mkdir`` target is only a directory,
-    left to the next rule, and a step that kept its pre-image wrote nothing
-    to put back), then remove the directories the step created.
+    the step left there, put back the target's ``pre`` state (an absent one
+    deletes the target; a ``mkdir`` target is only a directory, left to the
+    next rule, and a step that kept its pre-image wrote nothing to put
+    back), then remove the directories the step created.
     Raises :class:`CorruptedLog` when the store does not match the logged
     post-state or a created directory is no longer empty.
     """
     for eff in reversed(list(log)):
         _verify_post(eff, txn)
-        kept = eff.pre_image is not None and _sha(eff.pre_image) == eff.post_sha
+        _kind, content, mode = eff.pre
+        kept = content is not None and _sha(content) == eff.post_sha
         if eff.op != "mkdir" and not kept:
-            txn.write_through(eff.path, eff.pre_image, mode=eff.pre_mode)
+            txn.write_through(eff.path, content, mode=mode)
         for d in reversed(eff.created_dirs):
             if txn.state(d)[0] == "dir":
                 try:

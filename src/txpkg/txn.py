@@ -2,8 +2,8 @@
 
 Two seams touch the disk.  ``Store.state(rel)`` reads a package-visible
 path as ``(kind, content, mode)``: kind absent|dir|file, a file's bytes
-(else None) and ``st_mode`` (0 when absent), the triple a journal entry's
-``pre_state()`` also gives.  ``Store.put(rel, state)`` makes the path hold
+(else None) and ``st_mode`` (0 when absent), the triple a journal entry
+keeps as ``pre``.  ``Store.put(rel, state)`` makes the path hold
 one: whatever stands there in another kind goes first, an empty directory
 by ``rmdir`` and anything else, a link included, by ``unlink`` (OSError for
 a non-empty directory); then missing parents are made and the permission
@@ -44,9 +44,9 @@ means hashing again, never an error.
 
 Every transaction id ends in one record, ``history/<id>/``, written into
 ``history/.<id>.partial/`` and renamed into place, its journal trimmed
-against the disk (entries whose ``pre_state()`` equals the final state go):
+against the disk (entries whose ``pre`` equals the final state go):
 committed by ``commit``, or aborted by ``rollback``, which ``put``s each
-entry's ``pre_state()``, last first, and records what it could not put back
+entry's ``pre``, last first, and records what it could not put back
 and any error.  ``_close`` writes all of a transaction's engine state before
 that rename: a commit's queued status and pristine files, or for an abort
 the status and index as ``begin`` found them, if a failed commit wrote
@@ -96,8 +96,6 @@ DB_DIR = RESERVED_DIR
 DEFAULT_PRESERVE = ("var/log/**", "home/**")
 
 _JOURNAL_MAGIC = b"TXJL1\n"
-_KIND_CODES = {"created": 0, "modified": 1, "removed": 2}
-_KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
 _FILE_MODE = 0o644
 _DIR_MODE = 0o755
@@ -131,25 +129,11 @@ class ConfmergeError(Exception):
 
 @dataclass
 class JournalEntry:
-    """Pre-image of one path, recorded before its first mutation.
-
-    ``mode`` is the pre-state ``st_mode`` (type bits included) and is 0 for
-    created paths; ``pre_image`` is None for created paths and empty for
-    directories.
-    """
+    """Pre-image of one path, recorded before its first mutation: ``pre`` is
+    the ``Store.state`` triple the path held."""
 
     path: str
-    kind: str  # created | modified | removed
-    mode: int = 0
-    pre_image: bytes | None = None
-
-    def pre_state(self):
-        """The pre-image as a ``Store.state`` triple."""
-        if self.kind == "created":
-            return _ABSENT
-        if stat.S_ISDIR(self.mode):
-            return ("dir", None, self.mode)
-        return ("file", self.pre_image or b"", self.mode)
+    pre: tuple
 
 
 @dataclass
@@ -162,15 +146,18 @@ class HistoryRecord:
 
 
 def journal_dump(entries) -> bytes:
+    """The one encoding of a journal: per entry the path, then a code (0 for
+    an absent path, 1 for one that existed), ``st_mode``, a has-content flag
+    and a file's bytes (none for a directory)."""
     out = [_JOURNAL_MAGIC]
     for e in entries:
         raw_path = e.path.encode("utf-8")
-        pre = e.pre_image if e.pre_image is not None else b""
+        kind, content, mode = e.pre
+        existed = kind != "absent"
         out.append(struct.pack(">I", len(raw_path)))
         out.append(raw_path)
-        out.append(struct.pack(">BIBQ", _KIND_CODES[e.kind], e.mode,
-                               1 if e.pre_image is not None else 0, len(pre)))
-        out.append(pre)
+        out.append(struct.pack(">BIBQ", existed, mode, existed, len(content or b"")))
+        out.append(content or b"")
     return b"".join(out)
 
 
@@ -185,15 +172,22 @@ def journal_load(data: bytes) -> list[JournalEntry]:
             off += 4
             path = data[off:off + path_len].decode("utf-8")
             off += path_len
-            kind_code, mode, has_pre, pre_len = struct.unpack_from(">BIBQ", data, off)
+            code, mode, has_content, size = struct.unpack_from(">BIBQ", data, off)
             off += struct.calcsize(">BIBQ")
-            pre = data[off:off + pre_len]
-            if len(pre) != pre_len:
+            content = data[off:off + size]
+            if len(content) != size:
                 raise CorruptedJournal("truncated journal record")
-            off += pre_len
-            entries.append(JournalEntry(path, _KIND_NAMES[kind_code], mode,
-                                        pre if has_pre else None))
-    except (struct.error, KeyError, UnicodeDecodeError) as e:
+            off += size
+            if code == 0:
+                pre = _ABSENT
+            elif code > 2:  # earlier versions wrote 2 for a removed path
+                raise CorruptedJournal(f"unknown journal entry code {code}")
+            elif stat.S_ISDIR(mode):
+                pre = ("dir", None, mode)
+            else:
+                pre = ("file", content if has_content else b"", mode)
+            entries.append(JournalEntry(path, pre))
+    except (struct.error, UnicodeDecodeError) as e:
         raise CorruptedJournal(f"unreadable journal: {e}") from None
     return entries
 
@@ -388,11 +382,11 @@ class Store:
     def _last_id(self) -> int:
         """The last transaction id handed out, 0 before the first."""
         data = self.load("serial")
-        try:
-            return 0 if data is None else int(data)
-        except ValueError:
-            raise CorruptedJournal(
-                f"{DB_DIR}/serial holds {data!r}, not a transaction id") from None
+        if data is None:
+            return 0
+        if not data.isdigit():  # ASCII digits only: int() also takes "-3" and "1_0"
+            raise CorruptedJournal(f"{DB_DIR}/serial holds {data!r}, not a transaction id")
+        return int(data)
 
     def begin(self) -> "Transaction":
         """Open the store's single transaction; fails if one is already open."""
@@ -433,7 +427,8 @@ class Store:
     def history_ids(self) -> list[int]:
         if not self.history_dir.is_dir():
             return []
-        return sorted(int(p.name) for p in self.history_dir.iterdir() if p.name.isdigit())
+        return sorted(int(p.name) for p in self.history_dir.iterdir()
+                      if p.name.isascii() and p.name.isdigit())
 
     def read_history(self, hid: int) -> HistoryRecord:
         if not (self.history_dir / str(hid)).is_dir():
@@ -561,15 +556,15 @@ class PristineStore:
 
 
 def trim(entries, states) -> list[JournalEntry]:
-    """Drop journal entries whose ``pre_state()`` equals the path's current
-    state, given as ``states[path]``, in kind, content and permission bits.
+    """Drop journal entries whose ``pre`` equals the path's current state,
+    given as ``states[path]``, in kind, content and permission bits.
 
     A rollback over the trimmed journal lands in the same place as over the
     full one, and the trimmed journal is never larger.
     """
     kept = []
     for e in entries:
-        (kind, content, mode), now = e.pre_state(), states[e.path]
+        (kind, content, mode), now = e.pre, states[e.path]
         if (kind, content) != now[:2] or stat.S_IMODE(mode) != stat.S_IMODE(now[2]):
             kept.append(e)
     return kept
@@ -674,10 +669,7 @@ class Transaction:
         """Journal ``old``, the path's state, on first touch (it is not read
         for a journaled path), ``put`` ``new`` and keep the memo current."""
         if rel not in self._journal:
-            kind, content, mode = old
-            action = ("created" if kind == "absent" else
-                      "removed" if new[0] == "absent" else "modified")
-            self._journal[rel] = JournalEntry(rel, action, mode, b"" if kind == "dir" else content)
+            self._journal[rel] = JournalEntry(rel, old)
         self._digests.pop(rel, None)
         self._entries.pop(rel, None)
         # a put that raises part-way may have changed the disk: list it again
@@ -737,7 +729,7 @@ class Transaction:
         self._set(rel, old, _ABSENT)
 
     def _restore(self, entries) -> list[str]:
-        """``_set`` each entry's ``pre_state()``, last entry first, leniently (a
+        """``_set`` each entry's ``pre``, last entry first, leniently (a
         mutation may have failed after its entry was journaled).  Returns the
         skipped paths: preserved ones, and created directories that cannot be
         removed, say because they still have children (never force-deleted)."""
@@ -751,11 +743,11 @@ class Transaction:
             except OSError:  # a link to a directory, which no journal entry can hold
                 old = _ABSENT
             try:
-                self._set(e.path, old, e.pre_state())
+                self._set(e.path, old, e.pre)
             except OSError:
                 if self.store.state(e.path)[0] != "dir":
                     raise
-                if e.kind != "created":
+                if e.pre[0] != "absent":
                     raise CorruptedJournal(f"{e.path!r}: directory where file expected") from None
                 skipped.append(e.path)
         return skipped

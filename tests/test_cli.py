@@ -510,6 +510,18 @@ def test_update_cache_lists_a_hand_placed_file_whose_name_is_not_utf8(tmp_path, 
                                            + b"usr/share/\xff " + sha_raw + b"\n")
 
 
+@pytest.mark.parametrize("name", ["\u00b2", "\u0663"])  # a superscript two, an Arabic-Indic three
+def test_history_lists_only_records_named_in_ascii_digits(setup, capsys, name):
+    store, repo = setup
+    assert run(capsys, "--root", str(store.root), "--repo", str(repo),
+               "apply", "install aterm")[0] == 0
+    (store.history_dir / name).mkdir()
+    code, out, err = run(capsys, "--root", str(store.root), "history")
+    assert code == 0, out + err
+    assert [line.split("\t")[0] for line in out.splitlines()] == ["1"]
+    assert store.history_ids() == [1]
+
+
 def test_history_empty_then_lists_records(setup, capsys):
     store, repo = setup
     code, out, _ = run(capsys, "--root", str(store.root), "history")
@@ -779,6 +791,21 @@ def test_apply_missing_pristine_object_is_an_io_failure(tmp_path, capsys):
     code, out, err = run(capsys, *base, "apply", "upgrade a (>= 2)")
     assert code == 4
     assert "failed (io-failure): unpack a 2: pristine object " in out
+    assert "Traceback" not in out + err
+    assert store.tree_hash() == baseline and store.status_bytes() == status
+    assert not store.lock_path.exists()
+
+
+def test_upgrade_over_a_directory_in_place_of_a_conffile_is_an_io_failure(tmp_path, capsys):
+    """A directory reads with None content, which is no local deletion."""
+    store, base = _conffile_root(tmp_path, capsys)
+    (store.root / "etc/a.conf").unlink()
+    (store.root / "etc/a.conf").mkdir()
+    (store.root / "etc/a.conf/local").write_bytes(b"mine\n")
+    baseline, status = store.tree_hash(), store.status_bytes()
+    code, out, err = run(capsys, *base, "apply", "upgrade a (>= 2)")
+    assert code == 4
+    assert "failed (io-failure): unpack a 2: 'etc/a.conf' is a directory" in out
     assert "Traceback" not in out + err
     assert store.tree_hash() == baseline and store.status_bytes() == status
     assert not store.lock_path.exists()

@@ -7,6 +7,7 @@ import json
 import os
 import random
 import re
+import struct
 import time
 from pathlib import Path
 
@@ -64,7 +65,8 @@ def test_ids_are_monotonic(store):
 
 def test_failed_begin_releases_lock(store):
     store.begin().commit()
-    for serial in (b"garbage", b"\xff\xfe"):
+    # int() would read "-3", whose next id -2 no listing shows, and "1_0" as 10
+    for serial in (b"garbage", b"\xff\xfe", b"-3", b"1_0"):
         (store.lock_path.parent / "serial").write_bytes(serial)
         with pytest.raises(CorruptedJournal, match="serial"):
             store.begin()
@@ -78,8 +80,7 @@ def test_modify_records_old_bytes(store):
     txn = store.begin()
     txn.write_through("etc/motd", b"new content\n")
     (entry,) = txn.journal_entries()
-    assert entry.kind == "modified"
-    assert entry.pre_image == b"welcome\n"
+    assert entry.pre == ("file", b"welcome\n", os.lstat(store.root / "etc/motd").st_mode)
     txn.rollback()
 
 
@@ -87,7 +88,7 @@ def test_create_records_created_without_preimage(store):
     txn = store.begin()
     txn.write_through("etc/fresh", b"x")
     (entry,) = txn.journal_entries()
-    assert entry.kind == "created" and entry.pre_image is None
+    assert entry.pre == ("absent", None, 0)
     txn.rollback()
     assert store.state("etc/fresh")[0] == "absent"
 
@@ -97,9 +98,8 @@ def test_write_creates_missing_parents_journaled_outermost_first(store):
     baseline = store.tree_hash()
     txn = store.begin()
     assert txn.write_through("opt/a/b/file", b"x") == ["opt", "opt/a", "opt/a/b"]
-    assert [(e.path, e.kind) for e in txn.journal_entries()] == [
-        ("opt", "created"), ("opt/a", "created"), ("opt/a/b", "created"),
-        ("opt/a/b/file", "created")]
+    assert [(e.path, e.pre) for e in txn.journal_entries()] == [
+        (rel, ("absent", None, 0)) for rel in ("opt", "opt/a", "opt/a/b", "opt/a/b/file")]
     assert txn.write_through("opt/a/b/file", b"y") == []
     txn.rollback()
     assert store.tree_hash() == baseline
@@ -117,7 +117,7 @@ def test_delete_records_removed(store):
     txn = store.begin()
     txn.write_through("etc/motd", None)
     (entry,) = txn.journal_entries()
-    assert entry.kind == "removed" and entry.pre_image == b"welcome\n"
+    assert entry.pre[:2] == ("file", b"welcome\n")
     txn.rollback()
     assert store.read("etc/motd") == b"welcome\n"
 
@@ -288,7 +288,7 @@ def test_persisted_preimages_are_exactly_the_real_divergence(store):
     txn.write_through("opt/created", b"xyz")        # creation: no pre-image
     hid = txn.commit()
     rec = store.read_history(hid)
-    stored = sum(len(e.pre_image or b"") for e in rec.entries)
+    stored = sum(len(e.pre[1] or b"") for e in rec.entries)
     assert stored == len(b"color=red\nport=80\n")
     assert {e.path for e in rec.entries} == {"etc/app.conf", "opt/created", "opt"}
 
@@ -298,9 +298,9 @@ def test_persisted_preimages_are_exactly_the_real_divergence(store):
 
 def test_journal_serialization_round_trip():
     entries = [
-        JournalEntry("etc/a", "created"),
-        JournalEntry("etc/b", "modified", 0o100644, b"old bytes"),
-        JournalEntry("opt/dir", "removed", 0o40755, b""),
+        JournalEntry("etc/a", ("absent", None, 0)),
+        JournalEntry("etc/b", ("file", b"old bytes", 0o100644)),
+        JournalEntry("opt/dir", ("dir", None, 0o40755)),
     ]
     assert journal_load(journal_dump(entries)) == entries
 
@@ -308,6 +308,55 @@ def test_journal_serialization_round_trip():
 def test_journal_load_rejects_garbage():
     with pytest.raises(CorruptedJournal):
         journal_load(b"not a journal")
+
+
+def _coded_journal(entries) -> bytes:
+    """A ``TXJL1`` journal built by hand from ``(path, code, mode, content)``
+    entries, content None for a path that was absent."""
+    out = [b"TXJL1\n"]
+    for path, code, mode, content in entries:
+        raw = path.encode("utf-8")
+        out += [struct.pack(">I", len(raw)), raw,
+                struct.pack(">BIBQ", code, mode, content is not None, len(content or b"")),
+                content or b""]
+    return b"".join(out)
+
+
+def test_a_journal_of_earlier_versions_rolls_back(store):
+    """Earlier versions wrote 0 for a created path, 1 for a modified and 2 for
+    a removed one; this one writes 1 for both, and reads all three."""
+    (store.root / "opt/empty").mkdir(parents=True)
+    mode = {rel: os.lstat(store.root / rel).st_mode
+            for rel in ("etc/motd", "etc/app.conf", "opt/empty")}
+    baseline = store.tree_hash()
+    txn = store.begin()
+    txn.write_through("etc/fresh", b"new\n")
+    txn.write_through("etc/motd", b"changed\n")
+    txn.write_through("etc/app.conf", None)
+    txn.rmdir("opt/empty")
+    hid = txn.commit()
+    after = store.tree_hash()
+
+    def journal(removed_code):
+        return _coded_journal([
+            ("etc/fresh", 0, 0, None),
+            ("etc/motd", 1, mode["etc/motd"], b"welcome\n"),
+            ("etc/app.conf", removed_code, mode["etc/app.conf"], b"color=red\nport=80\n"),
+            ("opt/empty", removed_code, mode["opt/empty"], b"")])
+    assert store.load(f"history/{hid}/journal") == journal(1)
+    store.save(f"history/{hid}/journal", _coded_journal([("etc/fresh", 3, 0, None)]))
+    with pytest.raises(CorruptedJournal, match="unknown journal entry code 3"):
+        store.rollback_to(hid)
+    assert store.tree_hash() == after and store.history_ids() == [hid]
+
+    store.save(f"history/{hid}/journal", journal(2))
+    assert [(e.path, e.pre) for e in store.read_history(hid).entries] == [
+        ("etc/fresh", ("absent", None, 0)),
+        ("etc/motd", ("file", b"welcome\n", mode["etc/motd"])),
+        ("etc/app.conf", ("file", b"color=red\nport=80\n", mode["etc/app.conf"])),
+        ("opt/empty", ("dir", None, mode["opt/empty"]))]
+    store.rollback_to(hid)
+    assert store.tree_hash() == baseline
 
 
 # --- history rollback ------------------------------------------------------------
@@ -433,8 +482,7 @@ def test_gap_names_a_transaction_that_never_finished(store):
     record = store.read_history(2)  # the aborted record names the failed restore
     assert record.meta["outcome"] == "aborted"
     assert record.meta["error"] == "'etc/motd': directory where file expected"
-    assert [(e.path, e.pre_state()[:2]) for e in record.entries] == [("etc/motd",
-                                                                      ("file", b"v1\n"))]
+    assert [(e.path, e.pre[:2]) for e in record.entries] == [("etc/motd", ("file", b"v1\n"))]
     assert record.post == {"etc/motd": "dir"}
     before = store.tree_hash()
     for i, force in enumerate((False, True)):  # the restore meets the same directory

@@ -17,7 +17,9 @@ one place to go; ``confmerge`` reads or writes no file itself.  Only ``txn``
 names the pristine index and objects, so their format has one home.  Only
 ``Transaction._close`` saves a transaction's engine state (the status, the
 pristine files and the record's parts), so all of it is written with the
-record, before the rename that puts the record in place.
+record, before the rename that puts the record in place.  Only
+``Transaction._set`` and ``journal_load`` build a ``JournalEntry``, so an
+entry holds what ``Store.state`` read or what the codec decoded.
 """
 
 import ast
@@ -176,3 +178,26 @@ def test_detector_reports_engine_state_writes_outside_close(tmp_path):
         "        self.store.save(f'pristine/objects/{sha}', b'')\n"
         "        self.store.save(name, b'')\n")
     assert state_writers(tmp_path / "m.py") == ["10 append", "7 set_status", "9 append"]
+
+
+
+def test_only_set_and_the_codec_build_journal_entries():
+    assert callers(SRC / "txn.py", {"JournalEntry"}, {"_set", "journal_load"}) == []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "txn.py":
+            assert callers(path, {"JournalEntry"}) == [], path.name
+
+
+def test_detector_reports_journal_entries_built_elsewhere(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "class Transaction:\n"
+        "    def _set(self, rel, old):\n"
+        "        self._journal[rel] = JournalEntry(rel, old)\n"
+        "    def _restore(self, e):\n"
+        "        return txn.JournalEntry(e.path, ('absent', None, 0))\n"
+        "def journal_load(data):\n"
+        "    return [JournalEntry(p, data) for p in data]\n"
+        "def undo(log):\n"
+        "    return [JournalEntry(e.path, e.pre) for e in log]\n")
+    assert callers(tmp_path / "m.py", {"JournalEntry"}, {"_set", "journal_load"}) == [
+        "5 _restore", "9 undo"]
