@@ -97,6 +97,18 @@ def _conflict_block(local: bytes, incoming: bytes) -> bytes:
     return b"<<<<<<< local\n" + local + b"=======\n" + incoming + b">>>>>>> incoming\n"
 
 
+def _three_way(base, local, incoming):
+    """The one three-way choice, over a file, a run of lines, a map or a
+    value: ``(kind, the side kept)``, with None kept for a conflict."""
+    if local == base:
+        return "took-new", incoming
+    if incoming == base:
+        return "kept-local", local
+    if local == incoming:
+        return "merged", local
+    return "conflict", None
+
+
 def merge3(base: bytes, local: bytes, incoming: bytes) -> MergeOutcome:
     """Line-oriented three-way merge.
 
@@ -105,12 +117,9 @@ def merge3(base: bytes, local: bytes, incoming: bytes) -> MergeOutcome:
     with conflict markers in the content.  Non-text input (NUL bytes or
     invalid UTF-8) is a whole-file conflict.
     """
-    if local == base:
-        return MergeOutcome("took-new", incoming)
-    if incoming == base:
-        return MergeOutcome("kept-local", local)
-    if local == incoming:
-        return MergeOutcome("merged", local)
+    kind, kept = _three_way(base, local, incoming)
+    if kind != "conflict":
+        return MergeOutcome(kind, kept)
     if not (_is_text(base) and _is_text(local) and _is_text(incoming)):
         return MergeOutcome("conflict", _conflict_block(local, incoming),
                             ((base, local, incoming),))
@@ -126,10 +135,9 @@ def merge3(base: bytes, local: bytes, incoming: bytes) -> MergeOutcome:
         base_chunk = b[pb:base_lo]
         local_chunk = l[pl:local_lo]
         inc_chunk = i[pi:inc_lo]
-        if local_chunk == base_chunk:
-            out.extend(inc_chunk)
-        elif inc_chunk == base_chunk or local_chunk == inc_chunk:
-            out.extend(local_chunk)
+        kind, kept = _three_way(base_chunk, local_chunk, inc_chunk)
+        if kind != "conflict":
+            out.extend(kept)
         else:
             hunk = (b"".join(base_chunk), b"".join(local_chunk), b"".join(inc_chunk))
             hunks.append(hunk)
@@ -180,24 +188,19 @@ def structured_merge(base: bytes, local: bytes, incoming: bytes,
         out = merge3(base, local, incoming)
         return MergeOutcome(out.kind, out.content, out.conflict_hunks, fell_back=True)
 
-    if parsed_l == parsed_b:
-        return MergeOutcome("took-new", dump_kv(parsed_i))
-    if parsed_i == parsed_b:
-        return MergeOutcome("kept-local", dump_kv(parsed_l))
+    kind, kept = _three_way(parsed_b, parsed_l, parsed_i)
+    if kind != "conflict":
+        return MergeOutcome(kind, dump_kv(kept))
 
     merged: dict[str, str] = {}
     conflicts: dict[str, tuple[bytes, bytes, bytes]] = {}  # key -> base/local/incoming
     for key in sorted(set(parsed_b) | set(parsed_l) | set(parsed_i)):
         vb, vl, vi = parsed_b.get(key), parsed_l.get(key), parsed_i.get(key)
-        if vl == vb:
-            chosen = vi
-        elif vi == vb or vl == vi:
-            chosen = vl
-        else:
+        kind, chosen = _three_way(vb, vl, vi)
+        if kind == "conflict":
             conflicts[key] = tuple(
                 b"" if v is None else f"{key}={v}\n".encode("utf-8") for v in (vb, vl, vi))
-            continue
-        if chosen is not None:
+        elif chosen is not None:  # None: the key is gone
             merged[key] = chosen
 
     if not conflicts:

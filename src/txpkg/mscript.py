@@ -44,7 +44,7 @@ import re
 from dataclasses import dataclass
 
 from .confmerge import dump_kv, parse_kv
-from .txn import Transaction, _sha
+from .txn import Transaction, _sha, _token
 from .universe import MetadataError, check_rel_path, decode_text
 
 __all__ = [
@@ -132,10 +132,10 @@ class StepEffect:
     """Everything needed to compensate one executed step.
 
     ``pre`` is the target's ``Store.state`` triple as the step read it, so
-    putting it back undoes the step.  ``post_sha`` fingerprints the target
-    after the step (None when the step deleted it) so undo can detect
-    external tampering; ``created_dirs`` lists directories the step created
-    (outermost first).
+    putting it back undoes the step.  ``post_sha`` is the ``txn._token`` of
+    the target after the step (a file's sha, None when the step deleted it)
+    so undo can detect external tampering; ``created_dirs`` lists
+    directories the step created (outermost first).
     """
 
     index: int
@@ -332,30 +332,29 @@ def _verify_post(eff: StepEffect, txn: Transaction) -> None:
             if txn.state(d)[0] != "dir":
                 raise CorruptedLog(f"step {eff.index}: directory {d!r} vanished")
         return
-    kind, current, _mode = txn.state(eff.path)
-    current_sha = _sha(current) if kind == "file" else None
-    if current_sha != eff.post_sha:
+    current = _token(txn.state(eff.path))
+    if current != eff.post_sha:
         raise CorruptedLog(
             f"step {eff.index}: {eff.path!r} changed since execution "
-            f"(have {current_sha}, logged {eff.post_sha})")
+            f"(have {current}, logged {eff.post_sha})")
 
 
 def undo(log, txn: Transaction) -> None:
     """Compensate the logged steps, last first, so that execute-then-undo is
     the identity on the store.
 
-    Every step gets the same rule: check that its target still holds what
-    the step left there, put back the target's ``pre`` state (an absent one
-    deletes the target; a ``mkdir`` target is only a directory, left to the
-    next rule, and a step that kept its pre-image wrote nothing to put
-    back), then remove the directories the step created.
+    Every step gets the same rule: check that its target's ``txn._token``
+    is still the one the step left, put back the target's ``pre`` state (an
+    absent one deletes the target; a ``mkdir`` target is only a directory,
+    left to the next rule, and a ``pre`` with that token needs no write),
+    then remove the directories the step created.
     Raises :class:`CorruptedLog` when the store does not match the logged
     post-state or a created directory is no longer empty.
     """
     for eff in reversed(list(log)):
         _verify_post(eff, txn)
         _kind, content, mode = eff.pre
-        kept = content is not None and _sha(content) == eff.post_sha
+        kept = _token(eff.pre) == eff.post_sha
         if eff.op != "mkdir" and not kept:
             txn.write_through(eff.path, content, mode=mode)
         for d in reversed(eff.created_dirs):

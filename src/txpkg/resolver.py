@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .sat import DpllSolver
 from .universe import (
+    Atom,
     MetadataError,
     Package,
     PackageId,
@@ -143,49 +144,29 @@ class Unsat:
 
 # --- request atom candidate sets ----------------------------------------------
 
-def _install_candidates(u: Universe, atom: RequestAtom) -> tuple[Package, ...]:
-    """Packages able to satisfy an install atom.
-
-    An unversioned atom is satisfied by a package of that name or by any
-    provider of the feature; a versioned atom only by a real package whose
-    version the constraint admits.
-    """
-    found: dict[PackageId, Package] = {}
-    for pkg in u.by_name(atom.name):
-        if atom.constraint is None or atom.constraint.admits(pkg.id.version):
-            found[pkg.id] = pkg
-    if atom.constraint is None:
-        for pkg, _version in u.providers_of(atom.name):
-            found.setdefault(pkg.id, pkg)
-    return tuple(found[k] for k in sorted(found, key=lambda i: i.key))
-
-
-def _remove_targets(u: Universe, atom: RequestAtom) -> tuple[Package, ...]:
-    """Packages a remove atom forbids: same name, constraint admitted (if any)."""
+def _admitted_by_name(u: Universe, atom: RequestAtom) -> tuple[Package, ...]:
+    """The real packages of the atom's name whose version its constraint (if
+    any) admits."""
     return tuple(pkg for pkg in u.by_name(atom.name)
                  if atom.constraint is None or atom.constraint.admits(pkg.id.version))
 
 
-def _upgrade_candidates(u: Universe, s0: Status, atom: RequestAtom) -> tuple[Package, ...]:
-    """Packages able to satisfy an upgrade atom.
-
-    When the name is installed, only real packages at a version at least the
-    highest installed one qualify; otherwise upgrade degrades to install.
-    """
-    floor = s0.max_version(atom.name)
-    if floor is None:
-        return _install_candidates(u, atom)
-    return tuple(pkg for pkg in u.by_name(atom.name)
-                 if pkg.id.version >= floor
-                 and (atom.constraint is None or atom.constraint.admits(pkg.id.version)))
-
-
 def _request_candidates(u: Universe, s0: Status, atom: RequestAtom) -> tuple[Package, ...]:
-    if atom.action == "install":
-        return _install_candidates(u, atom)
-    if atom.action == "upgrade":
-        return _upgrade_candidates(u, s0, atom)
-    return _remove_targets(u, atom)
+    """The packages able to satisfy an install or upgrade atom; a remove
+    atom forbids its ``_admitted_by_name``.
+
+    An unversioned install atom is satisfied by a package of that name or by
+    any provider of the feature (``Universe.satisfiers``); a versioned one
+    only by a real package whose version the constraint admits.  An upgrade
+    of an installed name also needs a version at least the highest installed
+    one; an upgrade of a name not installed degrades to install.
+    """
+    floor = s0.max_version(atom.name) if atom.action == "upgrade" else None
+    if floor is not None:
+        return tuple(pkg for pkg in _admitted_by_name(u, atom) if pkg.id.version >= floor)
+    if atom.constraint is None:
+        return u.satisfiers(Atom(atom.name))
+    return _admitted_by_name(u, atom)
 
 
 def check_solution(u: Universe, s: Status, r: Request, s0: Status | None = None) -> Verdict:
@@ -203,7 +184,7 @@ def check_solution(u: Universe, s: Status, r: Request, s0: Status | None = None)
 
     for atom in r.atoms:
         if atom.action == "remove":
-            for pkg in _remove_targets(u, atom):
+            for pkg in _admitted_by_name(u, atom):
                 if pkg.id in s.installed:
                     violations.append(Violation("a", f"'{atom}' violated by installed {pkg.id}"))
         else:
@@ -283,7 +264,7 @@ def encode(u: Universe, s0: Status, r: Request) -> Cnf:
 
     for atom in r.atoms:
         if atom.action == "remove":
-            for pkg in _remove_targets(u, atom):
+            for pkg in _admitted_by_name(u, atom):
                 add([-var_of[pkg.id]])
         else:
             add([var_of[pkg.id] for pkg in _request_candidates(u, s0, atom)])

@@ -42,18 +42,19 @@ Any write of a file, through a hard link or a link to it included, moves
 its ctime, so it is read again.  The index is only a cache: a damaged one
 means hashing again, never an error.
 
-Every transaction id ends in one record, ``history/<id>/``, written into
-``history/.<id>.partial/`` and renamed into place, its journal trimmed
-against the disk (entries whose ``pre`` equals the final state go):
-committed by ``commit``, or aborted by ``rollback``, which ``put``s each
-entry's ``pre``, last first, and records what it could not put back
-and any error.  ``_close`` writes all of a transaction's engine state before
-that rename: a commit's queued status and pristine files, or for an abort
-the status and index as ``begin`` found them, if a failed commit wrote
-them.  :meth:`Store.rollback_to` is a transaction too, whose record says
-``"outcome": "rolled-back"``, which ids it undid and, as its ``pristine``
-part, the index lines it dropped, like an ARIES compensation record (Mohan
-et al., TODS 1992).
+Every transaction id ends in one record, the directory ``history/<id>``
+named ``str(id)`` as ``serial`` holds it (``_id_of`` alone reads an id),
+written into ``history/.<id>.partial/`` and renamed into place, its
+journal trimmed against the disk (entries whose ``pre`` equals the final
+state go): committed by ``commit``, or aborted by ``rollback``, which
+``put``s each entry's ``pre``, last first, and records what it could not
+put back and any error.  ``_close`` writes all of a transaction's engine
+state before that rename: a commit's queued status and pristine files, or
+for an abort the status and index as ``begin`` found them, if a failed
+commit wrote them.  :meth:`Store.rollback_to` is a transaction too, whose
+record says ``"outcome": "rolled-back"``, which ids it undid and, as its
+``pristine`` part, the index lines it dropped, like an ARIES compensation
+record (Mohan et al., TODS 1992).
 Paths matching the ``preserve`` globs (by default ``var/log/**`` and
 ``home/**``) are journaled but skipped on restore, with a warning, so
 log-like data survives rollbacks.  ``_sha`` is the engine's one content
@@ -219,6 +220,11 @@ def _pristine_dump(records) -> bytes:
     return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records).encode()
 
 
+def _id_of(text: str) -> int | None:
+    """The id whose ``str`` is ``text``, or None (``int`` also takes "-3", "1_0", "007")."""
+    return int(text) if text.isascii() and text.isdigit() and text[0] != "0" else None
+
+
 def _token(state):
     """Compact fingerprint of a ``Store.state`` triple: None, 'dir', or a sha."""
     kind, content, _mode = state
@@ -333,9 +339,6 @@ class Store:
         """Sorted (relpath, kind) pairs for everything outside .pkgdb."""
         return sorted((rel, "dir" if is_dir else "file") for rel, is_dir, _entry in self.scan())
 
-    def walk_files(self) -> list[str]:
-        return sorted(rel for rel, is_dir, _entry in self.scan() if not is_dir)
-
     def tree_hash(self) -> str:
         """Digest of the whole package-visible tree: paths, kinds, modes, contents."""
         h = hashlib.sha256()
@@ -384,9 +387,10 @@ class Store:
         data = self.load("serial")
         if data is None:
             return 0
-        if not data.isdigit():  # ASCII digits only: int() also takes "-3" and "1_0"
+        hid = _id_of(data.decode("latin-1"))  # any byte decodes; a non-ASCII one is refused
+        if hid is None:
             raise CorruptedJournal(f"{DB_DIR}/serial holds {data!r}, not a transaction id")
-        return int(data)
+        return hid
 
     def begin(self) -> "Transaction":
         """Open the store's single transaction; fails if one is already open."""
@@ -427,8 +431,8 @@ class Store:
     def history_ids(self) -> list[int]:
         if not self.history_dir.is_dir():
             return []
-        return sorted(int(p.name) for p in self.history_dir.iterdir()
-                      if p.name.isascii() and p.name.isdigit())
+        ids = (_id_of(p.name) for p in self.history_dir.iterdir() if p.is_dir())
+        return sorted(hid for hid in ids if hid is not None)
 
     def read_history(self, hid: int) -> HistoryRecord:
         if not (self.history_dir / str(hid)).is_dir():
@@ -779,13 +783,13 @@ class Transaction:
         finally:
             self._close("aborted", meta)
 
-    def commit(self, meta: dict | None = None, do_trim: bool = True) -> int:
+    def commit(self, meta: dict | None = None) -> int:
         """End in a committed record and return the id."""
         self._require_open()
-        self._close("committed", {"outcome": "committed", **(meta or {})}, do_trim)
+        self._close("committed", {"outcome": "committed", **(meta or {})})
         return self.id
 
-    def _close(self, phase: str, meta: dict, do_trim: bool = True) -> None:
+    def _close(self, phase: str, meta: dict) -> None:
         """The one writer of records and engine state.  Each journaled path
         is read once, for both the trim and ``post``.  The lock is released in
         a ``finally``, unless a commit's record failed: that transaction stays
@@ -798,8 +802,7 @@ class Transaction:
         try:
             entries = self.journal_entries()
             states = {e.path: self.store.state(e.path) for e in entries}
-            if do_trim:
-                entries = trim(entries, states)
+            entries = trim(entries, states)
             post = {e.path: _token(states[e.path]) for e in entries}
             info = {"timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
                     "request": "", **meta}

@@ -5,7 +5,9 @@ from __future__ import annotations
 import random
 import shutil
 from pathlib import Path
+from unittest import mock
 
+import txpkg.txn
 from txpkg.resolver import Request, RequestAtom, check_solution
 from txpkg.txn import Store
 from txpkg.universe import (
@@ -80,6 +82,13 @@ def copy_store(store: Store, dest: Path) -> Store:
         shutil.rmtree(dest)
     shutil.copytree(store.root, dest)
     return Store(dest, preserve=store.preserve)
+
+
+def commit_untrimmed(txn) -> int:
+    """Commit with ``txpkg.txn.trim`` replaced by the identity, so the record
+    keeps every journal entry."""
+    with mock.patch.object(txpkg.txn, "trim", lambda entries, _states: list(entries)):
+        return txn.commit()
 
 
 # --- random upgrade problems ----------------------------------------------------

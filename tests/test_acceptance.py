@@ -225,7 +225,10 @@ def test_criterion_6_trim_soundness(tmp_path):
                             txn.write_through(rel, None)
                     else:
                         txn.write_through(rel, data)
-                txn.commit(do_trim=do_trim)
+                if do_trim:
+                    txn.commit()
+                else:
+                    support.commit_untrimmed(txn)
             assert trimmed.tree_hash() == full.tree_hash()
             trimmed.rollback_to(tid)
             full.rollback_to(tid)

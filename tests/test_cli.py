@@ -522,6 +522,35 @@ def test_history_lists_only_records_named_in_ascii_digits(setup, capsys, name):
     assert store.history_ids() == [1]
 
 
+def test_a_zero_padded_record_name_is_no_record(setup, capsys):
+    store, repo = setup
+    assert run(capsys, "--root", str(store.root), "--repo", str(repo),
+               "apply", "install aterm")[0] == 0
+    (store.history_dir / "01").mkdir()
+    assert store.history_ids() == [1]
+    code, out, err = run(capsys, "--root", str(store.root), "history")
+    assert code == 0, out + err
+    assert [line.split("\t")[0] for line in out.splitlines()] == ["1"]
+    assert store.prune_history(0) == [1]
+    assert [p.name for p in store.history_dir.iterdir()] == ["01"]
+
+
+def test_a_stray_file_in_history_is_no_record(setup, capsys):
+    store, repo = setup
+    baseline = store.tree_hash()
+    assert run(capsys, "--root", str(store.root), "--repo", str(repo),
+               "apply", "install aterm")[0] == 0
+    (store.history_dir / "7").write_bytes(b"stray\n")
+    code, out, err = run(capsys, "--root", str(store.root), "history")
+    assert code == 0, out + err
+    assert [line.split("\t")[0] for line in out.splitlines()] == ["1"]
+    code, out, err = run(capsys, "--root", str(store.root), "rollback", "1")
+    assert code == 0, out + err
+    assert store.tree_hash() == baseline
+    assert store.prune_history(0) == [2]
+    assert (store.history_dir / "7").read_bytes() == b"stray\n"
+
+
 def test_history_empty_then_lists_records(setup, capsys):
     store, repo = setup
     code, out, _ = run(capsys, "--root", str(store.root), "history")

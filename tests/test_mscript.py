@@ -329,6 +329,15 @@ def test_undo_detects_external_tampering(store):
     with pytest.raises(CorruptedLog):
         undo(log, txn)
     txn.rollback()
+    # a directory where a step deleted a file is a change too, not a target to write
+    (store.root / "etc/f").write_bytes(b"f\n")
+    txn = store.begin()
+    log = execute(parse_script("remove etc/f\n"), txn, ENV)
+    (store.root / "etc/f").mkdir()
+    with pytest.raises(CorruptedLog, match="etc/f"):
+        undo(log, txn)
+    assert (store.root / "etc/f").is_dir()
+    txn.rollback()
 
 
 @pytest.mark.parametrize("users", [b"bob\nalice\n", b"alice\n\nbob\n", b"alice"])

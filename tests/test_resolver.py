@@ -22,6 +22,7 @@ from txpkg.resolver import (
 )
 from txpkg.sat import DpllSolver
 from txpkg.universe import (
+    Atom,
     PackageId,
     Status,
     Version,
@@ -194,6 +195,23 @@ def test_unsat_stub_flags_uninstallable_candidates():
     res = solve(u, Status(), parse_request("install a"))
     assert isinstance(res, Unsat)
     assert any("no candidate is installable" in w for w in res.witnesses)
+
+
+def test_request_candidates_policy():
+    # a versioned install atom is answered only by real packages, a versioned
+    # dependency also by a versioned provide, an unversioned atom by both
+    u = parse_universe("Package: x\nVersion: 1\n\n"
+                       "Package: p\nVersion: 1\nProvides: x (= 2)\n\n"
+                       "Package: q\nVersion: 1\nDepends: x (>= 2)\n")
+    r = parse_request("install x (>= 2)")
+    assert solve(u, Status(), r) == Unsat(
+        r, r.atoms, ("'install x (>= 2)': no candidate in the universe",))
+    p1, q1 = PackageId("p", Version("1")), PackageId("q", Version("1"))
+    assert solve(u, Status(), parse_request("install q")) == Solution(
+        Status(frozenset({p1, q1})))
+    cands = txpkg.resolver._request_candidates(u, Status(), RequestAtom("install", "x"))
+    assert cands == u.satisfiers(Atom("x"))
+    assert [pkg.id for pkg in cands] == [p1, PackageId("x", Version("1"))]
 
 
 def test_solve_deterministic():
