@@ -185,10 +185,8 @@ def cmd_apply(args) -> int:
     for path in outcome.conffile_conflicts:
         lines.append(f"conffile conflict: {path} (incoming kept as {path}{PKGNEW_SUFFIX})")
     if outcome.result == "success":
-        if outcome.history_id is not None:
+        if outcome.history_id is not None:  # else the transcript says "nothing to do"
             lines.append(f"applied as transaction {outcome.history_id}")
-        else:
-            lines.append("nothing to do")
         _emit(args, report, "\n".join(lines))
         return EXIT_OK
     lines.append(f"failed ({outcome.result}): {outcome.failing}")

@@ -22,19 +22,22 @@ Primitives::
 
 Executing a program yields an effect log with one record per executed step:
 the target's ``Store.state`` triple as the step read it, a fingerprint of
-what the step left there, and the directories it created.  Every writing
-step (``copy``, ``append``, ``setkey``, ``delkey``, ``update-cache``,
-``adduser``, ``deluser``) follows one rule: it reads its target once, computes
-the new content as a function of that pre-image, and writes only when the
-content differs.  ``undo`` has one rule for every primitive: walking the log
-in reverse, it puts each target back as it was and removes the directories
-the step created, so execute-then-undo restores the pre-execution store byte
-for byte.  Every step reads the store only through the open transaction's
-``state`` (plus ``walk_files``/``digest`` for ``update-cache``, which lists
-only the directory its glob's literal prefix names, once per transaction, and
-reads a file only when its stat moved since a transaction last hashed it) and
-mutates it only through ``write_through``, ``mkdir`` and ``rmdir``, so a
-journal rollback is always an equivalent alternative to compensation.
+what the step left there, and the directories it created.  Every step
+follows one rule: after the checks that do not read its target (``fail``,
+``copy``'s source, a key holding ``=``), it reads its target (the last path
+argument, or the user database for ``adduser``/``deluser``) once and leaves
+one state there.  ``mkdir`` leaves a directory, ``remove`` leaves no file, and
+every other primitive leaves the new content computed from that pre-image;
+each writes only when the state differs.  ``undo`` has one rule for every
+primitive: walking the log in reverse, it puts each target back as it was
+and removes the directories the step created, so execute-then-undo restores
+the pre-execution store byte for byte.  Every step reads the store only
+through the open transaction's ``state`` (plus ``walk_files``/``digest`` for
+``update-cache``, which lists only the directory its glob's literal prefix
+names, once per transaction, and reads a file only when its stat moved since
+a transaction last hashed it) and mutates it only through ``write_through``,
+``mkdir`` and ``rmdir``, so a journal rollback is always an equivalent
+alternative to compensation.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ USER_DB = "etc/users.db"
 _GLOB_SPECIAL = re.compile(r"[*?[]")
 
 # op -> (argument count, does the last argument swallow the rest of the line,
-#        positions of path arguments); a writing step's target is its last path
+#        positions of path arguments); every step's target is its last path
 #        argument, or USER_DB for adduser/deluser
 _OPS = {
     "mkdir": (1, False, (0,)),
@@ -133,13 +136,13 @@ class StepEffect:
 
     ``pre`` is the target's ``Store.state`` triple as the step read it, so
     putting it back undoes the step.  ``post_sha`` is the ``txn._token`` of
-    the target after the step (a file's sha, None when the step deleted it)
-    so undo can detect external tampering; ``created_dirs`` lists
-    directories the step created (outermost first).
+    the target after the step (a file's sha, None when the step deleted it,
+    ``"dir"`` for the directory a ``mkdir`` left) so undo can detect external
+    tampering; ``created_dirs`` lists directories the step created
+    (outermost first).
     """
 
     index: int
-    op: str
     path: str
     pre: tuple
     post_sha: str | None = None
@@ -167,18 +170,12 @@ def parse_script(text: str) -> ScriptProgram:
                 f"{op} takes {count} argument{'s' if count != 1 else ''}, got {len(args)}", no)
         for pos in paths:
             if "$" not in args[pos]:  # substituted paths are re-checked at run time
-                _check_path(args[pos], no)
+                try:
+                    check_rel_path(args[pos])
+                except MetadataError as e:
+                    raise ScriptSyntaxError(str(e), no) from None
         steps.append(Step(op, args, no))
     return ScriptProgram(tuple(steps))
-
-
-def _check_path(path: str, line: int | None = None):
-    try:
-        check_rel_path(path)
-    except MetadataError as e:
-        if line is not None:
-            raise ScriptSyntaxError(str(e), line) from None
-        raise
 
 
 def classify(program: ScriptProgram) -> str:
@@ -229,9 +226,12 @@ def _dump_users(names: set[str]) -> bytes:
     return "".join(f"{n}\n" for n in sorted(names)).encode("utf-8")
 
 
-def _rewrite(op: str, args: tuple[str, ...], pre: bytes | None, txn: Transaction) -> bytes:
-    """The new content of a writing step's target, given its pre-image (None
-    when absent); ``copy`` is not here, its content is the source's."""
+def _rewrite(op: str, args: tuple[str, ...], pre: bytes | None, txn: Transaction) -> bytes | None:
+    """The new content of a step's file target, given its pre-image (None
+    when absent; a new content of None deletes the target); ``copy`` is not
+    here, its content is the source's, nor ``mkdir``, which leaves a directory."""
+    if op == "remove":
+        return None
     if op == "append":
         return (pre or b"") + args[1].encode("utf-8") + b"\n"
     if op == "update-cache":
@@ -264,30 +264,13 @@ def _run_step(index: int, step: Step, txn: Transaction, env: ScriptEnv) -> StepE
     args = tuple(_subst(a, env, index) for a in step.args)
     for pos in paths:
         try:
-            _check_path(args[pos])
+            check_rel_path(args[pos])
         except MetadataError as e:
             raise ScriptFailure(index, str(e)) from None
 
+    # checks that do not read the target, then its one read and one new state
     if op == "fail":
         raise ScriptFailure(index, args[0])
-
-    if op == "mkdir":
-        target = args[0]
-        pre = txn.state(target)
-        if pre[0] == "file":
-            raise ScriptFailure(index, f"{target!r} exists and is not a directory")
-        return StepEffect(index=index, op=op, path=target, pre=pre,
-                          created_dirs=tuple(txn.mkdir(target)))
-
-    if op == "remove":
-        target = args[0]
-        pre = txn.state(target)
-        if pre[0] != "file":
-            raise ScriptFailure(index, f"{target!r} is not a file")
-        txn.write_through(target, None)
-        return StepEffect(index=index, op=op, path=target, pre=pre)
-
-    # a writing step: checks that do not read the target, one read, a rewrite
     if op == "copy":
         kind, source, _mode = txn.state(args[0])
         if kind != "file":
@@ -297,11 +280,19 @@ def _run_step(index: int, step: Step, txn: Transaction, env: ScriptEnv) -> StepE
     target = args[paths[-1]] if paths else USER_DB
     pre = txn.state(target)
     kind, content, _mode = pre
-    if kind == "dir":
-        raise ScriptFailure(index, f"{target!r} is a directory")
-    data = source if op == "copy" else _rewrite(op, args, content, txn)
-    created_dirs = () if data == content else tuple(txn.write_through(target, data))
-    return StepEffect(index=index, op=op, path=target, pre=pre, post_sha=_sha(data),
+    if op == "mkdir":
+        if kind == "file":
+            raise ScriptFailure(index, f"{target!r} exists and is not a directory")
+        post_sha, created_dirs = "dir", tuple(txn.mkdir(target))
+    else:
+        if op == "remove" and kind != "file":
+            raise ScriptFailure(index, f"{target!r} is not a file")
+        if kind == "dir":
+            raise ScriptFailure(index, f"{target!r} is a directory")
+        data = source if op == "copy" else _rewrite(op, args, content, txn)
+        post_sha = None if data is None else _sha(data)
+        created_dirs = () if data == content else tuple(txn.write_through(target, data))
+    return StepEffect(index=index, path=target, pre=pre, post_sha=post_sha,
                       created_dirs=created_dirs)
 
 
@@ -327,11 +318,6 @@ def execute(program: ScriptProgram, txn: Transaction, env: ScriptEnv) -> list[St
 
 
 def _verify_post(eff: StepEffect, txn: Transaction) -> None:
-    if eff.op == "mkdir":
-        for d in eff.created_dirs:
-            if txn.state(d)[0] != "dir":
-                raise CorruptedLog(f"step {eff.index}: directory {d!r} vanished")
-        return
     current = _token(txn.state(eff.path))
     if current != eff.post_sha:
         raise CorruptedLog(
@@ -345,8 +331,8 @@ def undo(log, txn: Transaction) -> None:
 
     Every step gets the same rule: check that its target's ``txn._token``
     is still the one the step left, put back the target's ``pre`` state (an
-    absent one deletes the target; a ``mkdir`` target is only a directory,
-    left to the next rule, and a ``pre`` with that token needs no write),
+    absent one deletes the target; a target the step created as a directory
+    is left to the next rule, and a ``pre`` with that token needs no write),
     then remove the directories the step created.
     Raises :class:`CorruptedLog` when the store does not match the logged
     post-state or a created directory is no longer empty.
@@ -355,7 +341,7 @@ def undo(log, txn: Transaction) -> None:
         _verify_post(eff, txn)
         _kind, content, mode = eff.pre
         kept = _token(eff.pre) == eff.post_sha
-        if eff.op != "mkdir" and not kept:
+        if not kept and eff.path not in eff.created_dirs:
             txn.write_through(eff.path, content, mode=mode)
         for d in reversed(eff.created_dirs):
             if txn.state(d)[0] == "dir":

@@ -235,15 +235,14 @@ def retrieve(pkg: Package, repo_dir, staging_dir) -> Path:
 
 
 def _script_env(action: Action) -> ScriptEnv:
-    pure_removal = action.counterpart is None and action.kind in ("prerm", "postrm")
-    if pure_removal:
-        return ScriptEnv(package=action.pkg.name, old_version=str(action.pkg.version))
-    if action.kind == "prerm":  # upgrade: the action carries the old id
-        return ScriptEnv(package=action.pkg.name, old_version=str(action.pkg.version),
-                         new_version=str(action.counterpart.version))
-    old = str(action.counterpart.version) if action.counterpart else None
-    return ScriptEnv(package=action.pkg.name, old_version=old,
-                     new_version=str(action.pkg.version))
+    """$OLD and $NEW: a prerm or postrm runs for its action's outgoing
+    package, every other hook for the incoming one; the counterpart, if
+    any, is the other side."""
+    own = str(action.pkg.version)
+    other = str(action.counterpart.version) if action.counterpart else None
+    if action.kind in ("prerm", "postrm"):
+        return ScriptEnv(package=action.pkg.name, old_version=own, new_version=other)
+    return ScriptEnv(package=action.pkg.name, old_version=other, new_version=own)
 
 
 def _preflight(plan_: Plan, repo_dir):

@@ -402,8 +402,12 @@ class Store:
         try:
             with os.fdopen(fd, "w") as lock:
                 txn = Transaction(self, self._last_id() + 1, _stat_key(os.fstat(fd)))
-                if (self.history_dir / str(txn.id)).exists():  # a record appears only by rename
+                record = self.history_dir / str(txn.id)
+                if record.is_dir():  # a record appears only by rename
                     raise CorruptedJournal(f"history record {txn.id} exists before its transaction")
+                if os.path.lexists(record):  # the record's rename would fail on it
+                    raise CorruptedJournal(f"{DB_DIR}/history/{txn.id} is a stray non-record "
+                                           "at the next record's name")
                 self.save("serial", str(txn.id).encode())
                 lock.write(str(txn.id))
         except BaseException:

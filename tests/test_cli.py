@@ -11,7 +11,8 @@ import pytest
 
 from txpkg.cli import main
 from txpkg.planner import payload_dir
-from txpkg.txn import Store, Transaction
+from txpkg.sat import DpllSolver
+from txpkg.txn import JournalEntry, Store, Transaction, journal_dump
 from txpkg.universe import PackageId, Version, parse_universe
 
 import support
@@ -115,6 +116,24 @@ def test_apply_success_updates_status(setup, capsys):
     assert "applied as transaction 1" in out
     u = parse_universe(support.ATERM_META)
     assert len(store.load_status(u).installed) == 2
+
+
+def test_apply_of_a_met_request_says_nothing_to_do_once(setup, capsys):
+    store, repo = setup
+    base = ["--root", str(store.root), "--repo", str(repo)]
+    assert run(capsys, *base, "apply", "install aterm")[0] == 0
+    baseline = store.tree_hash()
+    assert run(capsys, *base, "apply", "install aterm") == (0, "nothing to do\n", "")
+    assert store.tree_hash() == baseline and store.history_ids() == [1]
+
+
+def test_an_invalid_model_is_refused_before_the_store_is_touched(setup, capsys, monkeypatch):
+    store, repo = setup
+    baseline = store.tree_hash()
+    monkeypatch.setattr(DpllSolver, "minimize", lambda self, *args, **kwargs: set())
+    with pytest.raises(RuntimeError, match="^optimizer produced an invalid status: "):
+        run(capsys, "--root", str(store.root), "--repo", str(repo), "apply", "install aterm")
+    assert store.tree_hash() == baseline and _engine_state(store) == {}
 
 
 def test_apply_script_failure_exits_three_store_restored(setup, capsys):
@@ -551,6 +570,20 @@ def test_a_stray_file_in_history_is_no_record(setup, capsys):
     assert (store.history_dir / "7").read_bytes() == b"stray\n"
 
 
+def test_a_stray_file_at_the_next_record_name_is_named(setup, capsys):
+    store, repo = setup
+    base = ["--root", str(store.root), "--repo", str(repo)]
+    assert run(capsys, *base, "apply", "install libafterimage0")[0] == 0
+    (store.history_dir / "2").write_bytes(b"stray\n")
+    baseline, state = store.tree_hash(), _engine_state(store)
+    message = "error: .pkgdb/history/2 is a stray non-record at the next record's name\n"
+    assert run(capsys, *base, "apply", "install aterm") == (1, "", message)
+    assert run(capsys, "--root", str(store.root), "rollback", "1") == (1, message, "")
+    assert store.tree_hash() == baseline and _engine_state(store) == state
+    assert not store.lock_path.exists()
+    assert store.history_ids() == [1]
+
+
 def test_history_empty_then_lists_records(setup, capsys):
     store, repo = setup
     code, out, _ = run(capsys, "--root", str(store.root), "history")
@@ -905,6 +938,46 @@ def test_rollback_with_an_unparseable_pristine_index_touches_nothing(tmp_path, c
     assert out.startswith("error: ") and ".pkgdb/pristine/index" in out
     assert "Traceback" not in out + err
     assert store.tree_hash() == baseline and _engine_state(store) == state
+
+
+def test_apply_with_a_pristine_record_without_txn_is_an_io_failure(tmp_path, capsys):
+    store, base = _conffile_root(tmp_path, capsys)
+    (record,) = map(json.loads, (store.pristine_dir / "index").read_text().splitlines())
+    del record["txn"]
+    (store.pristine_dir / "index").write_text(json.dumps(record) + "\n")
+    baseline, status = store.tree_hash(), store.status_bytes()
+    code, out, err = run(capsys, *base, "apply", "upgrade a (>= 2)")
+    assert code == 4
+    assert ("failed (io-failure): unpack a 2: pristine index unreadable: a record needs "
+            "pkg, path and sha strings and a txn int") in out
+    assert "Traceback" not in out + err
+    assert store.tree_hash() == baseline and store.status_bytes() == status
+    assert not store.lock_path.exists()
+
+
+_ENTRY = journal_dump([JournalEntry("etc/a.conf", ("file", b"k=0\n", 0o100644))])
+
+
+@pytest.mark.parametrize("journal, message", [
+    (_ENTRY[:-1], "truncated journal record"),
+    # the path's first byte follows the 6-byte header and the 4-byte path length
+    (_ENTRY[:10] + b"\xff" + _ENTRY[11:],
+     "unreadable journal: 'utf-8' codec can't decode byte 0xff in position 0: "
+     "invalid start byte"),
+    (None, "history record 1 incomplete: no journal"),
+], ids=["truncated", "not-utf8", "no-journal"])
+def test_rollback_over_a_damaged_record_touches_nothing(tmp_path, capsys, journal, message):
+    store, _base = _conffile_root(tmp_path, capsys)
+    record = store.history_dir / "1"
+    if journal is None:
+        (record / "journal").unlink()
+    else:
+        (record / "journal").write_bytes(journal)
+    baseline, state = store.tree_hash(), _engine_state(store)
+    code, out, err = run(capsys, "--root", str(store.root), "rollback", "1")
+    assert (code, out, err) == (1, f"error: {message}\n", "")
+    assert store.tree_hash() == baseline and _engine_state(store) == state
+    assert not store.lock_path.exists()
 
 
 def test_rollback_whose_pristine_index_cannot_be_written_is_an_io_failure(tmp_path, capsys,

@@ -1,6 +1,7 @@
 """DSL parsing, execution, compensation-based undo, and its equivalence with
 journal rollback."""
 
+import errno
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from txpkg.mscript import (
     parse_script,
     undo,
 )
-from txpkg.txn import Transaction
+from txpkg.txn import Store, Transaction
 
 import support
 
@@ -255,6 +256,41 @@ def test_failing_steps_report_text_and_index(store, text, index, message):
     assert store.tree_hash() == before
 
 
+def test_mkdir_over_a_file_is_refused_and_writes_nothing(store):
+    before = store.tree_hash()
+    txn = store.begin()
+    with pytest.raises(ScriptFailure) as info:
+        execute(parse_script("mkdir etc/motd\n"), txn, ENV)
+    assert (info.value.step_index, info.value.message, info.value.log) == (
+        0, "'etc/motd' exists and is not a directory", [])
+    assert txn.journal_entries() == [] and store.tree_hash() == before
+    txn.rollback()
+
+
+def test_an_os_error_inside_a_step_is_an_io_error_with_the_partial_log(store, monkeypatch):
+    before = store.tree_hash()
+    put = Store.put
+
+    def failing_put(self, rel, state):
+        if rel == "etc/app.conf":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        put(self, rel, state)
+
+    monkeypatch.setattr(Store, "put", failing_put)
+    txn = store.begin()
+    with pytest.raises(ScriptFailure) as info:
+        execute(parse_script("append etc/motd hi\nsetkey etc/app.conf color blue\n"
+                             "append etc/motd never\n"), txn, ENV)
+    assert (info.value.step_index, info.value.message) == (
+        1, "io error: [Errno 28] No space left on device")
+    assert [eff.path for eff in info.value.log] == ["etc/motd"]
+    assert store.read("etc/app.conf") == b"color=red\nport=80\n"
+    undo(info.value.log, txn)
+    hid = txn.commit()
+    assert store.tree_hash() == before
+    assert store.read_history(hid).entries == []
+
+
 # --- undo ------------------------------------------------------------------------
 
 
@@ -357,3 +393,30 @@ def test_undo_restores_user_db_bytes(store, tmp_path, users, line):
     execute(parse_script(line + "\n"), txn_b, ENV)
     txn_b.rollback()
     assert other.tree_hash() == baseline
+
+
+def test_undo_refuses_a_created_directory_that_is_not_empty(store):
+    txn = store.begin()
+    log = execute(parse_script("mkdir srv/d\n"), txn, ENV)
+    (store.root / "srv/d/x").write_bytes(b"x\n")  # bypasses the engine
+    entries, tree = txn.journal_entries(), store.tree_hash()
+    with pytest.raises(CorruptedLog, match="^step 0: directory 'srv/d' is not empty$"):
+        undo(log, txn)
+    assert txn.journal_entries() == entries and store.tree_hash() == tree
+    txn.rollback()
+
+
+@pytest.mark.parametrize("made", [True, False])
+def test_undo_of_a_mkdir_whose_directory_vanished_is_refused(store, made):
+    if not made:  # the step finds its directory in place and creates nothing
+        (store.root / "srv/d").mkdir(parents=True)
+    txn = store.begin()
+    log = execute(parse_script("mkdir srv/d\n"), txn, ENV)
+    assert log[0].created_dirs == (("srv", "srv/d") if made else ())
+    (store.root / "srv/d").rmdir()  # bypasses the engine
+    tree = store.tree_hash()
+    with pytest.raises(CorruptedLog, match=r"^step 0: 'srv/d' changed since execution "
+                                           r"\(have None, logged dir\)$"):
+        undo(log, txn)
+    assert store.tree_hash() == tree
+    txn.rollback()

@@ -362,6 +362,44 @@ Conflicts: app (<< 2)
     assert store.load_status(u).installed == {PackageId("app", Version("2"))}
 
 
+def test_hooks_see_old_and_new_versions(tmp_path, store):
+    # a prerm or postrm runs for the outgoing package, every other hook for the incoming
+    meta = """\
+Package: app
+Version: 1
+Files: usr/app/bin
+Prerm: hooks/prerm
+Conflicts: app (>> 1)
+
+Package: app
+Version: 2
+Files: usr/app/bin
+Preinst: hooks/preinst
+Postinst: hooks/postinst
+Prerm: hooks/prerm
+Postrm: hooks/postrm
+Conflicts: app (<< 2)
+"""
+    log = "append var/log/app.log"
+    repo = support.write_repo(tmp_path / "repo", meta, {
+        "app_1": {"usr/app/bin": b"v1", "hooks/prerm": f"{log} prerm $PKG $OLD $NEW\n".encode()},
+        "app_2": {"usr/app/bin": b"v2"} | {
+            f"hooks/{hook}": f"{log} {hook} $PKG $OLD{tail}\n".encode()
+            for hook, tail in (("preinst", " $NEW"), ("postinst", " $NEW"),
+                               ("prerm", ""), ("postrm", ""))},
+    })
+    u = parse_universe(meta)
+    assert execute_plan(plan(u, Status(), parse_request("install app (= 1)"), PREFS),
+                        store, repo).result == "success"
+    assert store.state("var/log/app.log")[0] == "absent"  # app 1 has no install hooks
+    p = plan(u, store.load_status(u), parse_request("upgrade app"), UPGRADE_PREFS)
+    assert execute_plan(p, store, repo).result == "success"
+    assert store.read("var/log/app.log") == b"prerm app 1 2\npreinst app 1 2\npostinst app 1 2\n"
+    p = plan(u, store.load_status(u), parse_request("remove app"), PREFS)
+    assert execute_plan(p, store, repo).result == "success"
+    assert store.read("var/log/app.log").endswith(b"postinst app 1 2\nprerm app 2\npostrm app 2\n")
+
+
 def test_conffile_conflict_reported_but_plan_succeeds(tmp_path, store):
     meta = """\
 Package: app

@@ -626,3 +626,10 @@ def test_goal_directed_solve_agrees_with_brute_force():
             assert _satisfies(model, wanted), (clauses, assumptions, model)
         outcomes[exists] += 1
     assert min(outcomes.values()) >= 300
+
+
+def test_solve_refuses_a_model_that_check_solution_rejects(monkeypatch):
+    u = parse_universe(support.ATERM_META)
+    monkeypatch.setattr(DpllSolver, "search", lambda self, *args, **kwargs: set())
+    with pytest.raises(RuntimeError, match="^solver produced an invalid status: "):
+        solve(u, Status(), parse_request("install aterm"))

@@ -582,6 +582,14 @@ def test_prune_history_keeps_newest(store):
     assert store.history_ids() == [3, 4]
 
 
+def test_prune_history_refuses_a_negative_keep(store):
+    _commit_write(store, "etc/a", b"1")
+    tree = store.tree_hash()
+    with pytest.raises(ValueError, match="^keep must be non-negative$"):
+        store.prune_history(-1)
+    assert store.history_ids() == [1] and store.tree_hash() == tree
+
+
 # --- the transaction's file index and digest memo ------------------------------------
 
 MEMO_FILES = ["etc/motd", "etc/app.conf", "usr/share/app/a.txt", "opt/x/new.txt",
