@@ -11,15 +11,21 @@ left to right:
 - ``blacklist:<glob>``: packages matching the glob (``maint:<glob>`` matches the
   maintainer field, ``name:<glob>`` or a bare glob matches the package name)
 
-The first four are read off ``txpkg.universe.status_diff``.  ``optimize``
-bounds a partial assignment by the same diff taken between its true
-packages and its not-false ones, so the rule has one implementation.
-Every criterion is a sum over package names, so the bound is kept name by
-name: a memo holds ``eval_criteria`` of each name's part of the assignment,
-and a running total recomputes only the names a search step changed.  The
-sorted-id tie-break is built only at a node whose vector equals the
-incumbent's, and the search starts each name at its ideal state, the
-least-scoring of its ``s0`` state, no version, or one version.
+The first four are read off ``txpkg.universe.status_diff``, so the rule
+has one implementation.  Every criterion is a sum over package names, so
+``optimize`` bounds a partial assignment name by name.  A name's bound is
+the exact lexicographic least of ``eval_criteria`` over every completion of
+its part of the assignment.  Each completion is matched criterion by
+criterion by one of a few candidates (its baseline state, its true
+packages, or those plus one undecided package), so the least costs
+O(versions) evaluations; it is memoised per (name, part).  Adding vectors
+keeps their lexicographic order, so the sum of the names' least vectors is
+a lower bound on every completion's vector.  A running total follows the
+solver's trail: each search step re-reads only the names of the variables
+it assigned or unassigned.  The sorted-id tie-break is built only at a node
+whose vector equals the incumbent's, and the search starts each name at its
+ideal state, the candidate that reaches the least of all its states: its
+``s0`` state, no version, or one version.
 
 Config syntax: ``-removed,-changed,-new,-download`` with optional
 ``-notuptodate`` and ``-blacklist:<glob>`` entries; order is priority.
@@ -113,21 +119,16 @@ def _matches(pkg: Package, pattern: str) -> bool:
     return fnmatch.fnmatchcase(pkg.id.name, pattern)
 
 
-def eval_criteria(u: Universe, s0: Status, s: Status, spec: PreferenceSpec,
-                  upper: Status | None = None) -> tuple[int, ...]:
+def eval_criteria(u: Universe, s0: Status, s: Status, spec: PreferenceSpec) -> tuple[int, ...]:
     """Score vector for status ``s`` against baseline ``s0``, in spec order.
 
-    Lower is better, compared lexicographically left to right.  With
-    ``upper`` given (``s.installed <= upper.installed``), each entry is its
-    least over every status between ``s`` and ``upper``: a lower bound.
-
-    Every entry is a sum over package names: the vector equals the sum of
-    the vectors of ``s0``, ``s`` and ``upper`` each restricted to one name.
-    ``optimize`` bounds its search with that sum, so a criterion that is not
-    a sum over names breaks the bound.
+    Lower is better, compared lexicographically left to right.  Every entry
+    is a sum over package names: the vector equals the sum of the vectors of
+    ``s0`` and ``s`` each restricted to one name.  ``optimize`` bounds its
+    search with that sum, so a criterion that is not a sum over names breaks
+    the bound.
     """
-    diff = status_diff(u, s0, s, upper)
-    top = (s if upper is None else upper).installed
+    diff = status_diff(u, s0, s)
     values = []
     for crit in spec.criteria:
         if crit.kind == "removed":
@@ -141,79 +142,116 @@ def eval_criteria(u: Universe, s0: Status, s: Status, spec: PreferenceSpec,
         elif crit.kind == "notuptodate":
             # by_name ascends by version, so its last package is the newest
             names = {pid.name for pid in s.installed}
-            values.append(sum(1 for n in names if u.by_name(n)[-1].id not in top))
+            values.append(sum(1 for n in names if u.by_name(n)[-1].id not in s.installed))
         else:  # blacklist
             values.append(sum(1 for pid in s.installed if _matches(u.get(pid), crit.pattern)))
     return tuple(values)
 
 
 class _NameTable:
-    """Criteria vectors of (partial) assignments, kept name by name.
+    """The optimiser's bound on (partial) assignments, kept name by name.
 
     Variable ``v`` stands for ``ids[v-1]``; the ids are sorted, so each
     name's variables form one contiguous run.  A name's *part* of an
     assignment is the tuple of its variables' values (1 true, -1 false, 0
-    undecided).  Its vector is :func:`eval_criteria` with the baseline, the
-    true packages and the not-false ones all restricted to that name, and is
-    memoised.  Every criterion is a sum over names, so the parts' vectors
-    add up to the vector ``eval_criteria`` gives the whole assignment.
+    undecided).  Its vector is the lexicographic least of
+    :func:`eval_criteria`, against the baseline restricted to the name, over
+    every completion of the part: every state ``S`` of the name with
+    ``lo <= S <= hi``, where ``lo`` holds its true packages and ``hi`` its
+    not-false ones.  It is memoised per (name, part).
+
+    The least is taken over a few candidates: the baseline state when it
+    lies between ``lo`` and ``hi``, ``lo``, and ``lo`` plus one undecided
+    package.  Each completion ``S`` is matched, criterion by criterion, by a
+    candidate that is no worse.  When ``S`` is the baseline state, that is
+    the baseline candidate.  Otherwise it is ``C``: ``lo``, plus the name's
+    newest version if ``S`` holds it, plus one package of ``S`` if ``C``
+    would be empty.  ``C`` lies in ``S``, is empty just when ``S`` is and
+    holds the newest version just when ``S`` does, so it counts the same
+    ``removed``, ``new`` and ``notuptodate``; ``S`` differs from the
+    baseline, so ``C`` counts no more ``changed``; and ``download`` and
+    ``blacklist`` only grow with the set.  So the candidates' least is the
+    exact least, at O(versions) evaluations, not 2^versions.
+
+    Every criterion is a sum over names, and adding vectors keeps their
+    lexicographic order, so the sum of the names' vectors is a lower bound on
+    the vector of every completion of the whole assignment.
     """
 
     def __init__(self, u: Universe, s0: Status, spec: PreferenceSpec,
                  ids: tuple[PackageId, ...]):
         self.u, self.spec = u, spec
         self.runs: list[tuple[int, int, tuple[PackageId, ...], Status]] = []
+        self.name_of = [0]  # variable -> its name's index in runs
         first = 1
         for _name, group in itertools.groupby(ids, key=lambda pid: pid.name):
             run = tuple(group)
             base = Status(s0.installed.intersection(run))
+            self.name_of += [len(self.runs)] * len(run)
             self.runs.append((first, first + len(run), run, base))
             first += len(run)
-        self.memo: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
+        # (name, part) -> (its vector, the first candidate that reaches it)
+        self.memo: dict[tuple[int, tuple[int, ...]],
+                        tuple[tuple[int, ...], frozenset[PackageId]]] = {}
+
+    def least(self, g: int, part: tuple[int, ...]) -> tuple[tuple[int, ...], frozenset[PackageId]]:
+        """The vector of run ``g`` in state ``part``, and the first candidate
+        reaching it, in the order: the baseline state, ``lo``, ``lo`` plus one
+        undecided package (lowest version first)."""
+        best = self.memo.get((g, part))
+        if best is None:
+            _first, _end, run, base = self.runs[g]
+            lo = frozenset(pid for pid, x in zip(run, part) if x > 0)
+            hi = frozenset(pid for pid, x in zip(run, part) if x >= 0)
+            candidates = [base.installed] if lo <= base.installed <= hi else []
+            candidates += [lo] + [lo | {pid} for pid, x in zip(run, part) if not x]
+            for state in dict.fromkeys(candidates):
+                vec = eval_criteria(self.u, base, Status(state), self.spec)
+                if best is None or vec < best[0]:
+                    best = (vec, state)
+                    if not any(vec):  # no entry is below zero: a zero vector is least
+                        break
+            self.memo[(g, part)] = best
+        return best
 
     def vector(self, g: int, part: tuple[int, ...]) -> tuple[int, ...]:
         """The vector of run ``g`` in state ``part``."""
-        vec = self.memo.get((g, part))
-        if vec is None:
-            _first, _end, run, base = self.runs[g]
-            lo = Status(frozenset(pid for pid, x in zip(run, part) if x > 0))
-            hi = Status(frozenset(pid for pid, x in zip(run, part) if x >= 0))
-            vec = self.memo[(g, part)] = eval_criteria(self.u, base, lo, self.spec, hi)
-        return vec
+        return self.least(g, part)[0]
 
     def ideal_polarity(self) -> list[bool]:
-        """Each variable's preferred value: per name, the least-scoring of its
+        """Each variable's preferred value: per name, the state that reaches the
+        least vector of all the name's states, i.e. the least-scoring of its
         baseline state, no version, or exactly one version (the baseline wins
         ties, then no version, then the lower version)."""
         polarity = [False]
-        for g, (_first, _end, run, base) in enumerate(self.runs):
-            k = len(run)
-            best = tuple(1 if pid in base.installed else -1 for pid in run)
-            if any(self.vector(g, best)):  # no entry is below zero: a zero vector is least
-                options = [best, (-1,) * k] + [tuple(1 if j == i else -1 for j in range(k))
-                                               for i in range(k)]
-                best = min(options, key=lambda part: self.vector(g, part))
-            polarity += [x > 0 for x in best]
+        for g, (_first, _end, run, _base) in enumerate(self.runs):
+            _vec, state = self.least(g, (0,) * len(run))
+            polarity += [pid in state for pid in run]
         return polarity
 
-    def running_vector(self) -> Callable[[list[int]], tuple[int, ...]]:
-        """A function from an assignment to its vector.  It keeps the total
-        of its last call and recomputes only the names whose part changed."""
-        vector = self.vector
-        spans = [(g, first, end) for g, (first, end, _run, _base) in enumerate(self.runs)]
-        seen: list[list[int] | None] = [None] * len(spans)
-        parts = [(0,) * len(self.spec.criteria)] * len(spans)
-        total = [0] * len(self.spec.criteria)
+    def running_vector(self, solver: DpllSolver) -> Callable[[list[int]], tuple[int, ...]]:
+        """A function from ``solver``'s assignment to its vector.  It keeps the
+        total and the vector it counted for each name, and re-reads only the
+        names of the variables that moved on ``solver.trail`` since its last
+        call: those it read at ``solver.low_mark`` and above, and those there
+        now."""
+        least, runs, name_of, trail = self.least, self.runs, self.name_of, solver.trail
+        counted = [least(g, (0,) * len(run))[0] for g, (_f, _e, run, _b) in enumerate(runs)]
+        total = [sum(vec[k] for vec in counted) for k in range(len(self.spec.criteria))]
+        read: list[int] = []  # the trail as of the last call
 
         def running(assign: list[int]) -> tuple[int, ...]:
-            for g, first, end in spans:
-                part = assign[first:end]
-                if part != seen[g]:
-                    seen[g] = part
-                    vec, old = vector(g, tuple(part)), parts[g]
-                    for k in range(len(total)):
-                        total[k] += vec[k] - old[k]
-                    parts[g] = vec
+            low = min(solver.low_mark, len(read))
+            moved = {name_of[v] for v in read[low:]}
+            read[low:] = trail[low:]
+            moved.update(name_of[v] for v in read[low:])
+            solver.low_mark = len(trail)
+            for g in moved:
+                first, end, _run, _base = runs[g]
+                vec, old = least(g, tuple(assign[first:end]))[0], counted[g]
+                for k in range(len(total)):
+                    total[k] += vec[k] - old[k]
+                counted[g] = vec
             return tuple(total)
 
         return running
@@ -229,18 +267,22 @@ def optimize(u: Universe, s0: Status, r: Request, spec: PreferenceSpec) -> Solut
     Variable i stands for package ``cnf.ids[i-1]``; ids are sorted, so the
     tuple of true variable numbers orders statuses like their sorted id lists.
 
-    A node's bound is the vector every completion must reach, summed name by
-    name from a memo (see :class:`_NameTable`), so a node costs work only in
-    the names its last step changed.  Its id tie-break is built only when
-    that vector equals the incumbent's; otherwise the vectors decide the cut.
-    The descent starts each name at its ideal state, the least-scoring of
-    its ``s0`` state, no version, or one version; under the default
-    preferences that is the ``s0`` state.
+    A node's bound is the sum over names of the least vector any completion
+    of the name's part reaches (see :class:`_NameTable`); the order of
+    vectors survives addition, so no completion of the node scores below
+    it.  The total follows the solver's trail from ``low_mark``, so a node
+    costs work only in the names of the variables that moved since the last
+    node.  Its id tie-break is built only when that vector equals the
+    incumbent's; otherwise the vectors decide the cut.  The descent starts
+    each name at its ideal state, the least-scoring of its ``s0`` state, no
+    version, or one version; under the default preferences that is the
+    ``s0`` state.
     """
     cnf = encode(u, s0, r)
     n = len(cnf.ids)
     table = _NameTable(u, s0, spec, cnf.ids)
-    vector = table.running_vector()
+    solver = DpllSolver(n, cnf.clauses)
+    vector = table.running_vector(solver)
     least: list[tuple[int, ...] | None] = [None]  # the incumbent's vector
 
     def model_key(model: set[int]) -> tuple:
@@ -259,6 +301,5 @@ def optimize(u: Universe, s0: Status, r: Request, spec: PreferenceSpec) -> Solut
         top = next((v for v in range(n, 0, -1) if assign[v] > 0), 0)
         return (vec, tuple(v for v in range(1, top + 1) if assign[v] >= 0))
 
-    solver = DpllSolver(n, cnf.clauses)
     model = solver.minimize(model_key, bound_key, table.ideal_polarity())
     return _certify(u, s0, r, cnf, model, "optimizer")

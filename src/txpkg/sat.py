@@ -20,6 +20,13 @@ depth-first loop serves two decision rules.
 Every entry point returns to the root level before it returns, so one
 instance answers any number of calls: ``solve`` each under its own
 assumption literals, ``search`` and ``minimize`` over all variables.
+
+``low_mark`` is the lowest trail length that backtracking has cut the trail
+back to since a caller last raised it: the trail below it is unchanged since
+then.  A caller that follows the assignment step by step, as the optimiser
+does from its ``prune`` callback, reads the variables at ``low_mark`` and
+above (with those it read there before) and then sets ``low_mark`` to the
+trail's length.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ class DpllSolver:
         self.clauses = [tuple(c) for c in clauses]
         self.assign = [0] * (nvars + 1)  # 0 unassigned, 1 true, -1 false
         self.trail: list[int] = []
+        self.low_mark = 0  # see the module docstring
         self.queue: list[int] = []
         self.watch: dict[int, list[int]] = {}
         self.wpair: list[list[int]] = []
@@ -110,6 +118,8 @@ class DpllSolver:
         return True
 
     def _undo_to(self, mark: int) -> None:
+        if mark < self.low_mark:
+            self.low_mark = mark
         while len(self.trail) > mark:
             self.assign[self.trail.pop()] = 0
         self.queue.clear()

@@ -9,7 +9,8 @@ the ``Version``, ``VersionConstraint`` and ``Atom`` objects are immutable,
 so every package that names one shares it.  This module also holds the
 grammar of a ``name (op version)`` atom, which request parsing reuses, and
 ``status_diff``, the one definition of which names an upgrade removes,
-changes and adds; the optimiser reads its bounds off the same function.
+changes and adds; the preference criteria read it for whole statuses and,
+in the optimiser's bound, for one name's states.
 ``derive_owned`` is the one rule of path ownership: a status may not install
 two packages that ship one path.  Reading a status file and executing a plan
 both apply it, the latter to the plan's final status before the root is
@@ -433,24 +434,16 @@ class StatusDiff:
     download_kb: int
 
 
-def status_diff(universe: Universe, s0: Status, s: Status,
-                upper: Status | None = None) -> StatusDiff:
-    """The move from ``s0`` to ``s``, counted by name; all lie in ``universe``.
-
-    With ``upper`` given and ``s.installed <= upper.installed``, the diff
-    bounds every status ``t`` between the two from below: each name field
-    lists the names that every such ``t`` counts, and ``download_kb`` is the
-    least download of any ``t`` (that of ``s``).  Omitting ``upper`` (or
-    passing ``s``) gives the diff of ``s`` itself.
-    """
-    old, top = s0.installed, (s if upper is None else upper).installed
-    fetched = s.installed - old
+def status_diff(universe: Universe, s0: Status, s: Status) -> StatusDiff:
+    """The move from ``s0`` to ``s``, counted by name; all lie in ``universe``."""
+    old, now = s0.installed, s.installed
+    fetched = now - old
     before = {pid.name for pid in old}
-    after = {pid.name for pid in s.installed}
-    # a name's version set surely differs once it gains a version or loses one
-    moved = {pid.name for pid in fetched | (old - top)}
+    after = {pid.name for pid in now}
+    # a name's version set differs once it gains a version or loses one
+    moved = {pid.name for pid in old ^ now}
     return StatusDiff(
-        removed=tuple(sorted(before - {pid.name for pid in top})),
+        removed=tuple(sorted(before - after)),
         changed=tuple(sorted(before & after & moved)),
         new=tuple(sorted(after - before)),
         download_kb=sum(universe.get(pid).size_kb for pid in fetched),

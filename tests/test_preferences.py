@@ -16,7 +16,7 @@ from txpkg.preferences import (
 )
 from txpkg.resolver import Solution, Unsat, parse_request, solve
 from txpkg.sat import DpllSolver
-from txpkg.universe import PackageId, Status, Version, parse_universe, status_diff
+from txpkg.universe import PackageId, Status, Version, parse_universe
 
 import support
 
@@ -135,12 +135,9 @@ def test_criteria_add_up_name_by_name():
         spec = PreferenceSpec(tuple(crits))
         names = sorted({pid.name for pid in u.ids})
         for _ in range(6):
-            pool = [pid for pid in u.ids if rng.random() < 0.7]
-            lo = Status(frozenset(pid for pid in pool if rng.random() < 0.4))
-            for upper in (None, Status(frozenset(pool))):
-                parts = [eval_criteria(u, _restrict(s0, n), _restrict(lo, n), spec,
-                                       upper and _restrict(upper, n)) for n in names]
-                assert eval_criteria(u, s0, lo, spec, upper) == tuple(map(sum, zip(*parts)))
+            s = Status(frozenset(pid for pid in u.ids if rng.random() < 0.4))
+            parts = [eval_criteria(u, _restrict(s0, n), _restrict(s, n), spec) for n in names]
+            assert eval_criteria(u, s0, s, spec) == tuple(map(sum, zip(*parts)))
 
 
 def test_eval_matches_independent_recount():
@@ -274,15 +271,15 @@ def _layered_universe(rng, n):
     return parse_universe("\n".join(stanzas))
 
 
-def test_optimize_scores_per_model_and_memo_entry_not_per_node(monkeypatch):
-    # the bound reads a memo of per-name vectors, so eval_criteria runs once
-    # per model and once per (name, partial state), never once per node
-    u = _layered_universe(random.Random(3), 14)
-    s0 = Status(frozenset(pid for pid in u.ids
-                          if pid.version == Version("1") and int(pid.name[1:]) % 3 == 0))
-    counts = {"nodes": 0, "models": 0}
-    bounded, exact = [], []
+def _layered_status(u):
+    """Version 1 of every third name installed."""
+    return Status(frozenset(pid for pid in u.ids
+                            if pid.version == Version("1") and int(pid.name[1:]) % 3 == 0))
 
+
+def _count_search(monkeypatch):
+    """Patch the solver to count the search's nodes (prune calls) and models."""
+    counts = {"nodes": 0, "models": 0}
     search = DpllSolver.search
 
     def counting_search(self, polarity=None, on_model=None, prune=None):
@@ -296,26 +293,152 @@ def test_optimize_scores_per_model_and_memo_entry_not_per_node(monkeypatch):
 
         return search(self, polarity, counting_on_model, counting_prune)
 
-    def recording_eval(u, s0, s, spec, upper=None):
-        (exact if upper is None else bounded).append(s)
-        return eval_criteria(u, s0, s, spec, upper)
+    monkeypatch.setattr(DpllSolver, "search", counting_search)
+    return counts
 
-    tables = []
+
+def test_optimize_scores_per_model_and_memo_entry_not_per_node(monkeypatch):
+    # the bound reads a memo of per-name vectors, so eval_criteria runs once
+    # per model and at most once per candidate of each (name, part) entry,
+    # never once per node
+    u = _layered_universe(random.Random(3), 14)
+    s0 = _layered_status(u)
+    counts = _count_search(monkeypatch)
+    model_evals, entry_evals, tables = [], [], []
+
+    def recording_eval(u, base, s, spec):
+        (model_evals if base is s0 else entry_evals).append(s)
+        return eval_criteria(u, base, s, spec)
 
     class RecordingTable(preferences._NameTable):
         def __init__(self, *args):
             super().__init__(*args)
             tables.append(self)
 
-    monkeypatch.setattr(DpllSolver, "search", counting_search)
     monkeypatch.setattr(preferences, "eval_criteria", recording_eval)
     monkeypatch.setattr(preferences, "_NameTable", RecordingTable)
     res = optimize(u, s0, parse_request("install p13"), parse_prefs(DEFAULT_PREFS))
     assert isinstance(res, Solution)
-    assert counts["nodes"] >= 1000
     (table,) = tables
-    assert len(bounded) == len(table.memo)  # each memo entry is scored once
-    assert len(exact) + len(bounded) <= counts["models"] + len(table.memo)
+    assert len(model_evals) == counts["models"]
+    # a part's candidates: its true packages, those plus one undecided
+    # package, and the baseline state
+    assert len(entry_evals) <= sum(part.count(0) + 2 for _g, part in table.memo)
+    assert 2 * (len(model_evals) + len(entry_evals)) < counts["nodes"]
+
+
+def test_exact_name_bound_cuts_the_layered_search(monkeypatch):
+    # a name whose installed version is false and whose other version is
+    # open costs removed or changed in every completion; a bound that takes
+    # each criterion's least on its own reads 0 there and searches 2,805
+    # nodes on this request
+    u = _layered_universe(random.Random(3), 14)
+    counts = _count_search(monkeypatch)
+    res = optimize(u, _layered_status(u), parse_request("install p13"),
+                   parse_prefs(DEFAULT_PREFS))
+    assert isinstance(res, Solution)
+    assert counts["nodes"] <= 500
+
+
+def test_running_total_follows_the_trail(monkeypatch):
+    # at every node the running total equals the sum of every name's vector
+    # recomputed from scratch; a trail mark that backtracking does not lower
+    # leaves the undone names counted in their old state and fails here
+    checked = [0]
+
+    class CheckedTable(preferences._NameTable):
+        def running_vector(self, solver):
+            running = super().running_vector(solver)
+
+            def checked_running(assign):
+                total = running(assign)
+                parts = [self.vector(g, tuple(assign[first:end]))
+                         for g, (first, end, _run, _base) in enumerate(self.runs)]
+                assert total == tuple(map(sum, zip(*parts)))
+                checked[0] += 1
+                return total
+
+            return checked_running
+
+    monkeypatch.setattr(preferences, "_NameTable", CheckedTable)
+    u = _layered_universe(random.Random(3), 14)
+    optimize(u, _layered_status(u), parse_request("install p13"), parse_prefs(DEFAULT_PREFS))
+    rng = random.Random(71)
+    for _ in range(200):
+        u = support.random_universe(rng, max_size=10)
+        optimize(u, support.random_status(rng, u), support.random_request(rng, u),
+                 _random_spec(rng))
+    assert checked[0] > 500
+
+
+def _upgrade_universe(rng, n):
+    """Names p000.. at versions 1 and 2, version 2 conflicting with version 1;
+    both versions of a name depend on the same zero to two earlier names."""
+    stanzas = []
+    for i in range(n):
+        count = rng.choice((0, 0, 1, 2)) if i else 0
+        deps = sorted({f"p{rng.randrange(i):03d}" for _ in range(count)})
+        for v in (1, 2):
+            lines = [f"Package: p{i:03d}", f"Version: {v}", f"Size: {rng.randint(5, 400)}"]
+            if deps:
+                lines.append("Depends: " + ", ".join(deps))
+            if v == 2:
+                lines.append(f"Conflicts: p{i:03d} (<< 2)")
+            stanzas.append("\n".join(lines) + "\n")
+    return parse_universe("\n".join(stanzas))
+
+
+def test_a_node_reads_only_the_names_that_moved(monkeypatch):
+    # the bound reads a name's part as the slice of its variables; at each
+    # node it reads only the names of the variables assigned or unassigned
+    # since the previous node that read the bound, not all 150 names (the
+    # search reads no bound before its first model)
+    rng = random.Random(13)
+    u = _upgrade_universe(rng, 150)
+    name_of = [None] + [pid.name for pid in u.ids]
+    stats = {"nodes": 0, "moved": 0}
+
+    class ReadLog(list):
+        def __getitem__(self, key):
+            if isinstance(key, slice):
+                self.read.update(name_of[v] for v in range(*key.indices(len(self))) if v)
+            return super().__getitem__(key)
+
+    search = DpllSolver.search
+
+    def watched_search(self, polarity=None, on_model=None, prune=None):
+        before, models = [], [0]
+
+        def watched_on_model(model):
+            models[0] += 1
+            return on_model(model)
+
+        def watched_prune(assign):
+            log = ReadLog(assign)
+            log.read = set()
+            if not models[0]:
+                return prune(log)
+            now = [(v, assign[v]) for v in self.trail]
+            same = next((i for i, (a, b) in enumerate(zip(before, now)) if a != b),
+                        min(len(before), len(now)))
+            moved = {name_of[v] for v, _ in before[same:] + now[same:]}
+            before[:] = now
+            cut = prune(log)
+            assert log.read <= moved
+            stats["nodes"] += 1
+            stats["moved"] += len(moved)
+            return cut
+
+        return search(self, polarity, watched_on_model, watched_prune)
+
+    monkeypatch.setattr(DpllSolver, "search", watched_search)
+    s0 = Status(frozenset(pid for pid in u.ids if pid.version == Version("1")))
+    for _ in range(4):
+        request = ", ".join(f"upgrade p{i:03d} (>= 2)" for i in rng.sample(range(150), 4))
+        assert isinstance(optimize(u, s0, parse_request(request), parse_prefs(DEFAULT_PREFS)),
+                          Solution)
+    assert stats["nodes"] > 100
+    assert stats["moved"] < 10 * stats["nodes"]
 
 
 def test_constraint_tightening_is_monotone():
@@ -340,34 +463,27 @@ def test_constraint_tightening_is_monotone():
 
 
 def test_partial_diff_and_bound_are_the_least_over_every_status_between():
-    # status_diff(u, s0, lo, hi) and eval_criteria(..., hi) must be the least
-    # that every status t with lo <= t <= hi gives: a weaker bound or an
-    # unsound one fails here
+    # a name's vector in the optimiser's bound must be the least vector over
+    # every state of the name between its true packages and its not-false
+    # ones, recounted from the definitions: a weaker bound or an unsound one
+    # fails here, and so does one that leaves out the baseline state
     rng = random.Random(41)
-    for _ in range(60):
-        u = support.random_universe(rng, max_size=8)
-        s0 = support.random_status(rng, u)
-        pattern = rng.choice(["maint:evil*", "name:alpha*", "br*"])
-        kinds = list(ALL_KINDS)
-        rng.shuffle(kinds)
-        spec = PreferenceSpec(tuple(Criterion(k) for k in kinds)
-                              + (Criterion("blacklist", pattern),))
-        for _ in range(8):
-            pool = [pid for pid in u.ids if rng.random() < 0.7]
-            lo = Status(frozenset(pid for pid in pool if rng.random() < 0.4))
-            hi = Status(frozenset(pool))
-            free = [pid for pid in pool if pid not in lo.installed]
-            between = [Status(lo.installed | {free[i] for i in range(len(free)) if m >> i & 1})
-                       for m in range(1 << len(free))]
-            diff = status_diff(u, s0, lo, hi)
-            moves = [_moves(s0, t) for t in between]
-            for k, name in enumerate(("removed", "changed", "new")):
-                common = set.intersection(*(m[k] for m in moves))
-                assert getattr(diff, name) == tuple(sorted(common)), name
-            assert diff.download_kb == min(
-                sum(u.get(p).size_kb for p in t.installed - s0.installed) for t in between)
-            vectors = [_recount(u, s0, t, spec) for t in between]
-            assert eval_criteria(u, s0, lo, spec, hi) == tuple(map(min, zip(*vectors)))
-            for t in (lo, hi):
-                assert status_diff(u, s0, t, t) == status_diff(u, s0, t)
-                assert eval_criteria(u, s0, t, spec, t) == eval_criteria(u, s0, t, spec)
+    for _ in range(300):
+        u = support.random_universe(rng, max_size=24, names=support.NAMES[:3])
+        s0 = Status(frozenset(pid for pid in u.ids if rng.random() < 0.5))
+        spec = _random_spec(rng)
+        table = preferences._NameTable(u, s0, spec, u.ids)
+        for g, (_first, _end, run, _base) in enumerate(table.runs):
+            base = _restrict(s0, run[0].name)
+            for _ in range(4):
+                if rng.random() < 0.5:  # a part the baseline state completes
+                    part = tuple(rng.choice((1, 0, 0) if pid in base.installed else (-1, 0))
+                                 for pid in run)
+                else:
+                    part = tuple(rng.choice((1, -1, -1, 0, 0)) for _ in run)
+                lo = {pid for pid, x in zip(run, part) if x > 0}
+                free = [pid for pid, x in zip(run, part) if not x][:10]
+                between = [Status(frozenset(lo | {free[i] for i in range(len(free)) if m >> i & 1}))
+                           for m in range(1 << len(free))]
+                part = tuple(0 if pid in free else x or -1 for pid, x in zip(run, part))
+                assert table.vector(g, part) == min(_recount(u, base, t, spec) for t in between)
