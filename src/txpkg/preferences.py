@@ -27,6 +27,17 @@ whose vector equals the incumbent's, and the search starts each name at its
 ideal state, the candidate that reaches the least of all its states: its
 ``s0`` state, no version, or one version.
 
+Before it searches, ``optimize`` settles the names the request cannot move
+and fixes them in their ``s0`` state, so the search and the bound cover only
+the request's cone.  A name is settled when its ``s0`` state scores the zero
+vector and the baseline literals of the settled names satisfy every clause
+that mentions one of them (an autarky).  This keeps every optimum because
+every criterion is a nonnegative sum over names, because under ``removed``,
+``changed`` and ``new`` a name's ``s0`` state is its only state that scores
+zero on all three, and because an autarky can replace its variables in any
+model.  A spec that lacks one of those three settles nothing (see
+``_settled``).
+
 Config syntax: ``-removed,-changed,-new,-download`` with optional
 ``-notuptodate`` and ``-blacklist:<glob>`` entries; order is priority.
 """
@@ -36,9 +47,9 @@ from __future__ import annotations
 import fnmatch
 import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Collection
 
-from .resolver import Request, Solution, Unsat, _certify, encode
+from .resolver import Cnf, Request, Solution, Unsat, _certify, encode
 from .sat import DpllSolver
 from .universe import Package, PackageId, Status, Universe, status_diff
 
@@ -176,19 +187,25 @@ class _NameTable:
     Every criterion is a sum over names, and adding vectors keeps their
     lexicographic order, so the sum of the names' vectors is a lower bound on
     the vector of every completion of the whole assignment.
+
+    A name whose first variable is in ``settled`` gets no run: the solver
+    holds it in its baseline state, which scores the zero vector.
     """
 
     def __init__(self, u: Universe, s0: Status, spec: PreferenceSpec,
-                 ids: tuple[PackageId, ...]):
+                 ids: tuple[PackageId, ...], settled: Collection[int] = ()):
         self.u, self.spec = u, spec
         self.runs: list[tuple[int, int, tuple[PackageId, ...], Status]] = []
-        self.name_of = [0]  # variable -> its name's index in runs
+        self.name_of: list[int | None] = [None]  # variable -> its name's index in runs
         first = 1
         for _name, group in itertools.groupby(ids, key=lambda pid: pid.name):
             run = tuple(group)
-            base = Status(s0.installed.intersection(run))
-            self.name_of += [len(self.runs)] * len(run)
-            self.runs.append((first, first + len(run), run, base))
+            if first in settled:  # a settled name has no run
+                self.name_of += [None] * len(run)
+            else:
+                base = Status(s0.installed.intersection(run))
+                self.name_of += [len(self.runs)] * len(run)
+                self.runs.append((first, first + len(run), run, base))
             first += len(run)
         # (name, part) -> (its vector, the first candidate that reaches it)
         self.memo: dict[tuple[int, tuple[int, ...]],
@@ -223,10 +240,10 @@ class _NameTable:
         least vector of all the name's states, i.e. the least-scoring of its
         baseline state, no version, or exactly one version (the baseline wins
         ties, then no version, then the lower version)."""
-        polarity = [False]
-        for g, (_first, _end, run, _base) in enumerate(self.runs):
+        polarity = [False] * len(self.name_of)
+        for g, (first, end, run, _base) in enumerate(self.runs):
             _vec, state = self.least(g, (0,) * len(run))
-            polarity += [pid in state for pid in run]
+            polarity[first:end] = [pid in state for pid in run]
         return polarity
 
     def running_vector(self, solver: DpllSolver) -> Callable[[list[int]], tuple[int, ...]]:
@@ -245,6 +262,7 @@ class _NameTable:
             moved = {name_of[v] for v in read[low:]}
             read[low:] = trail[low:]
             moved.update(name_of[v] for v in read[low:])
+            moved.discard(None)  # a settled variable, assigned at the root
             solver.low_mark = len(trail)
             for g in moved:
                 first, end, _run, _base = runs[g]
@@ -255,6 +273,73 @@ class _NameTable:
             return tuple(total)
 
         return running
+
+
+def _settled(u: Universe, s0: Status, spec: PreferenceSpec, cnf: Cnf) -> list[int]:
+    """The baseline literals of the names that every optimum leaves in their
+    ``s0`` state: literal ``v`` for an installed ``cnf.ids[v-1]``, ``-v`` for
+    one not installed.
+
+    A name is a candidate when its baseline state scores the zero vector and
+    the spec counts ``removed``, ``changed`` and ``new``.  One
+    ``eval_criteria(u, s0, s0, spec)`` that reads zero shows this for every
+    name at once; otherwise each installed name is scored on its own (a name
+    not installed scores zero in its baseline state).  The candidates then
+    shrink to the largest set whose baseline literals satisfy every clause
+    that mentions one of its variables: a clause that mentions some and is
+    not satisfied by them removes every name it mentions.  Only a clause
+    whose ``s0``-satisfied literals all belong to names that are not (or no
+    longer) candidates can be such a clause, so the worklist starts with
+    the clauses no candidate satisfies, and a removed name adds the clauses
+    its literals satisfied.  What is left is an *autarky*.
+
+    Every optimum holds these literals, and only optima are cut:
+
+    - every criterion is a nonnegative sum over names;
+    - under ``removed``, ``changed`` and ``new`` the baseline state is the
+      only state of a name that scores zero on all three;
+    - the settled literals form an autarky, so for any model ``M``, ``M`` on
+      the other variables plus the settled literals is again a model ``M'``.
+
+    ``M'`` scores zero on the settled names and what ``M`` scores on the
+    others, so it is no worse than ``M`` on any criterion.  If ``M`` holds a
+    settled name in another state, that name scores at least 1 on one of the
+    three, so ``M'`` is lexicographically smaller.  So the formula is
+    satisfiable with the literals just when it is without them, and every
+    optimal vector and the sorted-id tie-break winner are unchanged.  A spec
+    without one of the three settles nothing: another state of a name can
+    then also score zero, and the tie-break could prefer it.
+    """
+    if not {"removed", "changed", "new"} <= {crit.kind for crit in spec.criteria}:
+        return []
+    name_of = [""] + [pid.name for pid in cnf.ids]
+    settled = set(name_of[1:])
+    if any(eval_criteria(u, s0, s0, spec)):
+        parts: dict[str, set[PackageId]] = {}
+        for pid in s0.installed:
+            parts.setdefault(pid.name, set()).add(pid)
+        for name, part in parts.items():
+            base = Status(frozenset(part))
+            if any(eval_criteria(u, base, base, spec)):
+                settled.discard(name)
+    held = [0] + [v if pid in s0.installed else -v for v, pid in enumerate(cnf.ids, 1)]
+    holding: dict[str, list[tuple[int, ...]]] = {}  # name -> clauses its literals satisfy
+    work = []  # clauses that may mention a settled name and be unsatisfied
+    for clause in cnf.clauses:
+        holders = {name_of[abs(lit)] for lit in clause if held[abs(lit)] == lit}
+        for name in holders:
+            holding.setdefault(name, []).append(clause)
+        if holders.isdisjoint(settled):
+            work.append(clause)
+    while work and settled:
+        clause = work.pop()
+        touched = {name_of[abs(lit)] for lit in clause} & settled
+        if touched and not any(held[abs(lit)] == lit and name_of[abs(lit)] in settled
+                               for lit in clause):
+            settled -= touched
+            for name in touched:
+                work += holding.get(name, ())
+    return [lit for lit in held[1:] if name_of[abs(lit)] in settled]
 
 
 def optimize(u: Universe, s0: Status, r: Request, spec: PreferenceSpec) -> Solution | Unsat:
@@ -277,11 +362,23 @@ def optimize(u: Universe, s0: Status, r: Request, spec: PreferenceSpec) -> Solut
     each name at its ideal state, the least-scoring of its ``s0`` state, no
     version, or one version; under the default preferences that is the
     ``s0`` state.
+
+    Before the search, the names that no optimum moves are settled
+    (:func:`_settled`): their ``s0`` literals go to the solver as unit
+    clauses, and the bound has no run for them.  A name is settled when its
+    ``s0`` state scores the zero vector and the ``s0`` literals of the
+    settled names satisfy every clause that mentions one of them.  The
+    answer is unchanged: every criterion is a nonnegative sum over names,
+    under ``removed``, ``changed`` and ``new`` a name's ``s0`` state is its
+    only state that scores zero on all three, and such literals can replace
+    their variables in any model.  A spec that lacks one of those three
+    settles nothing.
     """
     cnf = encode(u, s0, r)
     n = len(cnf.ids)
-    table = _NameTable(u, s0, spec, cnf.ids)
-    solver = DpllSolver(n, cnf.clauses)
+    settled = _settled(u, s0, spec, cnf)
+    table = _NameTable(u, s0, spec, cnf.ids, {abs(lit) for lit in settled})
+    solver = DpllSolver(n, cnf.clauses + [(lit,) for lit in settled])
     vector = table.running_vector(solver)
     least: list[tuple[int, ...] | None] = [None]  # the incumbent's vector
 

@@ -14,7 +14,7 @@ from txpkg.preferences import (
     optimize,
     parse_prefs,
 )
-from txpkg.resolver import Solution, Unsat, parse_request, solve
+from txpkg.resolver import Solution, Unsat, encode, parse_request, solve
 from txpkg.sat import DpllSolver
 from txpkg.universe import PackageId, Status, Version, parse_universe
 
@@ -254,6 +254,51 @@ def test_optimize_matches_oracle_vector_and_tiebreak():
     assert pulled > 40
 
 
+def _no_settling(monkeypatch):
+    """Patch settling out, so that the search runs over every name."""
+    monkeypatch.setattr(preferences, "_settled", lambda u, s0, spec, cnf: [])
+
+
+def _settling_spec(rng):
+    """A spec that counts removed, changed and new, in random order among
+    random other criteria."""
+    crits = [Criterion(k) for k in ALL_KINDS if k in ("removed", "changed", "new")
+             or rng.random() < 0.5]
+    if rng.random() < 0.4:
+        crits.append(Criterion("blacklist", rng.choice(["maint:evil*", "name:alpha*", "br*"])))
+    rng.shuffle(crits)
+    return PreferenceSpec(tuple(crits))
+
+
+def test_settling_keeps_every_optimum(monkeypatch):
+    # optimize with the settled names fixed, optimize without settling and
+    # the brute-force optimum agree.  Settling under a spec that lacks
+    # removed, changed or new changes the tie-break winner, and a settled
+    # set that is not shrunk to an autarky cuts optima or every model
+    rng = random.Random(26)
+    settled = broken = 0
+    for _ in range(500):
+        u = support.random_universe(rng, max_size=9)
+        s0 = (support.random_status(rng, u) if rng.random() < 0.5
+              else Status(frozenset(pid for pid in u.ids if rng.random() < 0.7)))
+        r = support.random_request(rng, u)
+        spec = rng.choice((_random_spec, _settling_spec))(rng)
+        cnf = encode(u, s0, r)
+        lits = preferences._settled(u, s0, spec, cnf)
+        settled += bool(lits)
+        # the baseline status leaves a clause of the encoding unsatisfied
+        broken += bool(lits) and any(
+            not any((lit > 0) == (cnf.ids[abs(lit) - 1] in s0.installed) for lit in clause)
+            for clause in cnf.clauses)
+        with monkeypatch.context() as patch:
+            _no_settling(patch)
+            plain = optimize(u, s0, r, spec)
+        assert optimize(u, s0, r, spec) == plain
+        _matches_oracle(u, s0, r, spec)
+    assert settled > 150
+    assert broken > 100
+
+
 def _layered_universe(rng, n):
     """Names p00.. at versions 1 and 2; each version depends on earlier names,
     and version 2 conflicts with version 1 of its own name."""
@@ -300,14 +345,14 @@ def _count_search(monkeypatch):
 def test_optimize_scores_per_model_and_memo_entry_not_per_node(monkeypatch):
     # the bound reads a memo of per-name vectors, so eval_criteria runs once
     # per model and at most once per candidate of each (name, part) entry,
-    # never once per node
+    # never once per node; settling scores the baseline once, against itself
     u = _layered_universe(random.Random(3), 14)
     s0 = _layered_status(u)
     counts = _count_search(monkeypatch)
-    model_evals, entry_evals, tables = [], [], []
+    settle_evals, model_evals, entry_evals, tables = [], [], [], []
 
     def recording_eval(u, base, s, spec):
-        (model_evals if base is s0 else entry_evals).append(s)
+        (settle_evals if s is base else model_evals if base is s0 else entry_evals).append(s)
         return eval_criteria(u, base, s, spec)
 
     class RecordingTable(preferences._NameTable):
@@ -320,6 +365,7 @@ def test_optimize_scores_per_model_and_memo_entry_not_per_node(monkeypatch):
     res = optimize(u, s0, parse_request("install p13"), parse_prefs(DEFAULT_PREFS))
     assert isinstance(res, Solution)
     (table,) = tables
+    assert settle_evals == [s0]
     assert len(model_evals) == counts["models"]
     # a part's candidates: its true packages, those plus one undecided
     # package, and the baseline state
@@ -343,7 +389,9 @@ def test_exact_name_bound_cuts_the_layered_search(monkeypatch):
 def test_running_total_follows_the_trail(monkeypatch):
     # at every node the running total equals the sum of every name's vector
     # recomputed from scratch; a trail mark that backtracking does not lower
-    # leaves the undone names counted in their old state and fails here
+    # leaves the undone names counted in their old state and fails here.
+    # Settling leaves few nodes, so the problems run without it first and
+    # then again with it, whose settled variables sit on the root trail
     checked = [0]
 
     class CheckedTable(preferences._NameTable):
@@ -362,13 +410,21 @@ def test_running_total_follows_the_trail(monkeypatch):
 
     monkeypatch.setattr(preferences, "_NameTable", CheckedTable)
     u = _layered_universe(random.Random(3), 14)
-    optimize(u, _layered_status(u), parse_request("install p13"), parse_prefs(DEFAULT_PREFS))
+    problems = [(u, _layered_status(u), parse_request("install p13"), parse_prefs(DEFAULT_PREFS))]
     rng = random.Random(71)
     for _ in range(200):
         u = support.random_universe(rng, max_size=10)
-        optimize(u, support.random_status(rng, u), support.random_request(rng, u),
-                 _random_spec(rng))
+        problems.append((u, support.random_status(rng, u), support.random_request(rng, u),
+                         _random_spec(rng)))
+    with monkeypatch.context() as patch:
+        _no_settling(patch)
+        for problem in problems:
+            optimize(*problem)
     assert checked[0] > 500
+    unsettled = checked[0]
+    for problem in problems:
+        optimize(*problem)
+    assert checked[0] - unsettled > 400
 
 
 def _upgrade_universe(rng, n):
@@ -392,7 +448,9 @@ def test_a_node_reads_only_the_names_that_moved(monkeypatch):
     # the bound reads a name's part as the slice of its variables; at each
     # node it reads only the names of the variables assigned or unassigned
     # since the previous node that read the bound, not all 150 names (the
-    # search reads no bound before its first model)
+    # search reads no bound before its first model).  Settling would leave
+    # 18 nodes here, so it is patched out
+    _no_settling(monkeypatch)
     rng = random.Random(13)
     u = _upgrade_universe(rng, 150)
     name_of = [None] + [pid.name for pid in u.ids]
@@ -439,6 +497,30 @@ def test_a_node_reads_only_the_names_that_moved(monkeypatch):
                           Solution)
     assert stats["nodes"] > 100
     assert stats["moved"] < 10 * stats["nodes"]
+
+
+def test_an_upgrade_searches_only_its_cone(monkeypatch):
+    # a 4-name upgrade of 150 installed names settles every name the request
+    # cannot move; without settling each of these requests searches 293
+    # nodes and scores about 590 states
+    rng = random.Random(13)
+    u = _upgrade_universe(rng, 150)
+    s0 = Status(frozenset(pid for pid in u.ids if pid.version == Version("1")))
+    counts = _count_search(monkeypatch)
+    scored = [0]
+
+    def counting_eval(*args):
+        scored[0] += 1
+        return eval_criteria(*args)
+
+    monkeypatch.setattr(preferences, "eval_criteria", counting_eval)
+    for _ in range(8):
+        request = ", ".join(f"upgrade p{i:03d} (>= 2)" for i in rng.sample(range(150), 4))
+        counts["nodes"] = scored[0] = 0
+        assert isinstance(optimize(u, s0, parse_request(request), parse_prefs(DEFAULT_PREFS)),
+                          Solution)
+        assert counts["nodes"] <= 60
+        assert scored[0] <= 120
 
 
 def test_constraint_tightening_is_monotone():
