@@ -13,49 +13,3 @@ The modules follow the life of an upgrade:
 """
 
 __version__ = "0.1.0"
-
-from .universe import (  # noqa: F401
-    Atom,
-    MetadataError,
-    Package,
-    PackageId,
-    Status,
-    Universe,
-    Version,
-    compare_versions,
-    parse_status,
-    parse_universe,
-    satisfies,
-    serialize_status,
-    serialize_universe,
-)
-from .resolver import (  # noqa: F401
-    Request,
-    RequestError,
-    Solution,
-    Unsat,
-    Verdict,
-    check_solution,
-    encode,
-    health_check,
-    parse_request,
-    solve,
-)
-from .preferences import (  # noqa: F401
-    PreferenceSpec,
-    eval_criteria,
-    optimize,
-    parse_prefs,
-)
-from .mscript import (  # noqa: F401
-    ScriptEnv,
-    ScriptFailure,
-    ScriptProgram,
-    classify,
-    execute,
-    parse_script,
-    undo,
-)
-from .txn import Store, Transaction  # noqa: F401
-from .confmerge import merge3, structured_merge, upgrade_conffile  # noqa: F401
-from .planner import Outcome, Plan, execute_plan, plan, retrieve, simulate  # noqa: F401

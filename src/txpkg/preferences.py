@@ -231,10 +231,6 @@ class _NameTable:
             self.memo[(g, part)] = best
         return best
 
-    def vector(self, g: int, part: tuple[int, ...]) -> tuple[int, ...]:
-        """The vector of run ``g`` in state ``part``."""
-        return self.least(g, part)[0]
-
     def ideal_polarity(self) -> list[bool]:
         """Each variable's preferred value: per name, the state that reaches the
         least vector of all the name's states, i.e. the least-scoring of its

@@ -428,10 +428,6 @@ class Store:
     def archive_dir(self) -> Path:
         return self._db / "archive"
 
-    @property
-    def pristine_dir(self) -> Path:
-        return self._db / "pristine"
-
     def history_ids(self) -> list[int]:
         if not self.history_dir.is_dir():
             return []
@@ -622,23 +618,30 @@ class Transaction:
 
     def digest(self, rel: str) -> str:
         """``_sha`` of a file's content, found once per open transaction
-        until a mutation sets the path.  A listed file whose key is settled
-        is looked up in the digest index, read only when its key changed,
-        and kept in the index the transaction writes back."""
+        until a mutation sets the path.  Only a file that has no other name
+        is memoised, since a write by another name would not reset the memo:
+        a listed regular file with one link, or a file the transaction
+        created.  A link, a hard-linked file or an unlisted path is read on
+        every call.  A listed file whose key is settled is looked up in the
+        digest index, read only when its key changed, and kept in the index
+        the transaction writes back."""
         self._require_open()
         known = self._digests.get(rel)
-        if known is None:
-            known = self._digests[rel] = self._hash(rel)
+        if known is not None:
+            return known[1]
+        entry = self._entries.get(rel)
+        try:  # before the read
+            st = None if entry is None else entry.stat(follow_symlinks=False)
+        except OSError:
+            st = None
+        if st is None or not stat.S_ISREG(st.st_mode) or st.st_nlink != 1:
+            return _sha(self.store.read(rel))
+        known = self._digests[rel] = self._hash(rel, _stat_key(st))
         return known[1]
 
-    def _hash(self, rel: str) -> tuple:
+    def _hash(self, rel: str, key: tuple) -> tuple:
         index = self._load_index()
-        entry = self._entries.get(rel)
-        try:  # before the read, and through a link: the bytes read are the target's
-            key = None if entry is None else _stat_key(entry.stat())
-        except OSError:  # say a dangling link, whose read raises
-            key = None
-        if key is None or not self._settled(key):
+        if not self._settled(key):
             return None, _sha(self.store.read(rel))
         known = index.get(rel)
         if (type(known) is list and len(known) == 6 and known[:5] == list(key)
@@ -707,6 +710,8 @@ class Transaction:
         if mode is None:
             mode = st_mode if kind == "file" else _FILE_MODE
         self._set(rel, old, ("file", data, mode))
+        if kind == "absent":  # a created file has no other name
+            self._digests[rel] = (None, _sha(data))
         return created
 
     def mkdir(self, rel: str) -> list[str]:

@@ -22,8 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import total_ordering
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 __all__ = [
     "MetadataError",
@@ -46,7 +45,6 @@ __all__ = [
     "derive_owned",
     "status_diff",
     "parse_universe",
-    "serialize_universe",
     "parse_status",
     "serialize_status",
     "parse_dependency_atom",
@@ -353,10 +351,6 @@ class Universe:
         self._by_name = {n: tuple(ps) for n, ps in by_name.items()}
         self._providers = {n: tuple(ps) for n, ps in providers.items()}
         self._satisfier_cache: dict[Atom, tuple[Package, ...]] = {}
-
-    @property
-    def packages(self) -> Mapping[PackageId, Package]:
-        return MappingProxyType(self._by_id)
 
     def __len__(self):
         return len(self._by_id)
@@ -705,35 +699,6 @@ def parse_universe(text: str) -> Universe:
 
 def _render_clause(clause: tuple[Atom, ...]) -> str:
     return " | ".join(str(a) for a in clause)
-
-
-def serialize_universe(universe: Universe) -> str:
-    """Render a universe back to stanza text; parse(serialize(u)) == u."""
-    stanzas = []
-    for pkg in universe:
-        lines = [f"Package: {pkg.name}", f"Version: {pkg.version}"]
-        if pkg.maintainer:
-            lines.append(f"Maintainer: {pkg.maintainer}")
-        if pkg.size_kb:
-            lines.append(f"Size: {pkg.size_kb}")
-        if pkg.rel.depends:
-            lines.append("Depends: " + ", ".join(_render_clause(c) for c in pkg.rel.depends))
-        if pkg.rel.conflicts:
-            lines.append("Conflicts: " + ", ".join(str(a) for a in pkg.rel.conflicts))
-        if pkg.rel.provides:
-            lines.append("Provides: " + ", ".join(str(p) for p in pkg.rel.provides))
-        if pkg.files:
-            lines.append("Files: " + ", ".join(pkg.files))
-        if pkg.conffiles:
-            lines.append("Conffiles: " + ", ".join(sorted(pkg.conffiles)))
-        for hook in SCRIPT_HOOKS:
-            value = pkg.script_for(hook)
-            if value:
-                lines.append(f"{hook.capitalize()}: {value}")
-        if pkg.conffile_syntax:
-            lines.append("Conffile-Syntax: " + ", ".join(f"{p}={m}" for p, m in pkg.conffile_syntax))
-        stanzas.append("\n".join(lines))
-    return "\n\n".join(stanzas) + ("\n" if stanzas else "")
 
 
 def parse_status(text: str, universe: Universe) -> Status:

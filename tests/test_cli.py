@@ -847,7 +847,7 @@ def _conffile_root(tmp_path, capsys):
 def test_apply_missing_pristine_object_is_an_io_failure(tmp_path, capsys):
     store, base = _conffile_root(tmp_path, capsys)
     (store.root / "etc/a.conf").write_bytes(b"k=1\nlocal=yes\n")
-    for obj in (store.pristine_dir / "objects").iterdir():
+    for obj in (store.root / ".pkgdb" / "pristine" / "objects").iterdir():
         obj.unlink()
     baseline, status = store.tree_hash(), store.status_bytes()
     code, out, err = run(capsys, *base, "apply", "upgrade a (>= 2)")
@@ -880,7 +880,7 @@ def _engine_state(store):
 
 def test_apply_with_an_unparseable_pristine_index_is_an_io_failure(tmp_path, capsys):
     store, base = _conffile_root(tmp_path, capsys)
-    (store.pristine_dir / "index").write_bytes(b"{not json\n")
+    (store.root / ".pkgdb" / "pristine" / "index").write_bytes(b"{not json\n")
     baseline, status = store.tree_hash(), store.status_bytes()
     code, out, err = run(capsys, *base, "apply", "upgrade a (>= 2)")
     assert code == 4
@@ -931,7 +931,7 @@ def test_an_upgrade_and_its_rollback_read_the_pristine_index_once(tmp_path, caps
 
 def test_rollback_with_an_unparseable_pristine_index_touches_nothing(tmp_path, capsys):
     store, _base = _conffile_root(tmp_path, capsys)
-    (store.pristine_dir / "index").write_bytes(b"{not json\n")
+    (store.root / ".pkgdb" / "pristine" / "index").write_bytes(b"{not json\n")
     baseline, state = store.tree_hash(), _engine_state(store)
     code, out, err = run(capsys, "--root", str(store.root), "rollback", "1")
     assert code == 1
@@ -942,9 +942,10 @@ def test_rollback_with_an_unparseable_pristine_index_touches_nothing(tmp_path, c
 
 def test_apply_with_a_pristine_record_without_txn_is_an_io_failure(tmp_path, capsys):
     store, base = _conffile_root(tmp_path, capsys)
-    (record,) = map(json.loads, (store.pristine_dir / "index").read_text().splitlines())
+    index = store.root / ".pkgdb" / "pristine" / "index"
+    (record,) = map(json.loads, index.read_text().splitlines())
     del record["txn"]
-    (store.pristine_dir / "index").write_text(json.dumps(record) + "\n")
+    index.write_text(json.dumps(record) + "\n")
     baseline, status = store.tree_hash(), store.status_bytes()
     code, out, err = run(capsys, *base, "apply", "upgrade a (>= 2)")
     assert code == 4

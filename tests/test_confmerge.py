@@ -328,7 +328,7 @@ def test_unregistered_conffile_is_an_error(store):
         upgrade_conffile(txn, pkg2, "etc/other", b"x\n")
     # a modified conffile cannot be merged once its pristine base is gone
     (store.root / "etc/app/main.conf").write_bytes(b"edited\n")
-    for obj in (store.pristine_dir / "objects").iterdir():
+    for obj in (store.root / ".pkgdb" / "pristine" / "objects").iterdir():
         obj.unlink()
     with pytest.raises(ConfmergeError, match="pristine"):
         upgrade_conffile(txn, pkg2, "etc/app/main.conf", b"v2\n")

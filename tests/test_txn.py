@@ -698,6 +698,21 @@ def test_memo_matches_the_disk_after_every_mutation(store, monkeypatch):
             txn.digest(MEMO_CACHE)
 
 
+@pytest.mark.parametrize("link", [os.symlink, os.link])
+def test_a_write_by_one_name_is_seen_by_another_name_of_the_file(store, link):
+    (store.root / "srv").mkdir()
+    (store.root / "srv/x").write_bytes(b"old")
+    link("x" if link is os.symlink else store.root / "srv/x", store.root / "srv/y")
+    time.sleep(0.05)  # older than the next lock: settled
+    txn = store.begin()
+    assert txn.walk_files("srv/") == ["srv/x", "srv/y"]
+    assert txn.digest("srv/x") == txn.digest("srv/y") == hashlib.sha256(b"old").hexdigest()
+    txn.write_through("srv/x", b"new")
+    assert txn.digest("srv/y") == hashlib.sha256(b"new").hexdigest()
+    txn.commit()
+    assert "srv/y" not in json.loads(store.load("digests") or b"{}")
+
+
 # --- the digest index across transactions --------------------------------------------
 
 #: The last three name no directory a package can see, and list nothing.
@@ -796,7 +811,8 @@ def test_index_serves_settled_files_by_their_names_without_reading_them(store, m
     txn = store.begin()
     assert compute_cache(txn, MEMO_CACHE, "*") == first
     assert reads == []
-    txn.write_through("srv/a b", b"changed")  # a file the transaction writes is read
+    txn.write_through("srv/a b", b"changed")  # a file the transaction rewrites is read,
+    txn.write_through("srv/made", b"made")  # one it creates is not
     assert compute_cache(txn, MEMO_CACHE, "srv/*") == _listing(store.root, MEMO_CACHE, "srv/*")
     assert reads == ["srv/a b"]
     txn.rollback()
