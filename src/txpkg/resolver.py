@@ -298,33 +298,40 @@ def _certify(u: Universe, s0: Status, r: Request, cnf: Cnf, model: set[int] | No
     return solution
 
 
-def _installability(u: Universe):
-    """A predicate deciding whether a package of ``u`` is installable, and the
-    encoding it decides over.
+def _installable(cnf: Cnf, goals: list[PackageId]) -> set[PackageId]:
+    """The members of ``goals`` that are installable, for ``cnf`` an
+    empty-request encoding.
 
-    Encodes the universe once, with the empty request, and keeps one solver.
-    A question is one goal-directed solve under the assumption that the
-    package is installed: it decides only satisfiers of dependency clauses
-    that the packages already installed leave unmet.  A model of the
-    empty-request encoding is an acceptable status, so each of its members
-    is installable: the predicate keeps the members of every model it finds
-    and answers a package among them without a solve.
+    A model of that encoding is an acceptable status, so each of its members
+    is installable.  One solver answers in at most two goal passes and then
+    one solve per goal still open (see ``DpllSolver.solve``):
+
+    - a pass is one goal-directed solve that tries the open goals in order,
+      each on top of the trail the earlier ones left.  Its model proves its
+      members.  The encoding has no positive-only clause, so the pass
+      decides its first goal first (unless the root level makes it false),
+      and that goal is settled: it is broken exactly when it is not in the
+      model;
+    - pass 1 takes every goal, and pass 2 those pass 1 left open.  Versions
+      of one name conflict, so pass 1 takes one version of most names and
+      pass 2 the other;
+    - each goal still open is solved alone under the assumption that it is
+      installed, unless an earlier model holds it.
+
+    So each goal is searched at most three times.
     """
-    cnf = encode(u, Status(), Request(()))
     solver = DpllSolver(len(cnf.ids), cnf.clauses)
     proven: set[int] = set()
-
-    def installable(pid: PackageId) -> bool:
-        var = cnf.var_of[pid]
-        if var in proven:
-            return True
-        model = solver.solve(assumptions=(var,))
-        if model is None:
-            return False
-        proven.update(model)
-        return True
-
-    return installable, cnf
+    open_goals = [cnf.var_of[pid] for pid in goals]
+    for _pass in range(2):
+        if not open_goals:
+            break
+        proven.update(solver.solve(goals=open_goals))
+        open_goals = [var for var in open_goals[1:] if var not in proven]
+    for var in open_goals:
+        if var not in proven:
+            proven.update(solver.solve(assumptions=(var,)) or ())
+    return {pid for pid in goals if cnf.var_of[pid] in proven}
 
 
 def _roots_first(cnf: Cnf) -> list[PackageId]:
@@ -358,17 +365,20 @@ def _roots_first(cnf: Cnf) -> list[PackageId]:
 
 
 def explain_unsat(u: Universe, s0: Status, r: Request) -> Unsat:
-    """Build the Unsat stub: flag request atoms that are doomed on their own."""
-    installable, _cnf = _installability(u)
+    """Build the Unsat stub: flag request atoms that are doomed on their own.
+
+    The install and upgrade atoms' candidates are the goals of one
+    ``_installable`` call."""
+    asked = [(atom, _request_candidates(u, s0, atom))
+             for atom in r.atoms if atom.action != "remove"]
+    goals = dict.fromkeys(pkg.id for _atom, cands in asked for pkg in cands)
+    installable = _installable(encode(u, Status(), Request(())), list(goals))
     doomed, witnesses = [], []
-    for atom in r.atoms:
-        if atom.action == "remove":
-            continue
-        cands = _request_candidates(u, s0, atom)
+    for atom, cands in asked:
         if not cands:
             doomed.append(atom)
             witnesses.append(f"'{atom}': no candidate in the universe")
-        elif all(not installable(pkg.id) for pkg in cands):
+        elif not any(pkg.id in installable for pkg in cands):
             doomed.append(atom)
             witnesses.append(f"'{atom}': no candidate is installable")
     return Unsat(r, tuple(doomed), tuple(witnesses))
@@ -380,16 +390,17 @@ def health_check(u: Universe) -> list[tuple[PackageId, Verdict]]:
 
     A package is healthy when some subset of the universe contains it while
     satisfying every dependency clause and avoiding all conflicts.  The
-    universe is encoded once and handed to one complete solver (see
-    ``_installability``).  The questions are asked roots first (see
-    ``_roots_first``): a package that nothing needs is solved before the
-    packages it needs, and its model answers for every member.
+    universe is encoded once, and every id is a goal of one ``_installable``
+    call: two goal passes over one solver prove a co-installable set each,
+    and the ids they leave open are solved alone.  The goals come roots
+    first (see ``_roots_first``), so a package that nothing needs is tried
+    before the packages it needs, and one model answers for its members.
     """
-    installable, cnf = _installability(u)
-    ok = {pid: installable(pid) for pid in _roots_first(cnf)}
+    cnf = encode(u, Status(), Request(()))
+    ok = _installable(cnf, _roots_first(cnf))
     out: list[tuple[PackageId, Verdict]] = []
     for pid in u.ids:
-        if ok[pid]:
+        if pid in ok:
             out.append((pid, Verdict(True)))
             continue
         witness = None

@@ -16,10 +16,19 @@ depth-first loop serves two decision rules.
   the trail where the parent node stopped: a clause satisfied at a node stays
   satisfied below it unless a variable it negates becomes true, and that
   variable joins the trail after the scan position.
+- ``solve`` also takes goals: once no clause is unmet, it decides the next
+  goal that is still unassigned, true first, and carries on.  A goal whose
+  subtree fails is flipped to false, and the flip cannot conflict.  When the
+  goal is picked, the trail with every unassigned variable read as false is
+  a model M, and M has the goal false, so each literal that propagating the
+  goal's negation forces holds in M, and no clause is falsified.  The search
+  therefore never backtracks past a goal's flip, and one depth-first search
+  returns a model that holds greedily many goals: each goal is in it exactly
+  when some model extends the trail at the moment that goal was picked.
 
 Every entry point returns to the root level before it returns, so one
 instance answers any number of calls: ``solve`` each under its own
-assumption literals, ``search`` and ``minimize`` over all variables.
+assumption literals and goals, ``search`` and ``minimize`` over all variables.
 
 ``low_mark`` is the lowest trail length that backtracking has cut the trail
 back to since a caller last raised it: the trail below it is unchanged since
@@ -31,7 +40,7 @@ trail's length.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 __all__ = ["DpllSolver"]
 
@@ -147,23 +156,39 @@ class DpllSolver:
                 return 0, i
             return (i + 1 if polarity is not None and polarity[i + 1] else -i - 1), i
 
-        return self._run((), lowest_unassigned, on_model, prune)
+        return self._run((), lowest_unassigned, 0, on_model, prune)
 
-    def solve(self, assumptions: Iterable[int] = ()) -> set[int] | None:
+    def solve(self, assumptions: Iterable[int] = (), goals: Sequence[int] = ()) -> set[int] | None:
         """A model (as the set of true variables) in which every literal of
         ``assumptions`` holds, or None if there is none.  May be called any
         number of times.
 
         Goal-directed: only satisfiers of clauses that the true variables
-        leave unmet are decided, and a variable left unassigned is not in the
-        set, i.e. reads as false.
+        leave unmet are decided, and then the ``goals`` (variables) in order,
+        true first (see the module docstring).  A variable left unassigned is
+        not in the set, i.e. reads as false.  A goal is in the model exactly
+        when some model extends the assignment at the moment it was picked.
+        When no clause is unmet after the assumptions, the first goal they
+        leave unassigned is the first decision: it is in the model exactly
+        when some model holds it.
         """
         if self.negated is None:  # built here, so search and minimize never pay for it
             self.negated = [[] for _ in range(self.nvars + 1)]
             for clause in self.clauses:
                 for v in [-lit for lit in clause if lit < 0] or [0]:
                     self.negated[v].append(clause)
-        return self._run(assumptions, self._unmet_satisfier)
+        assign, unmet_satisfier = self.assign, self._unmet_satisfier
+
+        def pick(state: tuple[int, int]) -> tuple[int, tuple[int, int]]:
+            i, k = state  # the scan position and the index of the next goal
+            lit, i = unmet_satisfier(i)
+            if not lit:
+                while k < len(goals) and assign[goals[k]]:
+                    k += 1
+                lit = goals[k] if k < len(goals) else 0
+            return lit, (i, k)
+
+        return self._run(assumptions, pick, (0, 0))
 
     def _unmet_satisfier(self, i: int) -> tuple[int, int]:
         """The first unassigned positive literal of the first clause, from scan
@@ -186,19 +211,20 @@ class DpllSolver:
     def _run(
         self,
         assumptions: Iterable[int],
-        pick: Callable[[int], tuple[int, int]],
+        pick: Callable[[Any], tuple[int, Any]],
+        start: Any,
         on_model: Callable[[set[int]], bool] | None = None,
         prune: Callable[[list[int]], bool] | None = None,
     ) -> set[int] | None:
         """Depth-first search under ``assumptions``; leaves the solver at the root
         level.  ``pick(scan)`` is the decision rule: it returns the next decision
-        literal (0 once the assignment is a model) and the scan position that
-        the literal's subtree resumes from."""
+        literal (0 once the assignment is a model) and the scan state that the
+        literal's subtree resumes from; ``start`` is the root's scan state."""
         if not self.root_ok:
             return None
         root = len(self.trail)
-        decisions: list[list] = []  # [trail mark, literal, flipped?, scan position]
-        scan = 0
+        decisions: list[list] = []  # [trail mark, literal, flipped?, scan state]
+        scan = start
 
         def backtrack() -> bool:
             nonlocal scan

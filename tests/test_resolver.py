@@ -421,13 +421,8 @@ def _health_universe(rng, n, name=lambda i: f"h{i:03d}"):
     return parse_universe("\n".join(stanzas))
 
 
-def test_health_check_work_is_bounded_by_the_goal(monkeypatch):
-    # each solve decides only satisfiers of unmet dependency clauses, so it
-    # assigns a few dozen variables, not its whole dependency cone (and, by
-    # propagation, much of the universe).  This takes 9,225 enqueues;
-    # deciding every cone variable false first takes 396,997.
-    u = _health_universe(random.Random(47), 498)
-    assert len(u) == 1000
+def count_enqueues(monkeypatch):
+    """Patch the solver to count enqueued literals; returns the one-element counter."""
     enqueues = [0]
     real_enqueue = DpllSolver._enqueue
 
@@ -436,19 +431,34 @@ def test_health_check_work_is_bounded_by_the_goal(monkeypatch):
         return real_enqueue(self, lit)
 
     monkeypatch.setattr(DpllSolver, "_enqueue", counting_enqueue)
+    return enqueues
+
+
+def test_health_check_work_is_bounded_by_the_goal(monkeypatch):
+    # a solve decides only satisfiers of unmet dependency clauses, so it
+    # assigns a few dozen variables, not its whole dependency cone (and, by
+    # propagation, much of the universe), and a goal pass decides the shared
+    # dependencies of its goals once.  This takes 3,842 enqueues; one solve
+    # per package that no earlier model holds takes 9,225, and deciding
+    # every cone variable false first takes 396,997.
+    u = _health_universe(random.Random(47), 498)
+    assert len(u) == 1000
+    enqueues = count_enqueues(monkeypatch)
     results = dict(health_check(u))
     broken = {str(pid) for pid, verdict in results.items() if not verdict.ok}
     assert broken == {"ghost 1", "pair 1"}
-    assert enqueues[0] <= 12 * len(u)
+    assert enqueues[0] <= 4000
 
 
 @pytest.mark.parametrize("name", [lambda i: f"h{i:03d}", lambda i: f"h{997 - i:03d}"],
                          ids=["deps-sort-first", "deps-sort-last"])
 def test_health_check_solves_once_per_closure(monkeypatch, name):
-    # every member of a model is installable, and the roots are asked first,
-    # so their models answer most of the packages they need; one solve per id
-    # is 1,000.  The order comes from the dependency edges, not from names:
-    # the second universe is the first with names sorting against them.
+    # every member of a model is installable, and two goal passes over every
+    # id, roots first, answer all but a few dozen ids, which are solved
+    # alone: 97 and 89 solves.  One solve per id is 1,000, and one per id that
+    # no earlier model holds is 620 and 569.  The order comes from the
+    # dependency edges, not from names: the second universe is the first with
+    # names sorting against them.
     u = _health_universe(random.Random(47), 498, name)
     assert len(u) == 1000
     solves = [0]
@@ -461,7 +471,29 @@ def test_health_check_solves_once_per_closure(monkeypatch, name):
     monkeypatch.setattr(DpllSolver, "solve", counting_solve)
     results = health_check(u)
     assert {str(pid) for pid, verdict in results if not verdict.ok} == {"ghost 1", "pair 1"}
-    assert solves[0] <= 650
+    assert solves[0] <= 100
+
+
+def test_health_check_tries_each_package_at_most_three_times(monkeypatch):
+    # every badK needs clash, and clash conflicts with every lib that badK's
+    # alternative could take, so a pass settles at most the one badK it tries
+    # first.  Two passes and then one solve per badK take 67,844 enqueues (one
+    # solve per package that no earlier model holds took 74,606); passes
+    # repeated until every goal is settled would take about 200 passes over
+    # the badKs.
+    libs = " | ".join(f"lib{i}" for i in range(5))
+    u = parse_universe("\n".join(
+        ["Package: clash\nVersion: 1\n"]
+        + [f"Package: lib{i}\nVersion: 1\nConflicts: clash\n" for i in range(5)]
+        + [f"Package: bad{k}\nVersion: 1\nDepends: clash, {libs}\n" for k in range(200)]
+        + [f"Package: good{k}\nVersion: 1\nDepends: lib{k % 5}\n" for k in range(200)]))
+    assert len(u) == 406
+    enqueues = count_enqueues(monkeypatch)
+    results = health_check(u)
+    assert enqueues[0] <= 74_606
+    assert results == reference_health_check(u)
+    assert {pid.name for pid, verdict in results if not verdict.ok} == {
+        f"bad{k}" for k in range(200)}
 
 
 # Shapes that random universes rarely hold, each against the model memo.
@@ -483,6 +515,17 @@ MEMO_UNIVERSES = {
     "broken-on-healthy": ("Package: base\nVersion: 1\n\n"
                           "Package: ghost\nVersion: 1\nDepends: base, missing\n\n"
                           "Package: rival\nVersion: 1\nDepends: base\nConflicts: base\n"),
+    # the first pass takes z and x first; b then loses, since both ways to
+    # meet its clauses without the u1/v1 conflict need u2 or v2, which
+    # conflict with x.  Alone, b installs with u1 and v2.  w needs u1 and v1.
+    "lost-in-pass": ("Package: z\nVersion: 1\nDepends: x\n\n"
+                     "Package: x\nVersion: 1\n\n"
+                     "Package: b\nVersion: 1\nDepends: u1 | u2, v1 | v2\n\n"
+                     "Package: w\nVersion: 1\nDepends: u1, v1\n\n"
+                     "Package: u1\nVersion: 1\nConflicts: v1\n\n"
+                     "Package: u2\nVersion: 1\nConflicts: x\n\n"
+                     "Package: v1\nVersion: 1\n\n"
+                     "Package: v2\nVersion: 1\nConflicts: x\n"),
 }
 
 
@@ -493,6 +536,14 @@ def test_health_memo_agrees_with_fresh_solver_reference(text):
     assert results == reference_health_check(u)
     assert any(verdict.ok for _pid, verdict in results)
     assert not all(verdict.ok for _pid, verdict in results)
+
+
+def test_health_goal_lost_in_a_pass_is_tried_again():
+    # pass 2 takes b again, after w, without x on the trail
+    results = {str(pid): verdict for pid, verdict in
+               health_check(parse_universe(MEMO_UNIVERSES["lost-in-pass"]))}
+    assert results["b 1"].ok
+    assert not results["w 1"].ok
 
 
 def test_explain_unsat_with_doomed_atoms_sharing_a_closure():
