@@ -361,7 +361,8 @@ def optimize(u: Universe, s0: Status, r: Request, spec: PreferenceSpec) -> Solut
 
     Before the search, the names that no optimum moves are settled
     (:func:`_settled`): their ``s0`` literals go to the solver as unit
-    clauses, and the bound has no run for them.  A name is settled when its
+    clauses, in place of the clauses that mention them, which those literals
+    satisfy, and the bound has no run for them.  A name is settled when its
     ``s0`` state scores the zero vector and the ``s0`` literals of the
     settled names satisfy every clause that mentions one of them.  The
     answer is unchanged: every criterion is a nonnegative sum over names,
@@ -373,8 +374,11 @@ def optimize(u: Universe, s0: Status, r: Request, spec: PreferenceSpec) -> Solut
     cnf = encode(u, s0, r)
     n = len(cnf.ids)
     settled = _settled(u, s0, spec, cnf)
-    table = _NameTable(u, s0, spec, cnf.ids, {abs(lit) for lit in settled})
-    solver = DpllSolver(n, cnf.clauses + [(lit,) for lit in settled])
+    fixed = {abs(lit) for lit in settled}
+    table = _NameTable(u, s0, spec, cnf.ids, fixed)
+    # the settled literals satisfy every clause that mentions one of their variables
+    clauses = [c for c in cnf.clauses if fixed.isdisjoint(map(abs, c))]
+    solver = DpllSolver(n, clauses + [(lit,) for lit in settled])
     vector = table.running_vector(solver)
     least: list[tuple[int, ...] | None] = [None]  # the incumbent's vector
 

@@ -12,7 +12,15 @@ lists the directory a prefix names in one ``os.scandir`` pass.  Only
 ``state``, ``put``, ``read`` and ``scan`` map a path to disk, through
 ``Store.resolve``.
 ``Store.load(name)`` and ``Store.save(name, data)`` read (None when absent)
-and write the engine state under ``.pkgdb``.  Outside both on purpose: the
+and write the engine state under ``.pkgdb``.  ``put`` and ``save`` write a
+file by one rule, ``_overwrite``: open it without ``O_TRUNC``, write the
+bytes in place and ``ftruncate`` it to their length.  On ext4, whose default
+``auto_da_alloc`` starts the writeback of a file truncated to zero and
+written again when it is closed, a truncating overwrite costs many times
+more.  Failure semantics are those of a truncating write: one that fails
+part-way leaves a torn file (now the new prefix over the old tail), which
+the journal restores, and nothing is promised against power loss (ROADMAP
+item 7, an atomic ``save``).  Outside both on purpose: the
 lock (``begin``'s ``O_EXCL`` create, which must fail rather than overwrite,
 and ``_release_lock``); whole record directories (``history_ids``, the
 rename that puts a record in place, the move into ``archive/`` and
@@ -203,6 +211,21 @@ def _stat_key(st: os.stat_result) -> tuple[int, int, int, int, int]:
     return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
 
 
+def _overwrite(path: Path, data: bytes) -> None:
+    """Make the file at ``path`` hold ``data``, following a link and creating
+    an absent file with mode 0o666 less the umask: the bytes go over the old
+    ones in place, short writes looped, then ``ftruncate`` cuts the file to
+    their length.  Never ``O_TRUNC`` (see the module docstring)."""
+    view = memoryview(data)  # a type error before the file is touched
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        while view:
+            view = view[os.write(fd, view):]
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def _pristine_load(data: bytes) -> list[dict]:
     """The pristine index's records: each line a JSON object with ``pkg``,
     ``path`` and ``sha`` strings and a ``txn`` int."""
@@ -288,7 +311,7 @@ class Store:
             p.mkdir(parents=True, exist_ok=True)
         else:
             p.parent.mkdir(parents=True, exist_ok=True)
-            p.write_bytes(content)
+            _overwrite(p, content)
         os.chmod(p, stat.S_IMODE(mode))
 
     def state_token(self, rel: str):
@@ -363,10 +386,10 @@ class Store:
         """Write ``.pkgdb/<name>``, making missing parents."""
         p = self._db / name
         try:
-            p.write_bytes(data)
+            _overwrite(p, data)
         except FileNotFoundError:  # parents are made once, not checked on every write
             p.parent.mkdir(parents=True, exist_ok=True)
-            p.write_bytes(data)
+            _overwrite(p, data)
 
     @property
     def status_path(self) -> Path:

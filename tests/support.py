@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import errno
+import os
 import random
 import shutil
 from pathlib import Path
@@ -82,6 +85,24 @@ def copy_store(store: Store, dest: Path) -> Store:
         shutil.rmtree(dest)
     shutil.copytree(store.root, dest)
     return Store(dest, preserve=store.preserve)
+
+
+@contextlib.contextmanager
+def disk_full_halfway():
+    """Within the block, the first ``os.write`` writes the first half of its
+    bytes and the second fails with ENOSPC, so the first file write of
+    ``Store.put`` or ``Store.save`` leaves half its bytes in place and raises,
+    as on a disk that fills part-way.  Later writes go through."""
+    real, calls = os.write, []
+
+    def write(fd, data):
+        calls.append(fd)
+        if len(calls) == 2:
+            raise OSError(errno.ENOSPC, "disk full")
+        return real(fd, data[:len(data) // 2] if len(calls) == 1 else data)
+
+    with mock.patch.object(os, "write", write):
+        yield
 
 
 def commit_untrimmed(txn) -> int:

@@ -298,21 +298,13 @@ class Lifecycle(RuleBasedStateMachine):
         for op in ops:
             self._run(txn, op)
 
-        def half_write(path, content):
-            with open(path, "wb") as fh:
-                fh.write(content[:len(content) // 2])
-            raise OSError("disk full")
-
         would_write = dict(self.tree)
         try:
             model_op(would_write, ("write", rel, data, None))
         except OSError:
             would_write = self.tree
-        with mock.patch.object(Path, "write_bytes", half_write):
-            try:
-                txn.write_through(rel, data)
-            except OSError:
-                pass
+        with support.disk_full_halfway(), pytest.raises(OSError):
+            txn.write_through(rel, data)
         # the torn write leaves ``rel`` and its new parents in some state
         torn = disk_tree(self.store.root)
         assert changed(would_write, torn) <= {rel}

@@ -3,10 +3,12 @@
 import errno
 import fnmatch
 import hashlib
+import io
 import json
 import os
 import random
 import re
+import stat
 import struct
 import time
 from pathlib import Path
@@ -210,6 +212,57 @@ def test_rollback_skips_a_created_directory_it_cannot_remove(store, monkeypatch)
     assert txn.rollback() == ["opt/d", "opt"]
     assert store.read("etc/motd") == b"welcome\n"
     assert not store.lock_path.exists()
+
+
+# --- the write rule of put and save ----------------------------------------------
+
+
+def _record_opens(m) -> list[tuple[str, bool]]:
+    """``(path, truncates)`` for each file opened by ``os.open`` or ``io.open``
+    (``Path.open`` included) while ``m`` is active."""
+    opened = []
+    os_open, io_open = os.open, io.open
+
+    def record_os(path, flags, *args, **kwargs):
+        opened.append((str(path), bool(flags & os.O_TRUNC)))
+        return os_open(path, flags, *args, **kwargs)
+
+    def record_io(file, mode="r", *args, **kwargs):
+        opened.append((str(file), "w" in mode))
+        return io_open(file, mode, *args, **kwargs)
+
+    m.setattr(os, "open", record_os)
+    m.setattr(io, "open", record_io)
+    return opened
+
+
+@pytest.mark.parametrize("new", [b"short", b"twelve BYTES", b"more than twelve bytes", b""],
+                         ids=["shorter", "equal", "longer", "empty"])
+@pytest.mark.parametrize("old", [b"twelve bytes", None], ids=["overwrite", "create"])
+@pytest.mark.parametrize("writer", ["put", "save"])
+def test_a_file_is_written_in_place_and_never_opened_truncating(store, monkeypatch,
+                                                                 writer, old, new):
+    if writer == "put":
+        path = store.root / "etc" / "rule"
+        write = lambda: store.put("etc/rule", ("file", new, stat.S_IFREG | 0o640))
+    else:  # an absent .pkgdb makes save's first open fail, and it makes the parents
+        path = store.root / ".pkgdb" / "rule"
+        write = lambda: store.save("rule", new)
+    if old is not None:
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes(old)
+        inode = path.stat().st_ino
+    with monkeypatch.context() as m:
+        opened = _record_opens(m)
+        write()
+    assert path.read_bytes() == new
+    if old is not None:
+        assert path.stat().st_ino == inode
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(path.stat().st_mode) == (0o640 if writer == "put" else 0o666 & ~umask)
+    assert (str(path), False) in opened
+    assert not any(truncates for _path, truncates in opened), opened
 
 
 # --- commit and trim --------------------------------------------------------------
@@ -637,13 +690,7 @@ def _read_listing(data: bytes) -> dict[str, str]:
     return out
 
 
-def _half_write(path, data):
-    with open(path, "wb") as fh:
-        fh.write(data[:len(data) // 2])
-    raise OSError("disk full")
-
-
-def _memo_step(rng, txn, monkeypatch):
+def _memo_step(rng, txn):
     roll = rng.random()
     rel = rng.choice(MEMO_FILES)
     if roll < 0.35:
@@ -665,21 +712,19 @@ def _memo_step(rng, txn, monkeypatch):
         except OSError:
             pass
     elif roll < 0.8:
-        with monkeypatch.context() as m:
-            m.setattr(Path, "write_bytes", _half_write)
-            with pytest.raises(OSError):
-                txn.write_through(rel, rng.randbytes(8))
+        with support.disk_full_halfway(), pytest.raises(OSError):
+            txn.write_through(rel, rng.randbytes(8))
     else:
         pattern = rng.choice(MEMO_GLOBS)
         txn.write_through(MEMO_CACHE, compute_cache(txn, MEMO_CACHE, pattern))
 
 
-def test_memo_matches_the_disk_after_every_mutation(store, monkeypatch):
+def test_memo_matches_the_disk_after_every_mutation(store):
     rng = random.Random(11)
     for _ in range(200):
         txn = store.begin()
         for _ in range(rng.randint(1, 8)):
-            _memo_step(rng, txn, monkeypatch)
+            _memo_step(rng, txn)
             disk = _disk_files(store.root)
             files = [rel for rel, kind in store.walk() if kind == "file"]
             assert txn.walk_files() == files == sorted(disk)
@@ -784,7 +829,7 @@ def test_index_matches_the_disk_across_transactions_and_hand_edits(store, tmp_pa
         txn = store.begin()
         for step in range(rng.randint(0, 4) + 1):
             if step:
-                _memo_step(rng, txn, monkeypatch)
+                _memo_step(rng, txn)
             for pattern in INDEX_GLOBS:
                 assert compute_cache(txn, MEMO_CACHE, pattern) == _listing(
                     store.root, MEMO_CACHE, pattern), pattern

@@ -10,11 +10,13 @@ checks the directory a listing starts from) maps a package-visible path to
 disk with ``resolve``, so a no-follow resolution has one place to go.  Only
 ``Transaction._set`` calls ``Store.put``, so every write of the root, the
 restores of both rollbacks included, is journaled first, and an overlay has
-one write to take over.  Only the two seams, ``tree_hash`` and the lock in
-``begin`` read or write a file at all, so every file under ``.pkgdb`` goes
-through ``Store.load`` and ``save``, where an atomic write or an overlay has
-one place to go; ``confmerge`` reads or writes no file itself.  Only ``txn``
-names the pristine index and objects, so their format has one home.  Only
+one write to take over.  Only the two seams, ``tree_hash``, the lock in
+``begin`` and ``_overwrite``, the one file write, which only ``put`` and
+``save`` call, read or write a file at all, so every file under ``.pkgdb``
+goes through ``Store.load`` and ``save``, where an atomic write or an
+overlay has one place to go, and every file write follows one rule;
+``confmerge`` reads or writes no file itself.  Only ``txn`` names the
+pristine index and objects, so their format has one home.  Only
 ``Transaction._close`` saves a transaction's engine state (the status, the
 pristine files and the record's parts), so all of it is written with the
 record, before the rename that puts the record in place.  Only
@@ -33,7 +35,8 @@ SURFACE = {"state", "walk_files", "digest", "write_through", "mkdir", "rmdir",
            "add_pristine", "set_status", "commit", "rollback"}
 SEAM = {"state", "put", "read", "scan"}
 FILE_IO = {"read_bytes", "write_bytes", "read_text", "write_text", "open"}
-FILE_SEAM = SEAM | {"load", "save", "tree_hash", "begin"}
+FILE_SEAM = SEAM | {"load", "save", "tree_hash", "begin", "_overwrite"}
+WRITERS = {"put", "save"}  # the only callers of ``_overwrite``, the one file write
 ENGINE_STATE = ("status", "pristine/", "history/")
 
 
@@ -125,6 +128,10 @@ def test_detector_reports_resolve_outside_the_seam(tmp_path):
 def test_only_the_seams_touch_files():
     assert callers(SRC / "txn.py", FILE_IO, FILE_SEAM) == []
     assert callers(SRC / "confmerge.py", FILE_IO) == []
+    assert {call.split()[1] for call in callers(SRC / "txn.py", {"_overwrite"})} == WRITERS
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "txn.py":
+            assert callers(path, {"_overwrite"}) == [], path.name
 
 
 def test_detector_reports_file_io_outside_the_seams(tmp_path):
@@ -136,9 +143,17 @@ def test_detector_reports_file_io_outside_the_seams(tmp_path):
         "        (self.db / 'meta').write_text('{}')\n"
         "        with open(self.db / 'index', 'a') as fh:\n"
         "            fh.write('x')\n"
-        "        os.open(self.db / 'lock', 0)\n")
+        "        os.open(self.db / 'lock', 0)\n"
+        "    def save(self, name, data):\n"
+        "        _overwrite(self.db / name, data)\n"
+        "    def _close(self):\n"
+        "        _overwrite(self.db / 'meta', b'{}')\n"
+        "def _overwrite(path, data):\n"
+        "    fd = os.open(path, 0)\n")
     assert callers(tmp_path / "m.py", FILE_IO, FILE_SEAM) == ["5 commit", "6 commit", "8 commit"]
-    assert callers(tmp_path / "m.py", FILE_IO) == ["3 load", "5 commit", "6 commit", "8 commit"]
+    assert callers(tmp_path / "m.py", FILE_IO) == [
+        "14 _overwrite", "3 load", "5 commit", "6 commit", "8 commit"]
+    assert callers(tmp_path / "m.py", {"_overwrite"}, WRITERS) == ["12 _close"]
 
 
 def state_writers(path: Path) -> list[str]:
