@@ -16,6 +16,11 @@ input or configuration, 3 script failure during apply (store restored),
 4 I/O failure during apply or rollback (store restored, unless the rollback
 itself failed, which the report says).  ``--json``
 switches reports to machine-readable records.
+
+``check``, ``solve`` and ``apply`` with a ``--root`` load the universe from
+the root's ``.pkgdb/universe`` when it holds one for these ``Packages``
+bytes, and parse ``Packages`` otherwise.  Only an ``apply`` that parsed
+and committed a transaction writes that blob; deleting it is always safe.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from .txn import (
     Store,
     StoreError,
 )
-from .universe import MetadataError, decode_text, parse_universe
+from .universe import MetadataError, decode_text, dump, load, parse_universe
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -111,6 +116,8 @@ def _store(args) -> Store:
 
 
 def _repo_universe(args):
+    """The repository, its universe, and the ``Packages`` bytes when they were
+    parsed (None when the root's ``.pkgdb/universe`` blob held them)."""
     if not args.repo:
         raise ConfigError("--repo is required for this command")
     repo = Path(args.repo)
@@ -121,7 +128,17 @@ def _repo_universe(args):
     index = repo / "Packages"
     if not index.is_file():
         raise ConfigError(f"repo has no Packages file: {index}")
-    return repo, parse_universe(decode_text(index.read_bytes(), index))
+    data = index.read_bytes()
+    blob = None
+    if args.root:
+        try:  # a root that is no directory, or an unreadable blob, is a miss
+            blob = Store(args.root).load("universe")
+        except StoreError:
+            pass
+    universe = None if blob is None else load(blob, data)
+    if universe is not None:
+        return repo, universe, None
+    return repo, parse_universe(decode_text(data, index)), data
 
 
 def _emit(args, report: dict, text: str) -> None:
@@ -132,7 +149,7 @@ def _emit(args, report: dict, text: str) -> None:
 
 
 def cmd_check(args) -> int:
-    _repo, universe = _repo_universe(args)
+    _repo, universe, _parsed = _repo_universe(args)
     results = health_check(universe)
     broken = [(pid, verdict) for pid, verdict in results if not verdict.ok]
     lines = [f"broken: {pid}: {verdict.violations[0].witness}" for pid, verdict in broken]
@@ -145,16 +162,16 @@ def cmd_check(args) -> int:
 
 
 def _make_plan(args):
-    repo, universe = _repo_universe(args)
+    repo, universe, parsed = _repo_universe(args)
     store = _store(args)
     status = store.load_status(universe)
     request = parse_request(args.request)
     spec = parse_prefs(args.prefs)
-    return repo, universe, store, plan(universe, status, request, spec)
+    return repo, universe, parsed, store, plan(universe, status, request, spec)
 
 
 def cmd_solve(args) -> int:
-    _repo, _universe, _store_, plan_ = _make_plan(args)
+    _repo, _universe, _parsed, _store_, plan_ = _make_plan(args)
     diff = plan_.diff
     transcript = simulate(plan_)
     _emit(args, {"result": "plan",
@@ -170,8 +187,13 @@ def cmd_apply(args) -> int:
         raise ConfigError(f"--keep must be non-negative, got {args.keep}")
     if args.dry_run:
         return cmd_solve(args)
-    repo, _universe, store, plan_ = _make_plan(args)
+    repo, universe, parsed, store, plan_ = _make_plan(args)
     outcome = execute_plan(plan_, store, repo, purge=args.purge)
+    if outcome.result == "success" and outcome.history_id is not None and parsed is not None:
+        try:  # the commit made .pkgdb; a blob that fails to save reads as a miss
+            store.save("universe", dump(universe, parsed))
+        except OSError:
+            pass
     if outcome.result == "success" and args.keep is not None:
         store.prune_history(args.keep)
     report = {

@@ -308,10 +308,10 @@ def _installable(cnf: Cnf, goals: list[PackageId]) -> set[PackageId]:
 
     - a pass is one goal-directed solve that tries the open goals in order,
       each on top of the trail the earlier ones left.  Its model proves its
-      members.  The encoding has no positive-only clause, so the pass
-      decides its first goal first (unless the root level makes it false),
-      and that goal is settled: it is broken exactly when it is not in the
-      model;
+      members.  The encoding has no positive-only clause, so until the pass
+      takes a goal, its trail holds only consequences of the clauses (the
+      root level and the flips of lost goals), and a goal lost there is in
+      no model: every goal before the model's first member is broken;
     - pass 1 takes every goal, and pass 2 those pass 1 left open.  Versions
       of one name conflict, so pass 1 takes one version of most names and
       pass 2 the other;
@@ -326,8 +326,10 @@ def _installable(cnf: Cnf, goals: list[PackageId]) -> set[PackageId]:
     for _pass in range(2):
         if not open_goals:
             break
-        proven.update(solver.solve(goals=open_goals))
-        open_goals = [var for var in open_goals[1:] if var not in proven]
+        model = solver.solve(goals=open_goals)
+        proven.update(model)
+        first = next((i for i, var in enumerate(open_goals) if var in model), len(open_goals))
+        open_goals = [var for var in open_goals[first:] if var not in proven]
     for var in open_goals:
         if var not in proven:
             proven.update(solver.solve(assumptions=(var,)) or ())

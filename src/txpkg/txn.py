@@ -11,10 +11,11 @@ bits set.  Links in parent components are followed.  ``Store.scan(prefix)``
 lists the directory a prefix names in one ``os.scandir`` pass.  Only
 ``state``, ``put``, ``read`` and ``scan`` map a path to disk, through
 ``Store.resolve``.
-``Store.load(name)`` and ``Store.save(name, data)`` read (None when absent)
-and write the engine state under ``.pkgdb``.  ``put`` and ``save`` write a
-file by one rule, ``_overwrite``: open it without ``O_TRUNC``, write the
-bytes in place and ``ftruncate`` it to their length.  On ext4, whose default
+``Store.load(name)`` and ``Store.save(name, data)`` read (None when absent,
+``UnreadableState`` when unreadable) and write the engine state under
+``.pkgdb``.  ``put`` and ``save`` write a file by one rule, ``_overwrite``:
+open it without ``O_TRUNC``, write the bytes in place and ``ftruncate`` it
+to their length.  On ext4, whose default
 ``auto_da_alloc`` starts the writeback of a file truncated to zero and
 written again when it is closed, a truncating overwrite costs many times
 more.  Failure semantics are those of a truncating write: one that fails
@@ -88,6 +89,7 @@ __all__ = [
     "DB_DIR",
     "DEFAULT_PRESERVE",
     "StoreError",
+    "UnreadableState",
     "AlreadyLocked",
     "PathEscape",
     "CorruptedJournal",
@@ -114,6 +116,11 @@ _PRISTINE_FIELDS = (("pkg", str), ("path", str), ("sha", str), ("txn", int))
 
 class StoreError(Exception):
     """Base class for store and transaction failures."""
+
+
+class UnreadableState(StoreError, OSError):
+    """A file of engine state that exists but cannot be read; it is an
+    OSError too, so the callers that read an I/O failure still do."""
 
 
 class AlreadyLocked(StoreError):
@@ -376,11 +383,14 @@ class Store:
     # -- engine state ----------------------------------------------------
 
     def load(self, name: str) -> bytes | None:
-        """The bytes of ``.pkgdb/<name>``, or None when it is absent."""
+        """The bytes of ``.pkgdb/<name>``, or None when it is absent;
+        :class:`UnreadableState` naming the path when it cannot be read."""
         try:
             return (self._db / name).read_bytes()
         except FileNotFoundError:
             return None
+        except OSError as e:
+            raise UnreadableState(f"cannot read {DB_DIR}/{name}: {e.strerror or e}") from None
 
     def save(self, name: str, data: bytes) -> None:
         """Write ``.pkgdb/<name>``, making missing parents."""

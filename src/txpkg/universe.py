@@ -14,11 +14,15 @@ in the optimiser's bound, for one name's states.
 ``derive_owned`` is the one rule of path ownership: a status may not install
 two packages that ship one path.  Reading a status file and executing a plan
 both apply it, the latter to the plan's final status before the root is
-touched.
+touched.  ``dump`` and ``load`` are the one codec of a parsed universe, the
+blob the CLI caches in ``.pkgdb/universe``: it is keyed by ``_CODEC`` and
+the SHA-256 of the ``Packages`` bytes, and ``load`` reads any other as None.
 """
 
 from __future__ import annotations
 
+import hashlib
+import marshal
 import re
 from dataclasses import dataclass
 from functools import total_ordering
@@ -695,6 +699,64 @@ def parse_universe(text: str) -> Universe:
             conffile_syntax=syntax, **scripts,
         ))
     return Universe(packages)
+
+
+#: The cache codec's version: bump it when a parse of the same text would
+#: build another universe, so that older blobs read as misses.
+_CODEC = b"txpkg-universe 1\n"
+
+
+def dump(universe: Universe, packages: bytes) -> bytes:
+    """``universe``, parsed from the bytes ``packages``, as a blob: ``_CODEC``,
+    the SHA-256 of ``packages`` and of the body, then the body, marshalled
+    tuples of str, int and None: the raw versions, the atoms as ``(name, op,
+    version index)`` and one row per package in :class:`Package` field order."""
+    versions: dict[str, int] = {}
+    atoms: dict[tuple, int] = {}
+
+    def version(v: Version | None) -> int | None:
+        return None if v is None else versions.setdefault(v.raw, len(versions))
+
+    def atom(a: Atom) -> int:
+        c = a.constraint
+        key = (a.name, None, None) if c is None else (a.name, c.op, version(c.version))
+        return atoms.setdefault(key, len(atoms))
+
+    rows = tuple(((p.name, version(p.version)),
+                  (tuple(tuple(map(atom, clause)) for clause in p.rel.depends),
+                   tuple(map(atom, p.rel.conflicts)),
+                   tuple((f.name, version(f.version)) for f in p.rel.provides)),
+                  p.size_kb, p.maintainer, p.files, tuple(sorted(p.conffiles)),
+                  p.preinst, p.postinst, p.prerm, p.postrm, p.conffile_syntax)
+                 for p in universe)
+    body = marshal.dumps((tuple(versions), tuple(atoms), rows))
+    return _CODEC + hashlib.sha256(packages).digest() + hashlib.sha256(body).digest() + body
+
+
+def load(blob: bytes, packages: bytes) -> Universe | None:
+    """The universe :func:`dump` stored in ``blob`` for the bytes ``packages``,
+    building each version and atom once; None for another codec version or
+    other bytes, or a blob that is short, damaged or does not decode."""
+    body = memoryview(blob)[len(_CODEC) + 64:]
+    if blob[:len(_CODEC) + 64] != (_CODEC + hashlib.sha256(packages).digest()
+                                   + hashlib.sha256(body).digest()):
+        return None
+    try:
+        raws, atom_rows, rows = marshal.loads(body)
+        versions = [Version(raw) for raw in raws]
+        atoms = [Atom(name) if op is None else Atom(name, VersionConstraint(op, versions[v]))
+                 for name, op, v in atom_rows]
+        return Universe(
+            Package(PackageId(name, versions[v]),
+                    Relationship(tuple(tuple(atoms[i] for i in clause) for clause in depends),
+                                 tuple(atoms[i] for i in conflicts),
+                                 tuple(Provide(feature, None if pv is None else versions[pv])
+                                       for feature, pv in provides)),
+                    size, maintainer, files, frozenset(conffiles), *rest)
+            for (name, v), (depends, conflicts, provides), size, maintainer, files, conffiles, *rest
+            in rows)
+    except Exception:  # the digests match: a blob of another writer (or Python)
+        return None
 
 
 def _render_clause(clause: tuple[Atom, ...]) -> str:

@@ -475,25 +475,31 @@ def test_health_check_solves_once_per_closure(monkeypatch, name):
 
 
 def test_health_check_tries_each_package_at_most_three_times(monkeypatch):
-    # every badK needs clash, and clash conflicts with every lib that badK's
-    # alternative could take, so a pass settles at most the one badK it tries
-    # first.  Two passes and then one solve per badK take 67,844 enqueues (one
-    # solve per package that no earlier model holds took 74,606); passes
-    # repeated until every goal is settled would take about 200 passes over
-    # the badKs.
+    # every badK needs clash and a lib, and every lib conflicts with clash, so
+    # the badKs are broken.  They come first, and pass 1 loses each of them
+    # before it takes any goal, which settles them.  Each aK needs azK, which
+    # conflicts with ayK, so it needs axK, and the axK conflict pairwise: a
+    # pass takes one aK and loses the others, and they are left to one solve
+    # each.  That takes 3,277 enqueues.  Solving alone every badK but the
+    # first took 4,853, and passes repeated until every goal is settled take
+    # one pass per aK, 6,792.
     libs = " | ".join(f"lib{i}" for i in range(5))
+    rivals = ", ".join(f"ax{k}" for k in range(40))
     u = parse_universe("\n".join(
         ["Package: clash\nVersion: 1\n"]
         + [f"Package: lib{i}\nVersion: 1\nConflicts: clash\n" for i in range(5)]
-        + [f"Package: bad{k}\nVersion: 1\nDepends: clash, {libs}\n" for k in range(200)]
-        + [f"Package: good{k}\nVersion: 1\nDepends: lib{k % 5}\n" for k in range(200)]))
-    assert len(u) == 406
+        + [f"Package: bad{k}\nVersion: 1\nDepends: clash, {libs}\n" for k in range(100)]
+        + [f"Package: a{k}\nVersion: 1\nDepends: ax{k} | ay{k}, az{k}\n\n"
+           f"Package: ax{k}\nVersion: 1\nConflicts: {rivals}\n\n"
+           f"Package: ay{k}\nVersion: 1\n\n"
+           f"Package: az{k}\nVersion: 1\nConflicts: ay{k}\n" for k in range(40)]))
+    assert len(u) == 266
     enqueues = count_enqueues(monkeypatch)
     results = health_check(u)
-    assert enqueues[0] <= 74_606
+    assert enqueues[0] <= 3_277
     assert results == reference_health_check(u)
     assert {pid.name for pid, verdict in results if not verdict.ok} == {
-        f"bad{k}" for k in range(200)}
+        f"bad{k}" for k in range(100)}
 
 
 # Shapes that random universes rarely hold, each against the model memo.
