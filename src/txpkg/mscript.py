@@ -32,12 +32,15 @@ each writes only when the state differs.  ``undo`` has one rule for every
 primitive: walking the log in reverse, it puts each target back as it was
 and removes the directories the step created, so execute-then-undo restores
 the pre-execution store byte for byte.  Every step reads the store only
-through the open transaction's ``state`` (plus ``walk_files``/``digest`` for
+through the open transaction's ``state`` (plus ``render_files`` for
 ``update-cache``, which lists only the directory its glob's literal prefix
 names, once per transaction, and reads a file only when its stat moved since
 a transaction last hashed it) and mutates it only through ``write_through``,
 ``mkdir`` and ``rmdir``, so a journal rollback is always an equivalent
-alternative to compensation.
+alternative to compensation.  A later ``update-cache`` of the same cache and
+glob in a transaction matches and digests again only the files written under
+the glob's prefix since, and links and hard-linked files; it keeps the other
+lines.
 """
 
 from __future__ import annotations
@@ -203,15 +206,19 @@ def compute_cache(txn: Transaction, cache_path: str, pattern: str) -> bytes:
     has those written as ``\\\\`` and ``\\n``.  The cache file itself never
     matches its own glob.  Only the directory named by the glob's literal
     prefix (up to its last "/" before the first ``*``, ``?`` or ``[``) is
-    listed: no file outside it can match."""
+    listed: no file outside it can match.  The glob is matched by the
+    regex ``fnmatch.fnmatchcase`` uses, compiled once per call."""
     literal = _GLOB_SPECIAL.split(pattern, 1)[0]
-    lines = []
-    for rel in txn.walk_files(literal[:literal.rfind("/") + 1]):
-        if rel == cache_path or not fnmatch.fnmatchcase(rel, pattern):
-            continue
+    match = re.compile(fnmatch.translate(pattern)).match
+
+    def line(rel, digest):
+        if rel == cache_path or not match(rel):
+            return ""
         name = rel.replace("\\", "\\\\").replace("\n", "\\n")
-        lines.append(("" if name == rel else "\\") + f"{name} {txn.digest(rel)}\n")
-    return "".join(lines).encode("utf-8", "surrogateescape")
+        return ("" if name == rel else "\\") + f"{name} {digest(rel)}\n"
+
+    text = txn.render_files(literal[:literal.rfind("/") + 1], (cache_path, pattern), line)
+    return text.encode("utf-8", "surrogateescape")
 
 
 def _parse_users(pre: bytes | None) -> set[str]:

@@ -28,28 +28,34 @@ rename that puts a record in place, the move into ``archive/`` and
 ``prune_history``); and ``Store.tree_hash``, the oracles' own reading.
 
 An open :class:`Transaction` is the engine's one window on the root: its
-reads ``state``, ``walk_files(prefix)`` and ``digest`` (the last two
-memoized per transaction, a listing per prefix, which a link placed in the
-root by hand can make stale), and its mutations ``write_through``,
+reads ``state`` and ``render_files``, and its mutations ``write_through``,
 ``mkdir`` and ``rmdir``, which share one step with every restore, ``_set``:
 journal the path's state on first touch, ``put`` the new one, keep every
-memo current.  ``set_status`` and ``add_pristine`` queue engine state;
+memo current.  ``render_files`` is memoised per transaction: a sorted
+listing per prefix (``walk_files``; a link placed in the root by hand can
+make it stale), a sha per file (``digest``) and per ``(prefix, key)`` each
+file's line, where ``_set`` records the paths it touches, so a later call
+renders again only those, and the files ``digest`` does not memoise.
+``set_status`` and ``add_pristine`` queue engine state;
 ``pristine`` (a :class:`PristineStore`) parses the conffile archive's index
-on first use.  Only this module reads or writes that index, with one parser
-and one serializer.
+on first use and keeps each record's line as read, so ``_close`` writes
+kept lines verbatim and serialises only new snapshots.  Only this module
+reads or writes that index, with one parser and one serializer.
 
-``digest`` also keeps shas across transactions, in ``.pkgdb/digests``: a
-JSON object from path to ``[st_dev, st_ino, size, mtime_ns, ctime_ns,
-sha]``, the key from a stat that follows links (the listing's
-``os.DirEntry``), taken before the read.  It is loaded on the first
-``digest`` and rewritten by ``_close`` with only the entries the
+``digest`` also keeps shas across transactions, in ``.pkgdb/digests``:
+``_DIGESTS_CODEC``, the SHA-256 of the body, then the body, a marshalled
+dict from path to ``(st_dev, st_ino, size, mtime_ns, ctime_ns, sha)``,
+the key from the ``lstat`` of the listing's ``os.DirEntry``, taken before
+the read.  The body's digest is checked before ``marshal``
+reads it, since ``marshal`` trusts the sizes it reads.  It is loaded on
+the first ``digest`` and rewritten by ``_close`` with only the entries the
 transaction confirmed or hashed, so a deleted file leaves it.  Git's
 racy-entry rule guards it: an entry is stored and trusted only when the
 file is on the lock file's device and both its times are strictly older
 than the lock's ctime, the filesystem's time when ``begin`` made the lock.
 Any write of a file, through a hard link or a link to it included, moves
-its ctime, so it is read again.  The index is only a cache: a damaged one
-means hashing again, never an error.
+its ctime, so it is read again.  The index is only a cache: a damaged one,
+or one in another format, means hashing again, never an error.
 
 Every transaction id ends in one record, the directory ``history/<id>``
 named ``str(id)`` as ``serial`` holds it (``_id_of`` alone reads an id),
@@ -72,9 +78,11 @@ digest (hex SHA-256); the conffile and script modules import it from here.
 
 from __future__ import annotations
 
+import bisect
 import fnmatch
 import hashlib
 import json
+import marshal
 import os
 import shutil
 import stat
@@ -107,6 +115,7 @@ DB_DIR = RESERVED_DIR
 DEFAULT_PRESERVE = ("var/log/**", "home/**")
 
 _JOURNAL_MAGIC = b"TXJL1\n"
+_DIGESTS_CODEC = b"txpkg-digests 1\n"
 
 _FILE_MODE = 0o644
 _DIR_MODE = 0o755
@@ -233,21 +242,32 @@ def _overwrite(path: Path, data: bytes) -> None:
         os.close(fd)
 
 
-def _pristine_load(data: bytes) -> list[dict]:
-    """The pristine index's records: each line a JSON object with ``pkg``,
-    ``path`` and ``sha`` strings and a ``txn`` int."""
+def _pristine_load(data: bytes) -> tuple[list[dict], list[str]]:
+    """The pristine index's records and their lines as read: each line a
+    JSON object with ``pkg``, ``path`` and ``sha`` strings and a ``txn`` int."""
     try:
-        records = [json.loads(line) for line in data.decode("utf-8").splitlines() if line.strip()]
+        lines = [line for line in data.decode("utf-8").splitlines() if line.strip()]
+        records = [json.loads(line) for line in lines]
         if not all(type(r) is dict and all(type(r.get(k)) is t for k, t in _PRISTINE_FIELDS)
                    for r in records):
             raise ValueError("a record needs pkg, path and sha strings and a txn int")
     except (ValueError, RecursionError) as e:
         raise ConfmergeError(f"pristine index unreadable: {e}") from None
-    return records
+    return records, lines
 
 
-def _pristine_dump(records) -> bytes:
-    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records).encode()
+def _pristine_dump(lines, records=()) -> bytes:
+    """The pristine index holding ``lines`` as read, then a line per new
+    record, ``json.dumps(record, sort_keys=True)``."""
+    new = [json.dumps(r, sort_keys=True) for r in records]
+    return "".join(line + "\n" for line in [*lines, *new]).encode()
+
+
+def _find(files: list[str], rel: str) -> tuple[int, bool]:
+    """Where ``rel`` stands or would stand in the sorted list ``files``, and
+    whether it is there."""
+    i = bisect.bisect_left(files, rel)
+    return i, i < len(files) and files[i] == rel
 
 
 def _id_of(text: str) -> int | None:
@@ -575,12 +595,17 @@ class PristineStore:
     def __init__(self, store: Store):
         self._store = store
         self._records: list[dict] | None = None
+        self._lines: list[str] = []  # each record's line as read
 
     def records(self) -> list[dict]:
         """Every index record, oldest first; ConfmergeError when unreadable."""
         if self._records is None:
-            self._records = _pristine_load(self._store.load("pristine/index") or b"")
+            self._records, self._lines = _pristine_load(self._store.load("pristine/index") or b"")
         return self._records
+
+    def held(self) -> list[tuple[dict, str]]:
+        """Every index record with its line as read, oldest first."""
+        return list(zip(self.records(), self._lines))
 
     def entries(self, pkg_name: str, path: str) -> list[dict]:
         return [r for r in self.records() if r["pkg"] == pkg_name and r["path"] == path]
@@ -627,9 +652,11 @@ class Transaction:
         self._undone: set[int] = set()  # ids whose index lines rollback_to drops
         self._written: set[str] = set()  # what a failed commit wrote, for its abort
         self._opened = opened  # the lock file's key, for _settled
-        self._listings: dict[str, set[str]] = {}  # prefix -> the files under it
+        self._listings: dict[str, list[str]] = {}  # prefix -> the files under it, sorted
         self._entries: dict[str, os.DirEntry] = {}  # path -> its listing's entry
         self._digests: dict[str, tuple] = {}  # path -> (settled key or None, sha)
+        # (prefix, key) -> (path -> rendered line, the paths to render again)
+        self._caches: dict[tuple, tuple[dict[str, str], set[str]]] = {}
         self._index: dict | None = None  # .pkgdb/digests as read, on first use
 
     # -- reads -------------------------------------------------------------
@@ -646,8 +673,27 @@ class Transaction:
         if files is None:
             entries = {rel: entry for rel, is_dir, entry in self.store.scan(prefix) if not is_dir}
             self._entries.update(entries)
-            files = self._listings[prefix] = set(entries)
-        return sorted(files)
+            files = self._listings[prefix] = sorted(entries)
+        return list(files)
+
+    def render_files(self, prefix: str, key, render) -> str:
+        """``render(rel, digest)`` joined over ``walk_files(prefix)``, where
+        ``digest`` is :meth:`digest` and ``render`` returns "" for a file it
+        skips.  A later call with the same ``prefix`` and ``key`` in this
+        transaction keeps every line but those of the paths ``_set`` touched
+        under ``prefix`` since, and of the files whose ``digest`` is not
+        memoised; ``render`` must give a file one line while its content
+        does not change."""
+        files = self.walk_files(prefix)
+        lines, stale = self._caches.pop((prefix, key), ({}, None))  # dropped if render raises
+        redo = files if stale is None else [rel for rel in stale if _find(files, rel)[1]]
+        volatile = set()
+        for rel in redo:
+            line = lines[rel] = render(rel, self.digest)
+            if line and rel not in self._digests:
+                volatile.add(rel)
+        self._caches[prefix, key] = lines, volatile
+        return "".join(map(lines.__getitem__, files))
 
     def digest(self, rel: str) -> str:
         """``_sha`` of a file's content, found once per open transaction
@@ -677,7 +723,7 @@ class Transaction:
         if not self._settled(key):
             return None, _sha(self.store.read(rel))
         known = index.get(rel)
-        if (type(known) is list and len(known) == 6 and known[:5] == list(key)
+        if (type(known) is tuple and len(known) == 6 and known[:5] == key
                 and type(known[5]) is str):
             return key, known[5]
         return key, _sha(self.store.read(rel))
@@ -690,15 +736,23 @@ class Transaction:
 
     def _load_index(self) -> dict:
         if self._index is None:
-            try:
-                index = json.loads(self.store.load("digests") or b"{}")
-            except (OSError, ValueError, RecursionError):  # the index is only a cache
-                index = {}
+            try:  # the index is only a cache
+                data = self.store.load("digests") or b""
+            except OSError:
+                data = b""
+            head = len(_DIGESTS_CODEC) + 32
+            body = memoryview(data)[head:]
+            index = None
+            if data[:head] == _DIGESTS_CODEC + hashlib.sha256(body).digest():
+                try:  # marshal trusts the sizes it reads: the body is checked first
+                    index = marshal.loads(body)
+                except (ValueError, EOFError, TypeError):  # not written by this Python
+                    pass
             self._index = index if type(index) is dict else {}
         return self._index
 
     def _forget(self) -> None:
-        self._listings, self._entries, self._digests = {}, {}, {}
+        self._listings, self._entries, self._digests, self._caches = {}, {}, {}, {}
 
     # -- journaled mutations ------------------------------------------------
 
@@ -717,12 +771,17 @@ class Transaction:
         self._digests.pop(rel, None)
         self._entries.pop(rel, None)
         # a put that raises part-way may have changed the disk: list it again
-        listings, self._listings = self._listings, {}
+        listings, caches = self._listings, self._caches
+        self._listings, self._caches = {}, {}
         self.store.put(rel, new)
         for prefix, files in listings.items():
             if rel.startswith(prefix):
-                (files.add if new[0] == "file" else files.discard)(rel)
-        self._listings = listings
+                i, listed = _find(files, rel)  # insert, keep or drop it in place
+                files[i:i + listed] = [rel] if new[0] == "file" else []
+        for (prefix, _key), (_lines, redo) in caches.items():
+            if rel.startswith(prefix):
+                redo.add(rel)
+        self._listings, self._caches = listings, caches
 
     def write_through(self, rel: str, data: bytes | None, mode: int | None = None) -> list[str]:
         """Write ``data`` to a file, creating it and its missing parent
@@ -836,7 +895,7 @@ class Transaction:
         is read once, for both the trim and ``post``.  The lock is released in
         a ``finally``, unless a commit's record failed: that transaction stays
         open for its rollback."""
-        indexed = {rel: [*key, sha] for rel, (key, sha) in self._digests.items()
+        indexed = {rel: (*key, sha) for rel, (key, sha) in self._digests.items()
                    if key is not None}
         self._forget()
         partial = self.store.history_dir / f".{self.id}.partial"
@@ -849,8 +908,10 @@ class Transaction:
             info = {"timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
                     "request": "", **meta}
             if self._index is not None:
+                body = marshal.dumps(indexed)
                 try:
-                    self.store.save("digests", json.dumps(indexed).encode())
+                    self.store.save("digests",
+                                    _DIGESTS_CODEC + hashlib.sha256(body).digest() + body)
                 except OSError:  # the index is only a cache
                     pass
             part = f"history/{partial.name}/"
@@ -858,24 +919,24 @@ class Transaction:
                      part + "post": json.dumps(post, sort_keys=True, indent=0).encode(),
                      part + "meta": json.dumps(info, sort_keys=True, indent=0).encode()}
             if phase == "committed":
-                held = self.pristine.records() if self._snapshots or self._undone else []
-                dropped = [r for r in held if r["txn"] in self._undone]
+                held = self.pristine.held() if self._snapshots or self._undone else []
+                dropped = [line for r, line in held if r["txn"] in self._undone]
                 if dropped:
                     saves[part + "pristine"] = _pristine_dump(dropped)
                 # an object that a line of the index names is never rewritten:
                 # a save that failed half-way would tear that line's merge base
-                named = {r["sha"] for r in held}
+                named = {r["sha"] for r, _ in held}
                 saves.update((f"pristine/objects/{r['sha']}", c) for r, c in self._snapshots
                              if r["sha"] not in named)
                 if self._status is not None:
                     saves["status"] = self._status
                 if dropped or self._snapshots:
                     saves["pristine/index"] = _pristine_dump(
-                        [r for r in held if r["txn"] not in self._undone]
-                        + [r for r, _ in self._snapshots])
+                        [line for r, line in held if r["txn"] not in self._undone],
+                        [r for r, _ in self._snapshots])
             else:  # an abort writes back what a failed commit wrote
                 saves.update((name, self._status_pre if name == "status" else
-                              _pristine_dump(self.pristine.records()))
+                              _pristine_dump(line for _, line in self.pristine.held()))
                              for name in ("status", "pristine/index") if name in self._written)
             for name, data in saves.items():
                 self._written.add(name)

@@ -31,7 +31,7 @@ import txpkg
 
 SRC = Path(txpkg.__file__).resolve().parent
 ENGINE = ("mscript", "confmerge", "planner")
-SURFACE = {"state", "walk_files", "digest", "write_through", "mkdir", "rmdir",
+SURFACE = {"state", "render_files", "write_through", "mkdir", "rmdir",
            "add_pristine", "set_status", "commit", "rollback"}
 SEAM = {"state", "put", "read", "scan"}
 FILE_IO = {"read_bytes", "write_bytes", "read_text", "write_text", "open"}
